@@ -3,11 +3,11 @@
 // Three measurements at a paper-scale working point (N users, d model
 // entries, buffer K = N/4, Poly(1) staleness):
 //
-//   1. buffer cycles/s of the legacy single-threaded AsyncNetwork drive
-//      (copying Router) vs the same cohorts as AsyncSessions pumped by the
-//      sharded server::AggregationServer over the zero-copy transport,
-//      with every async aggregate checked bit-identical to its legacy
-//      reference (same seed, same scheduled arrivals);
+//   1. buffer cycles/s of the single-threaded AsyncNetwork reference (the
+//      same router, pumped on one lane) vs the same cohorts as
+//      AsyncSessions pumped by the sharded server::AggregationServer, with
+//      every async aggregate checked bit-identical to its serial reference
+//      (same seed, same scheduled arrivals);
 //   2. the one-shot weighted-decode telemetry: plan setup vs streaming
 //      seconds and the survivor-set plan-cache hit count — repeated cycles
 //      with the same responder set must pay setup once;
@@ -39,7 +39,6 @@
 #include "runtime/machines.h"
 #include "server/aggregation_server.h"
 #include "sys/thread_pool.h"
-#include "transport/concurrent_router.h"
 #include "transport/stats.h"
 
 namespace {
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
   }
   const double total_cycles = double(n_sessions * cycles);
   std::printf("\n[1] %zu cohorts x %zu cycles\n", n_sessions, cycles);
-  std::printf("  legacy AsyncNetwork (copying Router): %8.3f s  %8.1f "
+  std::printf("  serial AsyncNetwork reference:        %8.3f s  %8.1f "
               "cycles/s\n",
               legacy_secs, total_cycles / legacy_secs);
 
@@ -311,60 +310,7 @@ int main(int argc, char** argv) {
                            {"send_side_payload_copies", double(mixed_copies)},
                            {"bit_identical", 1.0}});
 
-  // [4] Mailbox-strategy fan-in comparison: the same async cohorts driven
-  // over the mutex-deque reference mailboxes. Outputs must stay
-  // bit-identical to the legacy drive (ring == mutex == serial); the
-  // cycles/s ratio tracks what the lock-free ring buys the buffered
-  // share fan-in end to end.
-  std::printf("\n[4] mailbox strategies: lock-free ring vs mutex-deque "
-              "reference\n");
-  double mutex_secs = 0;
-  {
-    lsa::sys::ThreadPool pool(hw);
-    lsa::server::AggregationServer server(&pool);
-    std::vector<std::uint64_t> ids;
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      lsa::server::AsyncSessionConfig cfg;
-      cfg.params = su.params;
-      cfg.params.exec.pool = &pool;
-      cfg.seed = su.seed(s);
-      cfg.mailbox = lsa::transport::MailboxStrategy::kMutexDeque;
-      cfg.buffer_k = su.buffer_k;
-      cfg.staleness = su.staleness;
-      cfg.c_g = su.c_g;
-      cfg.schedule = su.schedule(s);
-      ids.push_back(server.open_async_session(cfg));
-      server.async_session(ids.back()).enqueue_scheduled_cycles(cycles);
-    }
-    const auto t0 = Clock::now();
-    server.drive();
-    mutex_secs = seconds_since(t0);
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      const auto& outs = server.async_session(ids[s]).outputs();
-      for (std::size_t c = 0; c < cycles; ++c) {
-        if (outs[c].weighted_sum != expected[s][c].weighted_sum ||
-            outs[c].weight_sum != expected[s][c].weight_sum) {
-          std::printf("FAIL: mutex-deque session %zu cycle %zu differs from "
-                      "the legacy drive\n", s, c);
-          return 1;
-        }
-      }
-    }
-  }
-  std::printf("  lock-free ring:  %8.3f s  %8.1f cycles/s\n", server_secs,
-              total_cycles / server_secs);
-  std::printf("  mutex-deque ref: %8.3f s  %8.1f cycles/s  "
-              "(ring is %.2fx)\n",
-              mutex_secs, total_cycles / mutex_secs,
-              mutex_secs / server_secs);
-  std::printf("  both strategies bit-identical to the legacy drive: OK\n");
-  json.add("mailbox_strategies",
-           {{"ring_cycles_per_s", total_cycles / server_secs},
-            {"mutex_cycles_per_s", total_cycles / mutex_secs},
-            {"ring_vs_mutex", mutex_secs / server_secs},
-            {"bit_identical", 1.0}});
-
-  // [5] Steady-state persistent cohorts (params.persistent_cohort): the
+  // [4] Steady-state persistent cohorts (params.persistent_cohort): the
   // offline mask encode + share distribution run ONCE per cohort epoch;
   // every later round is masked-upload -> fan-in -> cached-plan decode
   // only. Aggregates stay bit-identical to the per-round protocol (the
@@ -374,7 +320,7 @@ int main(int argc, char** argv) {
   // invariant: offline encodes and plan builds track cohort EPOCHS, not
   // rounds.
   const std::size_t ss_rounds = smoke ? 6 : 10;
-  std::printf("\n[5] steady-state persistent cohort: %zu sync rounds, "
+  std::printf("\n[4] steady-state persistent cohort: %zu sync rounds, "
               "stable membership\n", ss_rounds);
   double ss_offline_per_user = 0, ss_plan_builds = 0;
   double legacy_round_secs = 0, persist_round_secs = 0;

@@ -194,6 +194,10 @@ RoundsResult full_rounds(const std::string& url,
 
   const auto before = lsa::transport::snapshot();
   const auto t0 = Clock::now();
+  // Clients that finished (holding the final result, or given up), and
+  // whether any gave up: a timed-out client fails the record.
+  std::atomic<std::uint32_t> clients_done{0};
+  std::atomic<bool> client_failed{false};
   std::vector<std::thread> threads;
   for (std::uint32_t u = 0; u < params.num_users; ++u) {
     threads.emplace_back([&, u] {
@@ -212,20 +216,31 @@ RoundsResult full_rounds(const std::string& url,
         const auto deadline = Clock::now() + std::chrono::seconds(120);
         while (result_round < static_cast<std::int64_t>(r)) {
           t->poll(5);
-          if (!t->connected() || Clock::now() >= deadline) return;
+          if (!t->connected() || Clock::now() >= deadline) {
+            client_failed.store(true);
+            ++clients_done;
+            return;
+          }
         }
       }
+      ++clients_done;
     });
   }
+  // The session is done once the hub has QUEUED the last result; keep
+  // polling until every client holds it (large result frames still need
+  // the hub's write-ready flushes).
   const auto deadline = Clock::now() + std::chrono::seconds(300);
-  while (!sess.done() && Clock::now() < deadline) hub->poll(20);
+  while (clients_done.load() < params.num_users && Clock::now() < deadline) {
+    hub->poll(20);
+  }
   for (auto& th : threads) th.join();
   RoundsResult r;
   r.secs = secs_since(t0);
   const auto after = lsa::transport::snapshot();
   r.send_copies = after.payload_copies - before.payload_copies;
 
-  if (!sess.done() || sess.aggregates().size() != rounds) {
+  if (client_failed.load() || !sess.done() ||
+      sess.aggregates().size() != rounds) {
     return r;  // bit_identical stays false
   }
   lsa::runtime::Network net(params, seed);

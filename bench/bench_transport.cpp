@@ -1,47 +1,37 @@
-// Transport-plane throughput: legacy copying Router vs the zero-copy
-// ConcurrentRouter, plus the sharded multi-session AggregationServer.
+// Transport-plane throughput: the seed repo's copying router vs the
+// zero-copy ConcurrentRouter, plus the sharded multi-session
+// AggregationServer.
 //
-// Three measurements at the paper-scale working point (N = 100 users,
+// Measurements at the paper-scale working point (N = 100 users,
 // d = 100k model entries → ~5.7 KB share frames):
 //
 //   1. frames/s of the offline share fan-out (N*(N-1) share frames, each
 //      consumed into an arena row at the receiver):
-//        a. the SEED Router — a faithful local reproduction of the
+//        a. the SEED router — a faithful local reproduction of the
 //           pre-transport-subsystem path (bitwise CRC-32, global FIFO
-//           deque, Message copy + serialize + deserialize). This is the
-//           legacy baseline the >=5x acceptance target is measured
-//           against: the transport this PR replaces;
-//        b. today's Router (same copying shape, slice-by-8 CRC);
-//        c. ConcurrentRouter, single thread: zero-copy pooled frames;
-//        d. ConcurrentRouter, one cohort per pool worker: aggregate MPSC
+//           deque, payload copied into a message, into the frame and back
+//           out at delivery). This is the baseline the >=5x acceptance
+//           target is measured against;
+//        b. ConcurrentRouter, single thread: zero-copy pooled frames;
+//        c. ConcurrentRouter, one cohort per pool worker: aggregate MPSC
 //           throughput of the sharded plane (scales with cores).
 //   2. bytes copied per round, from the global transport counters — the
 //      zero-copy path must report ZERO intermediate payload copies
 //      (enforced with a hard check, same as tests/transport_test.cpp).
 //   3. a full multi-session LightSecAgg round (with dropout at the U
 //      boundary) through server::AggregationServer, checked bit-identical
-//      against the single-threaded runtime::Network and timed against it —
-//      under BOTH mailbox strategies (the lock-free MPSC ring and the
-//      mutex-deque reference), which must agree bit for bit;
-//   4. a fan-in contention sweep: M concurrent senders hammer ONE
-//      receiver's mailbox (the server-side share fan-in shape of the
-//      paper's aggregate-load argument), ring vs mutex — the regime the
-//      lock-free ring exists for.
+//      against the single-threaded runtime::Network and timed against it.
 //
 // Usage: bench_transport [N] [d] [sessions] [--smoke] [--json <path>]
 // Defaults 100 100000 4; --smoke shrinks to a CI-sized point (the Release
 // CI gate runs it and checks BENCH_transport.json against
 // bench/transport_tolerance.json via check_transport_regression.py).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <cstdlib>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -51,7 +41,6 @@
 #include "field/random_field.h"
 #include "protocol/params.h"
 #include "runtime/machines.h"
-#include "runtime/router.h"
 #include "server/aggregation_server.h"
 #include "sys/thread_pool.h"
 #include "transport/concurrent_router.h"
@@ -67,10 +56,19 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The seed repo's message: header fields plus an owned payload vector.
+struct SeedMessage {
+  lsa::runtime::MsgType type = lsa::runtime::MsgType::kEncodedMaskShare;
+  std::uint32_t sender = 0;
+  std::uint32_t receiver = 0;
+  std::uint64_t round = 0;
+  std::vector<rep> payload;
+};
+
 /// The seed repo's wire path, reproduced byte-for-byte: bitwise CRC over
 /// the payload, one fresh heap frame per message, payload copied into the
-/// Message, into the frame, and back out at delivery.
-std::vector<std::uint8_t> seed_serialize(const lsa::runtime::Message& m) {
+/// message, into the frame, and back out at delivery.
+std::vector<std::uint8_t> seed_serialize(const SeedMessage& m) {
   using namespace lsa::runtime;
   std::vector<std::uint8_t> buf(kHeaderBytes + 4 * m.payload.size());
   const std::uint32_t crc = crc32_reference(std::span<const std::uint8_t>(
@@ -84,16 +82,15 @@ std::vector<std::uint8_t> seed_serialize(const lsa::runtime::Message& m) {
   return buf;
 }
 
-lsa::runtime::Message seed_deserialize(std::span<const std::uint8_t> buf) {
+SeedMessage seed_deserialize(std::span<const std::uint8_t> buf) {
   using namespace lsa::runtime;
-  const std::uint8_t* p = buf.data() + 16;
-  Message m;
+  SeedMessage m;
   std::memcpy(&m.sender, buf.data() + 4, 4);
   std::uint32_t n = 0;
   std::memcpy(&n, buf.data() + 20, 4);
   std::uint32_t crc_expected = 0;
   std::memcpy(&crc_expected, buf.data() + 24, 4);
-  p = buf.data() + kHeaderBytes;
+  const std::uint8_t* p = buf.data() + kHeaderBytes;
   const std::uint32_t crc_actual =
       crc32_reference(std::span<const std::uint8_t>(p, 4ull * n));
   if (crc_actual != crc_expected) std::abort();
@@ -108,7 +105,7 @@ lsa::runtime::Message seed_deserialize(std::span<const std::uint8_t> buf) {
 
 double fanout_seed(std::size_t n, std::size_t seg_len,
                    const lsa::field::FlatMatrix<Fp32>& shares) {
-  std::deque<std::vector<std::uint8_t>> queue;  // the seed Router's core
+  std::deque<std::vector<std::uint8_t>> queue;  // the seed router's core
   lsa::field::FlatMatrix<Fp32> sink(n, seg_len);
   const auto t0 = Clock::now();
   auto drain = [&] {
@@ -123,7 +120,7 @@ double fanout_seed(std::size_t n, std::size_t seg_len,
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
-      lsa::runtime::Message m;
+      SeedMessage m;
       m.type = lsa::runtime::MsgType::kEncodedMaskShare;
       m.sender = static_cast<std::uint32_t>(i);
       m.receiver = static_cast<std::uint32_t>(j);
@@ -140,49 +137,13 @@ double fanout_seed(std::size_t n, std::size_t seg_len,
 /// One cohort's offline share fan-out: every user ships one seg_len-row to
 /// every other user; receivers consume each frame into an arena row.
 /// Returns wall time; the copy counters are read by the caller.
-double fanout_legacy(std::size_t n, std::size_t seg_len,
-                     const lsa::field::FlatMatrix<Fp32>& shares) {
-  lsa::runtime::Router router(n);
-  lsa::field::FlatMatrix<Fp32> sink(n, seg_len);
-  const auto t0 = Clock::now();
-  lsa::runtime::Message in;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      lsa::runtime::Message m;
-      m.type = lsa::runtime::MsgType::kEncodedMaskShare;
-      m.sender = static_cast<std::uint32_t>(i);
-      m.receiver = static_cast<std::uint32_t>(j);
-      m.payload.assign(shares.row(i).begin(), shares.row(i).end());
-      lsa::transport::counters().note_copy(4 * seg_len);
-      router.send(m);
-    }
-    // Drain as we go (mirrors a live server; also bounds queue memory).
-    while (router.deliver_next(in)) {
-      auto dst = sink.row(in.sender);
-      std::copy(in.payload.begin(), in.payload.end(), dst.begin());
-    }
-  }
-  while (router.deliver_next(in)) {
-    auto dst = sink.row(in.sender);
-    std::copy(in.payload.begin(), in.payload.end(), dst.begin());
-  }
-  return seconds_since(t0);
-}
-
 double fanout_zero_copy(std::size_t n, std::size_t seg_len,
                         const lsa::field::FlatMatrix<Fp32>& shares) {
   lsa::transport::ConcurrentRouter router(n, 4 * n);
   lsa::field::FlatMatrix<Fp32> sink(n, seg_len);
   const auto t0 = Clock::now();
   lsa::transport::Inbound in;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      router.send_row(lsa::runtime::MsgType::kEncodedMaskShare,
-                      static_cast<std::uint32_t>(i),
-                      static_cast<std::uint32_t>(j), 0, shares.row(i));
-    }
+  auto drain = [&] {
     for (std::size_t r = 0; r < n; ++r) {
       while (router.try_recv(r, in)) {
         auto dst = sink.row(in.view.sender);
@@ -191,92 +152,18 @@ double fanout_zero_copy(std::size_t n, std::size_t seg_len,
         in.buf.reset();
       }
     }
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    while (router.try_recv(r, in)) {
-      auto dst = sink.row(in.view.sender);
-      std::copy(in.view.payload.begin(), in.view.payload.end(), dst.begin());
-      in.buf.reset();
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      router.send_row(lsa::runtime::MsgType::kEncodedMaskShare,
+                      static_cast<std::uint32_t>(i),
+                      static_cast<std::uint32_t>(j), 0, shares.row(i));
     }
+    drain();
   }
+  drain();
   return seconds_since(t0);
-}
-
-/// Fan-in contention: M senders burst-enqueue into ONE receiver's mailbox.
-/// The timed phase is the ENQUEUE burst alone — every sender parks on a
-/// start latch, the clock runs from release to last-send-done, and the
-/// drain is verified untimed afterwards — so the sweep isolates M threads
-/// hammering one mailbox's admission path (the contention the lock-free
-/// ring exists to cut), not thread spawn, consumer scheduling, or
-/// backpressure parking (that discipline has its own tests and is
-/// identical per strategy: park, one wake per freed slot). Capacity
-/// covers the whole burst so no producer ever blocks.
-double fanin_contention(std::size_t senders, std::uint32_t frames_each,
-                        std::size_t payload_elems,
-                        lsa::transport::MailboxStrategy strategy) {
-  const std::uint64_t total = std::uint64_t{senders} * frames_each;
-  // TWO parties only (mailbox capacity is per receiver, and a router of
-  // M+1 parties would allocate M unused burst-deep sender mailboxes):
-  // every sender thread stamps party 0 — the admission path carries no
-  // per-sender state, so sender identity is irrelevant to the contention
-  // being measured. Freelist sized to the burst + a warmup pass: after
-  // it, every acquire recycles, so the timed phase exercises the mailbox
-  // engine, not malloc.
-  lsa::transport::ConcurrentRouter router(
-      2, /*queue_capacity=*/total, strategy, /*pool_retain=*/total);
-  const std::uint32_t receiver = 1;
-  const std::vector<rep> payload(payload_elems, 3);
-  {
-    lsa::transport::Inbound in;
-    for (std::uint64_t k = 0; k < total; ++k) {
-      router.send_row(lsa::runtime::MsgType::kMaskedModel, 0, receiver, k,
-                      std::span<const rep>(payload));
-    }
-    while (router.try_recv(receiver, in)) in.buf.reset();
-  }
-
-  std::mutex latch_mu;
-  std::condition_variable latch_cv;
-  bool go = false;
-  std::vector<std::thread> threads;
-  threads.reserve(senders);
-  for (std::size_t s = 0; s < senders; ++s) {
-    threads.emplace_back([&] {
-      {
-        std::unique_lock<std::mutex> lk(latch_mu);
-        latch_cv.wait(lk, [&] { return go; });
-      }
-      for (std::uint32_t k = 0; k < frames_each; ++k) {
-        router.send_row(lsa::runtime::MsgType::kMaskedModel, /*sender=*/0,
-                        receiver, k, std::span<const rep>(payload));
-      }
-    });
-  }
-  const auto t0 = Clock::now();
-  {
-    std::lock_guard<std::mutex> lk(latch_mu);
-    go = true;
-  }
-  latch_cv.notify_all();
-  for (auto& t : threads) t.join();
-  const double secs = seconds_since(t0);
-
-  // Untimed verification drain: frame CONSERVATION only (every enqueue
-  // arrived exactly once). Per-link ordering is not meaningful here — all
-  // threads stamp sender 0 — and is pinned by mailbox_stress_test instead.
-  std::uint64_t got = 0;
-  lsa::transport::Inbound in;
-  while (router.try_recv(receiver, in)) {
-    in.buf.reset();
-    ++got;
-  }
-  if (got != total) {
-    std::printf("FAIL: fan-in sweep delivered %llu of %llu frames\n",
-                static_cast<unsigned long long>(got),
-                static_cast<unsigned long long>(total));
-    std::exit(1);
-  }
-  return secs;
 }
 
 void print_row(const char* name, std::uint64_t frames, double secs,
@@ -345,15 +232,7 @@ int main(int argc, char** argv) {
   auto after = lsa::transport::snapshot();
   const double legacy_fps =
       static_cast<double>(frames_per_cohort) / seed_secs;
-  print_row("seed Router (bitwise CRC) [base]", frames_per_cohort, seed_secs,
-            after.payload_copies - before.payload_copies,
-            after.payload_bytes_copied - before.payload_bytes_copied,
-            legacy_fps);
-
-  before = lsa::transport::snapshot();
-  const double router_secs = fanout_legacy(n, seg_len, shares);
-  after = lsa::transport::snapshot();
-  print_row("Router (slice-by-8 CRC)", frames_per_cohort, router_secs,
+  print_row("seed router (bitwise CRC) [base]", frames_per_cohort, seed_secs,
             after.payload_copies - before.payload_copies,
             after.payload_bytes_copied - before.payload_bytes_copied,
             legacy_fps);
@@ -371,15 +250,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double zc_fps = static_cast<double>(frames_per_cohort) / zc_secs;
-  std::printf("  zero-copy speedup over the legacy (seed) Router: %.2fx %s\n",
+  std::printf("  zero-copy speedup over the seed router: %.2fx %s\n",
               zc_fps / legacy_fps,
               zc_fps >= 5.0 * legacy_fps ? "(>=5x target met)"
                                          : "(<5x target MISSED)");
   json.add("fanout", {{"n", double(n)},
                       {"d", double(d)},
                       {"seed_router_fps", legacy_fps},
-                      {"slice8_router_fps",
-                       double(frames_per_cohort) / router_secs},
                       {"zero_copy_fps", zc_fps},
                       {"zero_copy_speedup", zc_fps / legacy_fps},
                       {"zero_copy_payload_copies", double(zc_copies)}});
@@ -400,7 +277,7 @@ int main(int argc, char** argv) {
               legacy_fps);
     const double sharded_fps =
         static_cast<double>(frames_per_cohort * hw) / sharded_secs;
-    std::printf("  sharded speedup over the legacy (seed) Router: %.2fx\n",
+    std::printf("  sharded speedup over the seed router: %.2fx\n",
                 sharded_fps / legacy_fps);
     json.add("fanout_sharded", {{"workers", double(hw)},
                                 {"fps", sharded_fps},
@@ -446,116 +323,47 @@ int main(int argc, char** argv) {
   std::printf("  single-threaded Network x%zu:      %8.3f s\n", n_sessions,
               serial_secs);
 
-  // Both mailbox strategies drive the same rounds: the lock-free ring is
-  // the production engine, the mutex deque the tested reference — results
-  // must be bit-identical to the serial Network under BOTH.
-  for (const auto strategy : {lsa::transport::MailboxStrategy::kLockFreeRing,
-                              lsa::transport::MailboxStrategy::kMutexDeque}) {
-    lsa::sys::ThreadPool pool(hw);
-    lsa::server::AggregationServer server(&pool);
-    std::vector<lsa::server::AggregationServer::RoundWork> works;
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      auto pp = p;
-      pp.exec.pool = &pool;
-      const auto id = server.open_session(
-          lsa::server::SessionConfig{.params = pp,
-                                     .seed = 70 + s,
-                                     .mailbox = strategy});
-      works.push_back({id, 0, &model_sets[s], crash});
-    }
-    before = lsa::transport::snapshot();
-    const auto t0 = Clock::now();
-    const auto results = server.run_rounds(works);
-    const double sharded_secs = seconds_since(t0);
-    after = lsa::transport::snapshot();
-    std::printf("  sharded AggregationServer (%s): %8.3f s  (%.2fx)\n",
-                lsa::transport::to_string(strategy), sharded_secs,
-                serial_secs / sharded_secs);
-    std::printf("  send-side payload copies:         %8llu (must be 0)\n",
-                static_cast<unsigned long long>(after.payload_copies -
-                                                before.payload_copies));
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      if (results[s] != expected[s]) {
-        std::printf("FAIL: session %zu aggregate differs from the "
-                    "single-threaded reference (%s)\n", s,
-                    lsa::transport::to_string(strategy));
-        return 1;
-      }
-    }
-    if (after.payload_copies != before.payload_copies) {
-      std::printf("FAIL: sharded round performed intermediate payload "
-                  "copies\n");
+  lsa::sys::ThreadPool pool(hw);
+  lsa::server::AggregationServer server(&pool);
+  std::vector<lsa::server::AggregationServer::RoundWork> works;
+  for (std::size_t s = 0; s < n_sessions; ++s) {
+    auto pp = p;
+    pp.exec.pool = &pool;
+    const auto id = server.open_session(
+        lsa::server::SessionConfig{.params = pp, .seed = 70 + s});
+    works.push_back({id, 0, &model_sets[s], crash});
+  }
+  before = lsa::transport::snapshot();
+  const auto t0 = Clock::now();
+  const auto results = server.run_rounds(works);
+  const double sharded_secs = seconds_since(t0);
+  after = lsa::transport::snapshot();
+  std::printf("  sharded AggregationServer:        %8.3f s  (%.2fx)\n",
+              sharded_secs, serial_secs / sharded_secs);
+  std::printf("  send-side payload copies:         %8llu (must be 0)\n",
+              static_cast<unsigned long long>(after.payload_copies -
+                                              before.payload_copies));
+  for (std::size_t s = 0; s < n_sessions; ++s) {
+    if (results[s] != expected[s]) {
+      std::printf("FAIL: session %zu aggregate differs from the "
+                  "single-threaded reference\n", s);
       return 1;
     }
-    std::printf("  aggregates bit-identical to the serial reference: OK\n");
-    const bool ring =
-        strategy == lsa::transport::MailboxStrategy::kLockFreeRing;
-    json.add(ring ? "multi_session" : "multi_session_mutex",
-             {{"sessions", double(n_sessions)},
-              {"serial_s", serial_secs},
-              {"sharded_s", sharded_secs},
-              {"speedup", serial_secs / sharded_secs},
-              {"send_side_payload_copies",
-               double(after.payload_copies - before.payload_copies)},
-              {"bit_identical", 1.0}});
   }
-
-  // [3] Fan-in contention sweep: M senders into ONE mailbox. This is the
-  // server's share fan-in at scale, and the regime where the mutex
-  // mailbox serializes every enqueue; the lock-free ring must pull ahead
-  // as M grows (acceptance: ring >= mutex at M >= 500 in the full sweep).
-  {
-    const std::vector<std::size_t> sweep =
-        smoke ? std::vector<std::size_t>{16, 64}
-              : std::vector<std::size_t>{100, 250, 500, 1000};
-    const std::size_t payload_elems = 8;
-    std::printf("\n[3] fan-in contention sweep (%zu-elem frames, one "
-                "receiver)\n", payload_elems);
-    std::printf("  %8s %14s %14s %10s\n", "senders", "ring fr/s",
-                "mutex fr/s", "ring/mutex");
-    // Interleaved best-of-R per point: scheduler noise on shared hosts
-    // dwarfs the per-op engine delta in any single run; the fastest rep is
-    // the least-polluted measurement of each engine's admission path.
-    const int reps = smoke ? 3 : 5;
-    for (const std::size_t m : sweep) {
-      const auto frames_each = static_cast<std::uint32_t>(
-          std::max<std::size_t>(smoke ? 50 : 25, (smoke ? 6000 : 60000) / m));
-      const std::uint64_t total = std::uint64_t{m} * frames_each;
-      double ring_secs = 1e30, mutex_secs = 1e30;
-      for (int r = 0; r < reps; ++r) {
-        ring_secs = std::min(
-            ring_secs,
-            fanin_contention(m, frames_each, payload_elems,
-                             lsa::transport::MailboxStrategy::kLockFreeRing));
-        mutex_secs = std::min(
-            mutex_secs,
-            fanin_contention(m, frames_each, payload_elems,
-                             lsa::transport::MailboxStrategy::kMutexDeque));
-      }
-      const double ring_fps = double(total) / ring_secs;
-      const double mutex_fps = double(total) / mutex_secs;
-      std::printf("  %8zu %14.0f %14.0f %9.2fx\n", m, ring_fps, mutex_fps,
-                  ring_fps / mutex_fps);
-      json.add("fanin_contention_" + std::to_string(m),
-               {{"senders", double(m)},
-                {"frames", double(total)},
-                {"ring_fps", ring_fps},
-                {"mutex_fps", mutex_fps},
-                {"ring_vs_mutex", ring_fps / mutex_fps}});
-      // Self-enforced collapse floor at high fan-in: the ring must stay in
-      // the mutex reference's league at M >= 500 — the regime where a wake
-      // or admission regression (e.g. notify_one reverting to the
-      // notify_all thundering herd, which cost ~100x here) shows first.
-      // 0.75 tolerates scheduler jitter on shared single-core hosts, where
-      // the engines otherwise measure within a few percent; any real
-      // collapse lands far below it.
-      if (m >= 500 && ring_fps < 0.75 * mutex_fps) {
-        std::printf("FAIL: lock-free ring collapsed to %.2fx of the mutex "
-                    "mailbox at %zu senders\n", ring_fps / mutex_fps, m);
-        return 1;
-      }
-    }
+  if (after.payload_copies != before.payload_copies) {
+    std::printf("FAIL: sharded round performed intermediate payload "
+                "copies\n");
+    return 1;
   }
+  std::printf("  aggregates bit-identical to the serial reference: OK\n");
+  json.add("multi_session",
+           {{"sessions", double(n_sessions)},
+            {"serial_s", serial_secs},
+            {"sharded_s", sharded_secs},
+            {"speedup", serial_secs / sharded_secs},
+            {"send_side_payload_copies",
+             double(after.payload_copies - before.payload_copies)},
+            {"bit_identical", 1.0}});
   json.write(json_path);
   return 0;
 }

@@ -31,12 +31,7 @@ def main() -> int:
     gate.require_min("mixed_drive", "bit_identical", 1)
     gate.require_max("mixed_drive", "send_side_payload_copies",
                      tol["max_send_side_payload_copies"])
-    # Mailbox-strategy sweep: ring and mutex-deque must both reproduce the
-    # legacy drive; the ratio floor only catches the ring path collapsing.
-    gate.require_min("mailbox_strategies", "bit_identical", 1)
-    gate.require_min("mailbox_strategies", "ring_vs_mutex",
-                     tol["min_ring_vs_mutex"])
-    # Steady-state persistent cohorts ([5]): zero-setup invariant — the
+    # Steady-state persistent cohorts ([4]): zero-setup invariant — the
     # offline encode runs once per user per cohort epoch and the
     # survivor-set plan is built once (builds track epochs, not rounds),
     # with aggregates bit-identical to the per-round protocol.

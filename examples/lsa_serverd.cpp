@@ -127,7 +127,7 @@ int serve(int argc, char** argv) {
 
   // The serving path must be copy-free: frames are built once from arena
   // rows and relayed/broadcast by refcount. Snapshot BEFORE the verify
-  // drive (the reference Network runs on the copying legacy Router).
+  // drive so the count covers the serving path alone.
   const std::uint64_t serve_copies =
       lsa::transport::snapshot().payload_copies;
   if (serve_copies != 0) {

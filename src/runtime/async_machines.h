@@ -1,6 +1,6 @@
 // Asynchronous LightSecAgg as communicating state machines (paper §4.2,
 // Appendix F) — the distributed-system shape of protocol/async_lightsecagg.h,
-// with every byte crossing the fault-injecting Router in wire format.
+// with every byte crossing a Transport in wire format.
 //
 // Message flow per buffer cycle (buffered async FL, FedBuff-style):
 //   1. A user finishing local training at staleness tau_i = now - t_i sends
@@ -18,6 +18,7 @@
 //      aggregate mask, removes it and broadcasts the result.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,12 +33,22 @@
 #include "protocol/params.h"
 #include "quant/staleness.h"
 #include "runtime/arrival_scheduler.h"
-#include "runtime/machines.h"  // Party
-#include "runtime/router.h"
+#include "runtime/machines.h"  // Party, pump_router, ShareBank
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 
 namespace lsa::runtime {
+
+/// Largest single-phase fan-in any one async mailbox sees: the server box
+/// takes up to max(N, A) frames between pumps (A masked uploads in the
+/// submission phase, up to N weighted-share responses after the manifest
+/// broadcast); a user box takes at most A timestamped shares. Every async
+/// driver — AsyncNetwork and server::AsyncSession — sizes its router from
+/// this rule plus ConcurrentRouter::kCapacityHeadroom.
+[[nodiscard]] constexpr std::size_t async_fanin_bound(
+    std::size_t n, std::size_t max_arrivals) {
+  return std::max(n, max_arrivals) + 2;
+}
 
 /// One edge device in the asynchronous protocol.
 class AsyncUserDevice final : public Party {
@@ -138,9 +149,6 @@ class AsyncUserDevice final : public Party {
     return offline_encodes_;
   }
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -271,9 +279,6 @@ class AsyncAggregationServer final : public Party {
     return codec_;
   }
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -399,20 +404,27 @@ class AsyncAggregationServer final : public Party {
   std::map<std::uint32_t, std::vector<rep>> weighted_shares_;
 };
 
-/// Owns the router and all async parties; pumps messages to completion.
+/// Owns the router and all async parties; pumps messages to completion —
+/// the single-threaded reference server::AsyncSession is pinned against,
+/// on the same router and pump loop, run on one lane.
 class AsyncNetwork {
  public:
   using Fp = lsa::field::Fp32;
   using rep = Fp::rep;
 
   /// t_i = born_round (staleness = now - t_i); shared with the arrival
-  /// scheduler so session and legacy drives consume identical patterns.
+  /// scheduler so session and serial drives consume identical patterns.
   using Arrival = lsa::runtime::Arrival;
 
+  /// The router admits cycles of up to max(N, buffer_k) arrivals, the
+  /// AsyncSession default cap.
   AsyncNetwork(lsa::protocol::Params params, std::size_t buffer_k,
                lsa::quant::StalenessPolicy staleness, std::uint64_t c_g,
                std::uint64_t seed)
-      : params_(params), router_(params.num_users + 1) {
+      : params_(params),
+        router_(params.num_users + 1,
+                async_fanin_bound(params.num_users, buffer_k) +
+                    lsa::transport::ConcurrentRouter::kCapacityHeadroom) {
     params_.validate_and_resolve();
     server_ = std::make_unique<AsyncAggregationServer>(
         params_, buffer_k, staleness, c_g, router_);
@@ -422,19 +434,17 @@ class AsyncNetwork {
     }
   }
 
-  [[nodiscard]] Router& router() { return router_; }
+  [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
   [[nodiscard]] AsyncUserDevice& user(std::size_t i) { return *users_.at(i); }
   [[nodiscard]] AsyncAggregationServer& server() { return *server_; }
 
   void pump() {
-    Message m;
-    while (router_.deliver_next(m)) {
-      if (m.receiver == params_.num_users) {
-        server_->handle(m);
-      } else {
-        users_.at(m.receiver)->handle(m);
-      }
-    }
+    pump_router(router_, lsa::sys::ExecPolicy{},
+                [&](std::size_t r) -> Party& {
+                  return r == params_.num_users
+                             ? static_cast<Party&>(*server_)
+                             : *users_[r];
+                });
   }
 
   /// Runs one buffer cycle at aggregation round `now`: the arrivals submit
@@ -443,6 +453,13 @@ class AsyncNetwork {
   [[nodiscard]] AsyncAggregationServer::Output run_cycle(
       std::uint64_t now, const std::vector<Arrival>& arrivals,
       const std::vector<std::size_t>& crash_before_recovery = {}) {
+    // A cycle past the router's fan-in bound would wedge this one thread
+    // on backpressure; refuse it up front.
+    lsa::require<lsa::ProtocolError>(
+        async_fanin_bound(params_.num_users, arrivals.size()) +
+                lsa::transport::ConcurrentRouter::kCapacityHeadroom <=
+            router_.queue_capacity(),
+        "async network: cycle exceeds the mailbox fan-in bound");
     for (const auto& a : arrivals) {
       users_.at(a.user)->submit_update(a.born_round, a.update);
     }
@@ -457,7 +474,7 @@ class AsyncNetwork {
 
  private:
   lsa::protocol::Params params_;
-  Router router_;
+  lsa::transport::ConcurrentRouter router_;
   std::unique_ptr<AsyncAggregationServer> server_;
   std::vector<std::unique_ptr<AsyncUserDevice>> users_;
 };

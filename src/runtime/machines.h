@@ -12,10 +12,9 @@
 //   * the server decides U1 from what actually arrived, not from a script;
 //   * recovery succeeds from ANY U responding users.
 //
-// All handlers consume *payload views* (on_payload): under the legacy
-// Router they see Message::payload via a span, under the concurrent
-// zero-copy transport they see a span aliasing the pooled frame buffer and
-// copy exactly once — straight into their ShareBank arena row.
+// All handlers consume *payload views* (handle_view -> on_payload): a span
+// aliasing the pooled frame buffer, copied exactly once — straight into
+// the receiver's ShareBank arena row.
 #pragma once
 
 #include <array>
@@ -31,9 +30,10 @@
 #include "field/flat_matrix.h"
 #include "field/random_field.h"
 #include "protocol/params.h"
-#include "runtime/router.h"
 #include "runtime/transport.h"
 #include "runtime/wire.h"
+#include "sys/exec_policy.h"
+#include "transport/concurrent_router.h"
 #include "transport/frame.h"
 
 namespace lsa::runtime {
@@ -41,13 +41,9 @@ namespace lsa::runtime {
 class Party {
  public:
   virtual ~Party() = default;
-  virtual void handle(const Message& m) = 0;
-  /// Zero-copy delivery entry. Default materializes a Message (one counted
-  /// payload copy); the sync machines override their payload handlers to
-  /// consume the view directly.
-  virtual void handle_view(const lsa::transport::FrameView& f) {
-    handle(lsa::transport::to_message(f));
-  }
+  /// Delivery entry: `f.payload` aliases the frame buffer and is valid
+  /// only for the duration of the call.
+  virtual void handle_view(const lsa::transport::FrameView& f) = 0;
 };
 
 /// Per-round flat store of length-`cols` payload rows keyed by sender: one
@@ -289,9 +285,6 @@ class UserDevice final : public Party {
   /// against (paper §8 future work; coding/error_correction.h).
   void set_byzantine(bool on) { byzantine_ = on; }
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -447,9 +440,6 @@ class AggregationServer final : public Party {
         transport_(transport),
         byzantine_tolerant_(byzantine_tolerant) {}
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -603,8 +593,50 @@ class AggregationServer final : public Party {
   BankRing<Fp> agg_shares_;
 };
 
+/// Largest single-phase fan-in any one mailbox sees in a sync round: up to
+/// 2N frames can land in one mailbox before any pump runs (N-1 offline
+/// shares + survivor traffic on a user box, N masked models + N aggregated
+/// shares on the server box across an unpumped phase pair). A bound below
+/// it would wedge a lone driving thread on backpressure with nobody left
+/// to drain, so every sync driver — Network and server::Session — sizes
+/// its router from this rule plus ConcurrentRouter::kCapacityHeadroom.
+[[nodiscard]] constexpr std::size_t sync_fanin_bound(std::size_t n) {
+  return 2 * n + 2;
+}
+
+// A bare router's default capacity must agree with the sync rule.
+static_assert(
+    lsa::transport::ConcurrentRouter::default_capacity(5 + 1) ==
+            sync_fanin_bound(5) +
+                lsa::transport::ConcurrentRouter::kCapacityHeadroom &&
+        lsa::transport::ConcurrentRouter::default_capacity(1000 + 1) ==
+            sync_fanin_bound(1000) +
+                lsa::transport::ConcurrentRouter::kCapacityHeadroom,
+    "transport default queue capacity diverged from sync_fanin_bound");
+
+/// THE delivery loop of every in-process drive: drains each receiver's
+/// mailbox on one lane of `pol` (a Party handles its own frames serially;
+/// distinct parties are independent) and re-pumps until frames sent by
+/// handlers (survivor-set / manifest replies) are delivered too. The
+/// serial references pass a default, inline policy.
+template <class PartyFn>
+void pump_router(lsa::transport::ConcurrentRouter& router,
+                 const lsa::sys::ExecPolicy& pol, PartyFn&& party) {
+  do {
+    pol.run(router.num_parties(), [&](std::size_t r) {
+      lsa::transport::Inbound in;
+      while (router.try_recv(r, in)) {
+        party(r).handle_view(in.view);
+        in.buf.reset();  // recycle before the next pop
+      }
+    });
+  } while (!router.idle());
+}
+
 /// Owns a router, N user devices and the server; pumps messages to
-/// completion. The unit tests drive rounds through this.
+/// completion. The single-threaded reference every concurrent driver is
+/// pinned against: the same router and pump loop as server::Session, run
+/// on one lane.
 class Network {
  public:
   using Fp = lsa::field::Fp32;
@@ -612,7 +644,10 @@ class Network {
 
   Network(lsa::protocol::Params params, std::uint64_t seed,
           bool byzantine_tolerant = false)
-      : params_(params), router_(params.num_users + 1) {
+      : params_(params),
+        router_(params.num_users + 1,
+                sync_fanin_bound(params.num_users) +
+                    lsa::transport::ConcurrentRouter::kCapacityHeadroom) {
     params_.validate_and_resolve();
     server_ = std::make_unique<AggregationServer>(params_, router_,
                                                   byzantine_tolerant);
@@ -622,20 +657,18 @@ class Network {
     }
   }
 
-  [[nodiscard]] Router& router() { return router_; }
+  [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
   [[nodiscard]] UserDevice& user(std::size_t i) { return *users_.at(i); }
   [[nodiscard]] AggregationServer& server() { return *server_; }
 
   /// Delivers queued messages until the network is quiet.
   void pump() {
-    Message m;
-    while (router_.deliver_next(m)) {
-      if (m.receiver == params_.num_users) {
-        server_->handle(m);
-      } else {
-        users_.at(m.receiver)->handle(m);
-      }
-    }
+    pump_router(router_, lsa::sys::ExecPolicy{},
+                [&](std::size_t r) -> Party& {
+                  return r == params_.num_users
+                             ? static_cast<Party&>(*server_)
+                             : *users_[r];
+                });
   }
 
   /// Runs one full round: all users start (offline + upload), `crash_after_
@@ -662,7 +695,7 @@ class Network {
 
  private:
   lsa::protocol::Params params_;
-  Router router_;
+  lsa::transport::ConcurrentRouter router_;
   std::unique_ptr<AggregationServer> server_;
   std::vector<std::unique_ptr<UserDevice>> users_;
 };

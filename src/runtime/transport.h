@@ -3,22 +3,21 @@
 // The state machines in runtime/machines.h and runtime/async_machines.h
 // emit traffic through this interface and never see what carries it:
 //
-//   * runtime::Router — the legacy single-threaded global-FIFO queue,
-//     now an adapter implementing Transport via the copying Message path;
-//   * transport::ConcurrentRouter — the sharded MPSC engine whose
-//     send_row override builds zero-copy frames straight from arena rows.
+//   * transport::ConcurrentRouter — the in-process plane (per-receiver
+//     mailboxes over pooled frames), pumped concurrently by the server
+//     sessions and serially by runtime::Network / runtime::AsyncNetwork;
+//   * transport::socket::SocketTransport — the same frames over TCP or
+//     Unix-domain sockets.
 //
 // send_row is THE hot entry point: senders pass a row view (FlatMatrix
-// arena row, local vector span) and the transport decides whether a
-// Message materializes. The default implementation is the legacy copying
-// adapter, so every Transport is drop-in compatible; zero-copy transports
-// override it.
+// arena row, local vector span) and every transport frames it once,
+// straight from the view — no intermediate payload vector exists on any
+// send path (transport/stats.h counts copies; tests assert zero).
 #pragma once
 
 #include <span>
 
 #include "runtime/wire.h"
-#include "transport/stats.h"
 
 namespace lsa::runtime {
 
@@ -26,24 +25,10 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Enqueues a fully materialized Message (legacy path).
-  virtual void send(const Message& m) = 0;
-
-  /// Sends a payload row view. Default: materialize a Message (one counted
-  /// intermediate payload copy) and forward to send(). Zero-copy
-  /// transports override this to frame straight from the view.
+  /// Sends a payload row view to `receiver`.
   virtual void send_row(MsgType type, std::uint32_t sender,
                         std::uint32_t receiver, std::uint64_t round,
-                        std::span<const lsa::field::Fp32::rep> payload) {
-    Message m;
-    m.type = type;
-    m.sender = sender;
-    m.receiver = receiver;
-    m.round = round;
-    m.payload.assign(payload.begin(), payload.end());
-    lsa::transport::counters().note_copy(4 * payload.size());
-    send(m);
-  }
+                        std::span<const lsa::field::Fp32::rep> payload) = 0;
 
   /// Broadcasts one payload to receivers 0..num_receivers-1 (the server's
   /// survivor-set / result / manifest fan-outs). Default: one send_row per

@@ -3,8 +3,9 @@
 // The protocol classes in src/protocol are orchestrated (one function runs
 // all parties), which is ideal for tests and cost accounting. The runtime
 // layer instead executes LightSecAgg as *communicating state machines* —
-// the shape of the paper's real system (Fig. 4) — so messages must actually
-// be serialized. Layout (little-endian):
+// the shape of the paper's real system (Fig. 4) — so every message crosses
+// this wire format; transport/frame.h builds and parses the frames.
+// Layout (little-endian):
 //
 //   [u16 type][u16 flags][u32 sender][u32 receiver][u64 round]
 //   [u32 payload_elems][u32 crc32(payload)][payload: u32 field reps]
@@ -24,11 +25,9 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <vector>
 
 #include "common/error.h"
 #include "field/fp.h"
-#include "transport/stats.h"
 
 namespace lsa::runtime {
 
@@ -48,14 +47,6 @@ enum class MsgType : std::uint16_t {
   // like every other frame so the one wire validator covers them too.
   kSessionHello = 8,       ///< client -> hub: bind connection (round = session)
   kSessionWelcome = 9,     ///< hub -> client: binding accepted (echoed identity)
-};
-
-struct Message {
-  MsgType type = MsgType::kEncodedMaskShare;
-  std::uint32_t sender = 0;
-  std::uint32_t receiver = 0;
-  std::uint64_t round = 0;
-  std::vector<lsa::field::Fp32::rep> payload;
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, bitwise implementation). Kept as the
@@ -152,11 +143,11 @@ struct WireHeader {
   std::uint32_t payload_elems = 0;
 };
 
-/// The one wire validator both the legacy deserializer and the zero-copy
-/// frame parser go through: checks header/payload truncation and the
+/// The one wire validator every receive path goes through (via
+/// transport::parse_frame): checks header/payload truncation and the
 /// payload CRC, throws ProtocolError on any mismatch. The payload bytes
-/// live at buf[kHeaderBytes ..] untouched; canonicality is checked by the
-/// caller on its own representation (vector or span view).
+/// live at buf[kHeaderBytes ..] untouched; canonicality is checked on the
+/// payload view by check_canonical_payload.
 [[nodiscard]] inline WireHeader read_header_checked(
     std::span<const std::uint8_t> buf) {
   lsa::require<lsa::ProtocolError>(buf.size() >= kHeaderBytes,
@@ -183,7 +174,7 @@ struct WireHeader {
   return h;
 }
 
-/// Canonicality scan shared by both payload representations: branchless
+/// Canonicality scan of a payload view: branchless
 /// accumulate (auto-vectorizes), one require at the end off the throw path.
 inline void check_canonical_payload(
     std::span<const lsa::field::Fp32::rep> payload) {
@@ -193,43 +184,6 @@ inline void check_canonical_payload(
   }
   lsa::require<lsa::ProtocolError>(canonical,
                                    "wire: non-canonical field element");
-}
-
-[[nodiscard]] inline std::vector<std::uint8_t> serialize(const Message& m) {
-  std::vector<std::uint8_t> buf(kHeaderBytes + 4 * m.payload.size());
-  const std::uint32_t crc = crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(m.payload.data()),
-      4 * m.payload.size()));
-  write_header(buf.data(), m.type, m.sender, m.receiver, m.round,
-               static_cast<std::uint32_t>(m.payload.size()), crc);
-  if (!m.payload.empty()) {
-    // copy-ok: legacy serialize path — the intermediate-payload copy the
-    // zero-copy frame path eliminates, counted by note_copy below.
-    std::memcpy(buf.data() + kHeaderBytes, m.payload.data(),
-                4 * m.payload.size());
-  }
-  lsa::transport::counters().note_copy(4 * m.payload.size());
-  return buf;
-}
-
-[[nodiscard]] inline Message deserialize(
-    std::span<const std::uint8_t> buf) {
-  const WireHeader h = read_header_checked(buf);
-  Message m;
-  m.type = h.type;
-  m.sender = h.sender;
-  m.receiver = h.receiver;
-  m.round = h.round;
-  m.payload.resize(h.payload_elems);
-  if (h.payload_elems > 0) {
-    // copy-ok: legacy deserialize materializes a Message::payload vector
-    // (counted below); parse_frame is the zero-copy replacement.
-    std::memcpy(m.payload.data(), buf.data() + kHeaderBytes,
-                4ull * h.payload_elems);
-  }
-  lsa::transport::counters().note_copy(4ull * h.payload_elems);
-  check_canonical_payload(m.payload);
-  return m;
 }
 
 }  // namespace lsa::runtime

@@ -158,15 +158,13 @@ class SessionBase {
   [[nodiscard]] virtual SessionStats stats() const = 0;
 
  protected:
-  /// THE queue-capacity rule, asserted here for every session type: each
-  /// type derives the largest single-phase fan-in any one mailbox can see
-  /// (its `fanin_bound`), and a configured bound below that would wedge
-  /// the (possibly only) driving thread on backpressure with nobody left
-  /// to drain. 0 picks bound + headroom — the SAME headroom the transport's
-  /// own fallback (ConcurrentRouter::default_capacity) adds, so a bare
-  /// router and a server-owned one resolve identically for a sync cohort
-  /// (static_assert below; every server-owned router is constructed
-  /// through this function).
+  /// THE queue-capacity rule for server-owned routers: the session type's
+  /// largest single-phase fan-in (runtime::sync_fanin_bound /
+  /// runtime::async_fanin_bound — the rules live next to the machines and
+  /// also size the serial references' routers) is the floor, since a
+  /// configured bound below it would wedge the (possibly only) driving
+  /// thread on backpressure with nobody left to drain. 0 picks bound +
+  /// ConcurrentRouter::kCapacityHeadroom.
   [[nodiscard]] static std::size_t resolve_queue_capacity(
       std::size_t configured, std::size_t fanin_bound) {
     if (configured == 0) {
@@ -177,25 +175,6 @@ class SessionBase {
         "session: queue_capacity below this session type's phase fan-in "
         "bound");
     return configured;
-  }
-
-  /// Delivers until every mailbox is quiet. Each receiver's mailbox drains
-  /// on one lane (a Party handles its own messages serially; distinct
-  /// parties are independent). Re-pumps until messages sent by handlers
-  /// (survivor-set / manifest replies) are delivered too.
-  template <class PartyFn>
-  static void pump_router(lsa::transport::ConcurrentRouter& router,
-                          const lsa::sys::ExecPolicy& pol,
-                          std::size_t endpoints, PartyFn&& party) {
-    do {
-      pol.run(endpoints, [&](std::size_t r) {
-        lsa::transport::Inbound in;
-        while (router.try_recv(r, in)) {
-          party(r).handle_view(in.view);
-          in.buf.reset();  // recycle before the next pop
-        }
-      });
-    } while (!router.idle());
   }
 
   /// Folds one decode's stats into the session telemetry.
@@ -250,10 +229,6 @@ struct SessionConfig {
   /// Per-receiver mailbox bound; 0 = the session type's fan-in bound plus
   /// headroom, so a single-threaded drive never blocks on backpressure.
   std::size_t queue_capacity = 0;
-  /// Mailbox engine for the session's router (lock-free ring by default;
-  /// the mutex deque is the tested reference — results are bit-identical).
-  lsa::transport::MailboxStrategy mailbox =
-      lsa::transport::default_mailbox_strategy();
   bool byzantine_tolerant = false;
   /// Bench/test instrumentation: simulated wide-area latency injected once
   /// per stage execution (a sleep at stage start), modeling the share-
@@ -272,20 +247,12 @@ class Session final : public SessionBase {
   using Fp = SessionBase::Fp;
   using rep = SessionBase::rep;
 
-  /// Largest single-phase fan-in any one mailbox sees in a sync round: up
-  /// to 2N frames can land in one mailbox before any pump runs (N-1 offline
-  /// shares + survivor traffic on a user box, N masked models + N
-  /// aggregated shares on the server box across an unpumped phase pair).
-  [[nodiscard]] static constexpr std::size_t fanin_bound(std::size_t n) {
-    return 2 * n + 2;
-  }
-
   explicit Session(SessionConfig cfg)
       : cfg_(std::move(cfg)),
         router_(cfg_.params.num_users + 1,
-                resolve_queue_capacity(cfg_.queue_capacity,
-                                       fanin_bound(cfg_.params.num_users)),
-                cfg_.mailbox) {
+                resolve_queue_capacity(
+                    cfg_.queue_capacity,
+                    lsa::runtime::sync_fanin_bound(cfg_.params.num_users))) {
     cfg_.params.validate_and_resolve();
     server_ = std::make_unique<lsa::runtime::AggregationServer>(
         cfg_.params, router_, cfg_.byzantine_tolerant);
@@ -337,10 +304,10 @@ class Session final : public SessionBase {
   }
 
   void pump() {
-    pump_router(router_, cfg_.params.exec, cfg_.params.num_users + 1,
-                [&](std::size_t r) -> lsa::runtime::Party& {
-                  return party(r);
-                });
+    lsa::runtime::pump_router(router_, cfg_.params.exec,
+                              [&](std::size_t r) -> lsa::runtime::Party& {
+                                return party(r);
+                              });
   }
 
   // --------------------------------------- pipelined stage interface
@@ -532,36 +499,11 @@ class Session final : public SessionBase {
   std::uint64_t max_in_flight_ = 0;
 };
 
-// THE capacity agreement, checked in one place: the transport's fallback
-// (ConcurrentRouter::default_capacity, used when a bare router is built
-// with queue_capacity = 0) must equal what a sync session derives for the
-// same endpoint count — fanin_bound(N) + kCapacityHeadroom for N users +
-// 1 server. The old fallback (max(64, 4 * num_parties)) silently disagreed
-// with the session rule; any future drift fails this assert at compile
-// time. (Async sessions derive a DIFFERENT bound, max(N, arrivals) + 2 —
-// they always construct their router through resolve_queue_capacity, never
-// through the fallback.)
-static_assert(
-    lsa::transport::ConcurrentRouter::default_capacity(5 + 1) ==
-            Session::fanin_bound(5) +
-                lsa::transport::ConcurrentRouter::kCapacityHeadroom &&
-        lsa::transport::ConcurrentRouter::default_capacity(100 + 1) ==
-            Session::fanin_bound(100) +
-                lsa::transport::ConcurrentRouter::kCapacityHeadroom &&
-        lsa::transport::ConcurrentRouter::default_capacity(1000 + 1) ==
-            Session::fanin_bound(1000) +
-                lsa::transport::ConcurrentRouter::kCapacityHeadroom,
-    "transport default queue capacity diverged from the sync session's "
-    "resolve_queue_capacity rule");
-
 struct AsyncSessionConfig {
   lsa::protocol::Params params;  ///< exec drives intra-session fan-out too
   std::uint64_t seed = 1;
   /// Per-receiver mailbox bound; 0 = the async fan-in bound plus headroom.
   std::size_t queue_capacity = 0;
-  /// Mailbox engine for the session's router (see SessionConfig::mailbox).
-  lsa::transport::MailboxStrategy mailbox =
-      lsa::transport::default_mailbox_strategy();
   std::size_t buffer_k = 1;  ///< K: updates buffered before aggregating
   lsa::quant::StalenessPolicy staleness{};
   std::uint64_t c_g = 1u << 6;  ///< staleness-weight quantization (eq. 34)
@@ -587,15 +529,6 @@ class AsyncSession final : public SessionBase {
   using Arrival = lsa::runtime::Arrival;
   using Output = lsa::runtime::AsyncAggregationServer::Output;
 
-  /// Largest single-phase fan-in any one async mailbox sees: the server
-  /// box takes up to max(N, A) frames between pumps (A masked uploads in
-  /// the submission phase, up to N weighted-share responses after the
-  /// manifest broadcast); a user box takes at most A timestamped shares.
-  [[nodiscard]] static constexpr std::size_t fanin_bound(
-      std::size_t n, std::size_t max_arrivals) {
-    return std::max(n, max_arrivals) + 2;
-  }
-
   explicit AsyncSession(AsyncSessionConfig cfg)
       : cfg_(std::move(cfg)),
         max_arrivals_(cfg_.max_arrivals_per_cycle != 0
@@ -604,8 +537,8 @@ class AsyncSession final : public SessionBase {
         router_(cfg_.params.num_users + 1,
                 resolve_queue_capacity(
                     cfg_.queue_capacity,
-                    fanin_bound(cfg_.params.num_users, max_arrivals_)),
-                cfg_.mailbox) {
+                    lsa::runtime::async_fanin_bound(cfg_.params.num_users,
+                                                    max_arrivals_))) {
     cfg_.params.validate_and_resolve();
     server_ = std::make_unique<lsa::runtime::AsyncAggregationServer>(
         cfg_.params, cfg_.buffer_k, cfg_.staleness, cfg_.c_g, router_);
@@ -670,10 +603,10 @@ class AsyncSession final : public SessionBase {
   }
 
   void pump() {
-    pump_router(router_, cfg_.params.exec, cfg_.params.num_users + 1,
-                [&](std::size_t r) -> lsa::runtime::Party& {
-                  return party(r);
-                });
+    lsa::runtime::pump_router(router_, cfg_.params.exec,
+                              [&](std::size_t r) -> lsa::runtime::Party& {
+                                return party(r);
+                              });
   }
 
   // ------------------------------------------------- SessionBase interface

@@ -1,65 +1,56 @@
 // Thread-safe MPSC message plane: sharded per-receiver mailboxes over
-// pooled zero-copy frames.
+// pooled zero-copy frames — the one in-process transport. The concurrent
+// server sessions pump it from many lanes; the serial references
+// (runtime::Network / runtime::AsyncNetwork) pump the same router from one
+// thread through the same pump loop (runtime::pump_router).
 //
-// Design (the concurrent counterpart of runtime::Router):
+// Design:
 //
 //   * one bounded mailbox per receiver — senders are many (MPSC), the
-//     receiver's consumer is one at a time. Two interchangeable mailbox
-//     strategies exist behind one contract (identical ordering, liveness,
-//     and counter semantics — tests pin them bit-identical):
-//       - kLockFreeRing (default): a bounded lock-free MPSC ring
-//         (transport/mpsc_ring.h — Vyukov slot sequencing, exact logical
-//         capacity, cached-head producers) with a futex-style parked-waiter
-//         fallback, so the contended fast path never takes a lock while
-//         recv_wait and backpressured send still SLEEP instead of spin;
-//       - kMutexDeque: the original mutex + condition_variable + deque
-//         mailbox, kept as the tested reference implementation;
-//   * per-link FIFO: each sender enqueues its own frames in program order —
-//     the ring's ticket claims (or the deque's lock) order them per link;
-//   * backpressure: send blocks on a not-full condition when a mailbox is
-//     at capacity (a crashed receiver unblocks its senders — frames to the
-//     dead are dropped, not queued);
+//     receiver's consumer is one at a time. A mailbox is a deque of frame
+//     references under one mutex, with a not-empty and a not-full
+//     condition variable;
+//   * per-link FIFO: each sender enqueues its own frames in program order
+//     and the mailbox lock orders them;
+//   * backpressure: send blocks on not-full when a mailbox is at capacity
+//     (a crashed receiver unblocks its senders — frames to the dead are
+//     dropped, not queued);
 //   * zero-copy: send_row frames straight from the caller's row view into
 //     a pooled ref-counted buffer (transport/frame.h); try_recv validates
 //     in place and hands back a payload span aliasing that buffer;
-//   * fault semantics match the legacy Router: sends from crashed parties
-//     are dropped silently, frames addressed to a party that crashes are
-//     discarded undelivered, revive() re-admits, and an optional fault
-//     hook may mutate or drop any frame before it is enqueued
-//     (fuzz/corruption testing — parse_frame throws on delivery).
+//   * fault semantics: sends from crashed parties are dropped silently,
+//     frames addressed to a party that crashes are discarded undelivered,
+//     revive() re-admits, and an optional fault hook may mutate or drop any
+//     frame before it is enqueued (fuzz/corruption testing — parse_frame
+//     throws on delivery).
 //
-// Crash/revive fence: crash(party) must leave the mailbox empty AND keep it
-// empty until revive(), even against senders that passed their liveness
-// check concurrently with the crash (the frame they carry predates the
-// crash and must not survive into the revived session). Every enqueue
-// therefore passes through a per-mailbox `pushers` gate: the sender enters
-// the gate, re-checks down (seq_cst, Dekker-paired with crash's
-// down-store / gate-load), and only then enqueues; crash() stores down,
-// then drains the mailbox until it is empty and the gate is idle. At least
-// one side of the pair always observes the other, so a late frame is
-// either caught by the drain or dropped (and counted in frames_dropped)
-// by its own sender — post-revive mailboxes provably start empty.
+// Crash/revive fence: crash(party) sets `down`, bumps the mailbox epoch and
+// clears the queue in ONE critical section, and every enqueue re-checks
+// `down` under the same lock — so a crashed mailbox is empty and stays
+// empty until revive(). A sender parked on backpressure across the crash
+// carries a frame that predates it: it wakes to a changed epoch and drops
+// the frame (counted in frames_dropped) even if revive() already ran, so
+// post-revive mailboxes start empty.
 //
-// Parked-waiter invariant (both strategies): every wait predicate reads
-// state that is either mutated under the mailbox mutex (the deque) or
-// re-checked with seq_cst fences (ring occupancy, the down flag, whose
-// store precedes the waker's notify). Wakers that observe a nonzero
-// waiting count notify while holding the mutex, so a waiter is never
-// between its predicate evaluation and the wait when the notification
-// fires — the lost-wakeup window of notify-outside-lock is closed by
-// construction (hammered by tests/mailbox_stress_test.cpp under TSAN).
+// Wakes are notify_one except on crash: each pop frees exactly one slot
+// and each push satisfies the one consumer, and a broadcast here is the
+// thundering herd that flattens throughput at high fan-in (hundreds of
+// parked senders stampeding per pop). A waiter whose opportunity is taken
+// by a racing sender just re-parks; the racer consumed the slot, so no
+// capacity is stranded. Every wait predicate reads state mutated under the
+// mailbox mutex, so notifying after unlock loses no wakeup (hammered by
+// tests/mailbox_stress_test.cpp under TSAN).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -68,7 +59,6 @@
 #include "runtime/wire.h"
 #include "transport/buffer_pool.h"
 #include "transport/frame.h"
-#include "transport/mpsc_ring.h"
 
 namespace lsa::transport {
 
@@ -78,165 +68,75 @@ struct Inbound {
   FrameView view;
 };
 
-/// Which mailbox engine a ConcurrentRouter runs on. The ring is the
-/// production path; the mutex deque is the reference both are tested
-/// against (serial == parallel == mutex-reference, bit-identical).
-enum class MailboxStrategy : std::uint8_t { kLockFreeRing, kMutexDeque };
-
-[[nodiscard]] constexpr const char* to_string(MailboxStrategy s) {
-  return s == MailboxStrategy::kLockFreeRing ? "lock-free-ring"
-                                             : "mutex-deque";
-}
-
-namespace detail {
-inline std::atomic<MailboxStrategy>& default_mailbox_strategy_slot() {
-  static std::atomic<MailboxStrategy> s{MailboxStrategy::kLockFreeRing};
-  return s;
-}
-}  // namespace detail
-
-/// Process-wide default for routers constructed without an explicit
-/// strategy (benches/tests flip it to drive both engines through the same
-/// higher-level code).
-[[nodiscard]] inline MailboxStrategy default_mailbox_strategy() {
-  // relaxed: configuration knob, set before routers/traffic exist.
-  return detail::default_mailbox_strategy_slot().load(
-      std::memory_order_relaxed);
-}
-inline void set_default_mailbox_strategy(MailboxStrategy s) {
-  // relaxed: configuration knob, set before routers/traffic exist.
-  detail::default_mailbox_strategy_slot().store(s,
-                                                std::memory_order_relaxed);
-}
-
 class ConcurrentRouter final : public lsa::runtime::Transport {
  public:
-  /// Headroom resolve-time defaults add on top of a derived fan-in bound —
-  /// THE shared constant: server::SessionBase::resolve_queue_capacity adds
-  /// the same headroom to its per-session-type bounds, and the router's own
-  /// fallback below must agree with the sync session's resolution (asserted
-  /// by static_assert in server/aggregation_server.h and by
-  /// tests/transport_test.cpp).
+  /// Headroom added on top of a derived fan-in bound — THE shared
+  /// constant: server::SessionBase::resolve_queue_capacity and the serial
+  /// references add it to the fan-in rules that live next to the machines
+  /// (runtime::sync_fanin_bound / runtime::async_fanin_bound).
   static constexpr std::size_t kCapacityHeadroom = 14;
 
   /// Default mailbox bound for a router of `num_parties` endpoints (N users
-  /// + 1 server): the sync session's worst-case single-phase fan-in
-  /// (2N + 2) plus kCapacityHeadroom — identical to what
-  /// server::SessionBase::resolve_queue_capacity(0, Session::fanin_bound(N))
-  /// derives, so a bare router and a server-owned one agree.
+  /// + 1 server): the sync round's worst-case single-phase fan-in
+  /// (2N + 2) plus kCapacityHeadroom. runtime/machines.h static_asserts
+  /// that this equals runtime::sync_fanin_bound(N) + kCapacityHeadroom, so
+  /// a bare router and a session-owned one agree.
   [[nodiscard]] static constexpr std::size_t default_capacity(
       std::size_t num_parties) {
     const std::size_t users = num_parties > 0 ? num_parties - 1 : 0;
     return 2 * users + 2 + kCapacityHeadroom;
   }
 
-  /// Frame-buffer freelist bound when none is configured (per router).
-  static constexpr std::size_t kDefaultPoolRetain = 256;
-
   /// num_parties includes the server; party ids are 0..num_parties-1.
   /// queue_capacity bounds each receiver's mailbox (backpressure); 0 picks
-  /// the derived default_capacity(num_parties). pool_retain bounds the
-  /// frame-buffer freelist (0 = kDefaultPoolRetain) — high-fan-in hosts
-  /// size it to the expected in-flight frame count so steady-state sends
-  /// never touch the allocator.
+  /// the derived default_capacity(num_parties).
   explicit ConcurrentRouter(std::size_t num_parties,
-                            std::size_t queue_capacity = 0,
-                            MailboxStrategy strategy =
-                                default_mailbox_strategy(),
-                            std::size_t pool_retain = 0)
+                            std::size_t queue_capacity = 0)
       : capacity_(queue_capacity == 0 ? default_capacity(num_parties)
-                                      : queue_capacity),
-        strategy_(strategy),
-        down_(num_parties),
-        pool_(pool_retain == 0 ? kDefaultPoolRetain : pool_retain) {
+                                      : queue_capacity) {
     boxes_.reserve(num_parties);
     for (std::size_t i = 0; i < num_parties; ++i) {
-      boxes_.push_back(std::make_unique<Mailbox>(capacity_, strategy_));
+      boxes_.push_back(std::make_unique<Mailbox>());
     }
   }
 
   [[nodiscard]] std::size_t num_parties() const { return boxes_.size(); }
   [[nodiscard]] std::size_t queue_capacity() const { return capacity_; }
-  [[nodiscard]] MailboxStrategy strategy() const { return strategy_; }
   [[nodiscard]] BufferPool& pool() { return pool_; }
 
   // ------------------------------------------------------------- liveness
 
   /// Marks a party crashed: its future sends are dropped, its undelivered
   /// mailbox is discarded, and senders blocked on its mailbox unblock.
-  /// Returns with the mailbox EMPTY and the enqueue gate idle (see the
-  /// crash/revive fence comment above): no frame sent before this call
-  /// completes can survive into a revived session; late racers are counted
-  /// in frames_dropped.
+  /// Returns with the mailbox EMPTY; no frame sent before this call can
+  /// survive into a revived session (see the fence comment above).
   void crash(std::size_t party) {
     check_party(party);
-    // seq_cst store: Dekker-pairs with the enqueue gate's pushers++ /
-    // down-load sequence, and happens-before every parked waiter's
-    // predicate re-evaluation (they lock the mailbox mutex below).
-    down_[party].store(1, std::memory_order_seq_cst);
     Mailbox& box = *boxes_[party];
-    std::uint64_t discarded = 0;
-    if (strategy_ == MailboxStrategy::kMutexDeque) {
-      {
-        lsa::sync::MutexLock lk(box.mu);
-        discarded += box.q.size();
-        box.q.clear();
-      }
+    std::deque<BufferRef> discarded;  // released outside the lock
+    {
+      lsa::sync::MutexLock lk(box.mu);
+      box.down.store(true, std::memory_order_seq_cst);
+      ++box.epoch;
+      discarded.swap(box.q);
     }
-    // Wake every parked producer and consumer. These first notifies may
-    // legally race a waiter that is between its predicate evaluation and
-    // its wait (the classic notify-outside-lock window) — that is
-    // HARMLESS for producers because the drain loop below cannot exit
-    // while one is parked (a parked producer holds the pushers gate) and
-    // re-notifies until it retires; consumers are re-notified under the
-    // lock after the drain, which closes the window for them (see the
-    // final notify below).
+    // relaxed: monotonic telemetry total, read quiescently.
+    dropped_.fetch_add(discarded.size(), std::memory_order_relaxed);
+    // Everyone parked on this mailbox must observe the crash.
     box.not_full.notify_all();
-    box.not_empty.notify_all();
-    // Drain-until-fenced: keep emptying the mailbox until no enqueue is in
-    // flight (gate idle) and nothing is queued. A producer inside the gate
-    // either observed down (drops and retires) or its frame lands here.
-    BufferRef e;
-    for (;;) {
-      while (pop_raw(box, e)) {
-        ++discarded;
-        e.reset();
-      }
-      if (box.pushers.load(std::memory_order_seq_cst) == 0) {
-        if (!pop_raw(box, e)) break;  // gate idle AND empty: fenced
-        ++discarded;
-        e.reset();
-        continue;
-      }
-      // A gated sender is mid-enqueue or parked on backpressure: wake it
-      // (the drain above just made room; down makes it retire) and yield.
-      box.not_full.notify_all();
-      std::this_thread::yield();
-    }
-    // relaxed: telemetry total; the crash fence itself is the seq_cst pair.
-    dropped_.fetch_add(discarded, std::memory_order_relaxed);
-    // Consumers blocked in recv_wait on this receiver must observe the
-    // crash immediately, not at timeout granularity. The empty critical
-    // section fences against a consumer between its predicate evaluation
-    // (under box.mu) and its wait: after we pass through the mutex, any
-    // such consumer has either started waiting (the notify reaches it) or
-    // will re-evaluate its predicate after our down-store (mutex ordering
-    // makes it visible) and refuse to sleep.
-    { lsa::sync::MutexLock lk(box.mu); }
     box.not_empty.notify_all();
   }
 
   void revive(std::size_t party) {
     check_party(party);
-    down_[party].store(0, std::memory_order_seq_cst);
+    Mailbox& box = *boxes_[party];
+    lsa::sync::MutexLock lk(box.mu);
+    box.down.store(false, std::memory_order_seq_cst);
   }
 
   [[nodiscard]] bool is_down(std::size_t party) const {
     check_party(party);
-    // seq_cst load: the enqueue gate relies on pushers++ ; down-load being
-    // Dekker-ordered against crash's down-store ; pushers-load (a plain
-    // load on x86/ARM — only the rare crash-side store pays a fence).
-    return down_[party].load(std::memory_order_seq_cst) != 0;
+    return boxes_[party]->down.load(std::memory_order_seq_cst);
   }
 
   // ---------------------------------------------------------------- faults
@@ -259,14 +159,6 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
     BufferRef frame =
         build_frame(pool_, type, sender, receiver, round, payload);
     enqueue(receiver, std::move(frame));
-  }
-
-  /// Legacy adapter: frames a materialized Message (one counted copy out
-  /// of the intermediate payload vector).
-  void send(const lsa::runtime::Message& m) override {
-    counters().note_copy(4 * m.payload.size());
-    send_row(m.type, m.sender, m.receiver, m.round,
-             std::span<const lsa::field::Fp32::rep>(m.payload));
   }
 
   /// Receiver field of shared broadcast frames (handlers dispatch on their
@@ -311,20 +203,19 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
   // ----------------------------------------------------------------- recv
 
   /// Pops and validates the receiver's next frame. Returns false when the
-  /// mailbox is empty (or the receiver is down). Throws ProtocolError on a
-  /// corrupted frame — the frame is consumed either way.
+  /// mailbox is empty (a crashed receiver's mailbox always is). Throws
+  /// ProtocolError on a corrupted frame — the frame is consumed either way.
   [[nodiscard]] bool try_recv(std::size_t receiver, Inbound& out) {
     check_party(receiver);
-    if (is_down(receiver)) return false;
     Mailbox& box = *boxes_[receiver];
     BufferRef buf;
-    if (!pop_raw(box, buf)) return false;
-    // Room just opened: release any producer parked on backpressure.
-    wake_if_waiting(box, box.waiting_producers, box.not_full);
-    out.buf = std::move(buf);
-    out.view = parse_frame(out.buf);  // throws on corruption
-    // relaxed: monotonic telemetry total.
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    {
+      lsa::sync::MutexLock lk(box.mu);
+      if (box.q.empty()) return false;
+      buf = std::move(box.q.front());
+      box.q.pop_front();
+    }
+    deliver(box, std::move(buf), out);
     return true;
   }
 
@@ -335,39 +226,30 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
     check_party(receiver);
     Mailbox& box = *boxes_[receiver];
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    for (;;) {
-      if (is_down(receiver)) return false;
-      if (try_recv(receiver, out)) return true;
+    BufferRef buf;
+    {
       lsa::sync::MutexLock lk(box.mu);
-      // relaxed: the seq_cst fence below (paired with the waker's fence in
-      // wake_if_waiting) orders the count against the state it watches.
-      box.waiting_consumers.fetch_add(1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      // Explicit predicate loop (not a wait lambda): the guarded
-      // has_frames read stays inside this analyzed critical section.
-      bool timed_out = false;
-      while (!box.has_frames(strategy_) && !is_down(receiver)) {
+      // Explicit predicate loop (not a wait lambda): the guarded reads
+      // stay inside this analyzed critical section.
+      while (box.q.empty() && !box.down.load(std::memory_order_seq_cst)) {
         if (box.not_empty.wait_until(lk.native_lock(), deadline) ==
             std::cv_status::timeout) {
-          timed_out = !box.has_frames(strategy_) && !is_down(receiver);
           break;
         }
       }
-      // relaxed: same pairing as the increment above.
-      box.waiting_consumers.fetch_sub(1, std::memory_order_relaxed);
-      if (timed_out) return false;  // timeout with nothing to deliver
+      if (box.q.empty()) return false;  // timed out, or crashed (so empty)
+      buf = std::move(box.q.front());
+      box.q.pop_front();
     }
+    deliver(box, std::move(buf), out);
+    return true;
   }
 
   /// True when every mailbox is empty.
   [[nodiscard]] bool idle() const {
     for (const auto& box : boxes_) {
-      if (strategy_ == MailboxStrategy::kLockFreeRing) {
-        if (!box->ring.empty_approx()) return false;
-      } else {
-        lsa::sync::MutexLock lk(box->mu);
-        if (!box->q.empty()) return false;
-      }
+      lsa::sync::MutexLock lk(box->mu);
+      if (!box->q.empty()) return false;
     }
     return true;
   }
@@ -392,80 +274,39 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
   /// tests use it to wait for a sender to be provably blocked).
   [[nodiscard]] std::uint32_t parked_senders(std::size_t party) const {
     check_party(party);
-    return boxes_[party]->waiting_producers.load(std::memory_order_acquire);
+    const Mailbox& box = *boxes_[party];
+    lsa::sync::MutexLock lk(box.mu);
+    return box.parked;
   }
 
  private:
-  struct Entry {
-    BufferRef buf;
-  };
-
-  /// One receiver's inbox. The ring is the kLockFreeRing engine; the
-  /// mutex/cv pair doubles as the kMutexDeque engine's lock AND the ring
-  /// engine's parking lot (waiters sleep here only after the lock-free
-  /// path reports would-block — the fast path never touches it).
+  /// One receiver's inbox.
   struct Mailbox {
-    Mailbox(std::size_t capacity, MailboxStrategy strategy)
-        : ring(strategy == MailboxStrategy::kLockFreeRing ? capacity : 1) {}
-
-    MpscRing ring;
-    /// Enqueue gate (both strategies): nonzero while a sender is between
-    /// its down-check and enqueue completion. crash() spins this to zero.
-    std::atomic<std::size_t> pushers{0};
-    /// Parked-waiter counts: wakers skip the mutex entirely when zero.
-    std::atomic<std::uint32_t> waiting_producers{0};
-    std::atomic<std::uint32_t> waiting_consumers{0};
     mutable lsa::sync::Mutex mu;
     std::condition_variable not_empty;
     std::condition_variable not_full;
-    /// kMutexDeque storage (unused by the ring).
-    std::deque<Entry> q LSA_GUARDED_BY(mu);
-
-    /// Wake predicate: frames visible right now (callers hold mu; ring
-    /// occupancy is re-read with acquire loads each evaluation).
-    [[nodiscard]] bool has_frames(MailboxStrategy s) const LSA_REQUIRES(mu) {
-      return s == MailboxStrategy::kLockFreeRing ? ring.can_pop()
-                                                 : !q.empty();
-    }
+    std::deque<BufferRef> q LSA_GUARDED_BY(mu);
+    /// Crash count: a parked sender that wakes to a different epoch holds
+    /// a pre-crash frame and drops it.
+    std::uint64_t epoch LSA_GUARDED_BY(mu) = 0;
+    std::uint32_t parked LSA_GUARDED_BY(mu) = 0;
+    /// Stored only under mu (crash/revive), so every check made under mu
+    /// is exact; the lock-free loads are the sender-liveness checks.
+    std::atomic<bool> down{false};
   };
 
   void check_party(std::size_t p) const {
     lsa::require(p < boxes_.size(), "router: endpoint out of range");
   }
 
-  /// Strategy-dispatched unvalidated pop (try_recv and the crash drain).
-  [[nodiscard]] bool pop_raw(Mailbox& box, BufferRef& out) {
-    if (strategy_ == MailboxStrategy::kLockFreeRing) {
-      return box.ring.try_pop(out);
-    }
-    lsa::sync::MutexLock lk(box.mu);
-    if (box.q.empty()) return false;
-    out = std::move(box.q.front().buf);
-    box.q.pop_front();
-    return true;
-  }
-
-  /// Notify-under-lock, gated on the waiter count: the seq_cst fence pairs
-  /// with the waiter's fence after its count increment, so either the
-  /// waker sees the count (and takes the lock, serializing with the
-  /// predicate evaluation) or the waiter's predicate sees the state change
-  /// — never neither (the lost-wakeup window). notify_ONE, not all: each
-  /// state change opens exactly one opportunity (one freed slot admits one
-  /// parked producer; one pushed frame satisfies the one consumer), and a
-  /// broadcast here is the thundering herd that flattens throughput at
-  /// high fan-in — hundreds of parked senders stampeding per pop. A waiter
-  /// whose opportunity is stolen by a non-parked racer just re-parks; the
-  /// thief consumed the slot, so no capacity is stranded and the next
-  /// state change re-notifies. Crash is the only broadcast (everyone must
-  /// observe down).
-  void wake_if_waiting(Mailbox& box, std::atomic<std::uint32_t>& count,
-                       std::condition_variable& cv) {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // relaxed: the fence above is the ordering; the load only gates cost.
-    if (count.load(std::memory_order_relaxed) > 0) {
-      lsa::sync::MutexLock lk(box.mu);
-      cv.notify_one();
-    }
+  /// Post-pop half of a receive, outside the lock: releases one parked
+  /// producer (a slot just opened) and validates the frame in place.
+  void deliver(Mailbox& box, BufferRef buf, Inbound& out) {
+    box.not_full.notify_one();
+    out.buf = std::move(buf);
+    out.view = parse_frame(out.buf);  // throws on corruption
+    // relaxed: monotonic telemetry total.
+    delivered_.fetch_add(1, std::memory_order_relaxed);
   }
 
   void enqueue(std::size_t receiver, BufferRef frame) {
@@ -481,71 +322,37 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
   /// Blocks (parked, not spinning) while the mailbox is at capacity.
   void enqueue_built(std::size_t receiver, BufferRef frame) {
     Mailbox& box = *boxes_[receiver];
-    // Enter the crash-fence gate BEFORE the liveness check (see the
-    // class comment: crash() cannot complete while we are inside).
-    box.pushers.fetch_add(1, std::memory_order_seq_cst);
-    for (;;) {
-      if (is_down(receiver)) {
-        box.pushers.fetch_sub(1, std::memory_order_release);
+    std::size_t depth = 0;
+    {
+      lsa::sync::MutexLock lk(box.mu);
+      const std::uint64_t epoch = box.epoch;
+      while (!box.down.load(std::memory_order_seq_cst) &&
+             box.q.size() >= capacity_) {
+        ++box.parked;
+        box.not_full.wait(lk.native_lock());
+        --box.parked;
+        if (box.epoch != epoch) break;  // crashed while parked
+      }
+      if (box.down.load(std::memory_order_seq_cst) || box.epoch != epoch) {
         // relaxed: monotonic telemetry total.
         dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return;  // the frame is released outside the lock
       }
-      if (push_raw(box, frame)) {
-        box.pushers.fetch_sub(1, std::memory_order_release);
-        wake_if_waiting(box, box.waiting_consumers, box.not_empty);
-        // relaxed: monotonic telemetry total.
-        sent_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // Full: park until the consumer makes room or the receiver crashes.
-      lsa::sync::MutexLock lk(box.mu);
-      // relaxed: the seq_cst fence below (paired with the waker's fence in
-      // wake_if_waiting) orders the count against the state it watches.
-      box.waiting_producers.fetch_add(1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      // Explicit predicate loop (not a wait lambda): the guarded
-      // box_has_room read stays inside this analyzed critical section.
-      while (!box_has_room(box) && !is_down(receiver)) {
-        box.not_full.wait(lk.native_lock());
-      }
-      // relaxed: same pairing as the increment above.
-      box.waiting_producers.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Strategy-dispatched bounded push attempt; updates the depth
-  /// high-water mark on success.
-  [[nodiscard]] bool push_raw(Mailbox& box, BufferRef& frame) {
-    std::size_t depth = 0;
-    if (strategy_ == MailboxStrategy::kLockFreeRing) {
-      if (!box.ring.try_push(std::move(frame))) return false;
-      depth = box.ring.size_approx();
-    } else {
-      lsa::sync::MutexLock lk(box.mu);
-      if (box.q.size() >= capacity_) return false;
-      box.q.push_back(Entry{std::move(frame)});
+      box.q.push_back(std::move(frame));
       depth = box.q.size();
     }
+    box.not_empty.notify_one();
+    // relaxed: monotonic telemetry total.
+    sent_.fetch_add(1, std::memory_order_relaxed);
     // relaxed: lossy high-water telemetry; no payload ordering rides on it.
     std::size_t seen = max_depth_.load(std::memory_order_relaxed);
     while (depth > seen &&
            !max_depth_.compare_exchange_weak(seen, depth,
                                              std::memory_order_relaxed)) {
     }
-    return true;
-  }
-
-  [[nodiscard]] bool box_has_room(const Mailbox& box) const
-      LSA_REQUIRES(box.mu) {
-    return strategy_ == MailboxStrategy::kLockFreeRing
-               ? box.ring.can_push()
-               : box.q.size() < capacity_;
   }
 
   std::size_t capacity_;
-  MailboxStrategy strategy_;
-  std::vector<std::atomic<std::uint8_t>> down_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   BufferPool pool_;
   FaultHook hook_;

@@ -1,12 +1,12 @@
 // Zero-copy framing over pooled buffers.
 //
-// A frame is byte-identical to runtime/wire.h's serialized Message — same
-// 7-word header, same CRC — but it is built ONCE, directly from a field-row
-// view (a FlatMatrix arena row, a stack vector's span), into a ref-counted
-// pooled buffer. On the inbound side parse_frame() validates in place and
-// exposes the payload as a std::span<const rep> aliasing the buffer words:
-// receivers copy at most once, straight into their arena row (ShareBank::
-// put), with no intermediate Message::payload vector on either side.
+// A frame is runtime/wire.h's layout — 7-word header, CRC over the payload
+// — built ONCE, directly from a field-row view (a FlatMatrix arena row, a
+// stack vector's span), into a ref-counted pooled buffer. On the inbound
+// side parse_frame() validates in place and exposes the payload as a
+// std::span<const rep> aliasing the buffer words: receivers copy at most
+// once, straight into their arena row (ShareBank::put), with no
+// intermediate payload vector on either side.
 //
 // Layout recap ([] = one write each, little-endian):
 //   words[0..6]  header: type/flags, sender, receiver, round lo/hi,
@@ -78,8 +78,7 @@ struct FrameView {
 
 /// Validates a frame in place (length, CRC, canonical field elements) and
 /// returns a view whose payload aliases the buffer words. Throws
-/// ProtocolError on any corruption — the same contract as
-/// runtime::deserialize, minus the payload copy.
+/// ProtocolError on any corruption.
 [[nodiscard]] inline FrameView parse_frame(const BufferRef& buf) {
   const lsa::runtime::WireHeader h =
       lsa::runtime::read_header_checked(buf.bytes());
@@ -91,20 +90,6 @@ struct FrameView {
   f.payload = buf.words().subspan(kHeaderWords, h.payload_elems);
   lsa::runtime::check_canonical_payload(f.payload);
   return f;
-}
-
-/// Materializes a FrameView into a legacy Message (one counted payload
-/// copy) — the compatibility fallback for handlers that still take
-/// Message.
-[[nodiscard]] inline lsa::runtime::Message to_message(const FrameView& f) {
-  lsa::runtime::Message m;
-  m.type = f.type;
-  m.sender = f.sender;
-  m.receiver = f.receiver;
-  m.round = f.round;
-  m.payload.assign(f.payload.begin(), f.payload.end());
-  counters().note_copy(4 * f.payload.size());
-  return m;
 }
 
 }  // namespace lsa::transport

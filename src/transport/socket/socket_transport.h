@@ -276,12 +276,6 @@ class SocketTransport final : public lsa::runtime::Transport {
     rethrow_pending();
   }
 
-  void send(const lsa::runtime::Message& m) override {
-    counters().note_copy(4 * m.payload.size());
-    send_row(m.type, m.sender, m.receiver, m.round,
-             std::span<const lsa::field::Fp32::rep>(m.payload));
-  }
-
   // ------------------------------------------------- client lifecycle
 
   [[nodiscard]] bool connected() const { return conn_ != nullptr; }
@@ -377,11 +371,6 @@ class SocketTransport final : public lsa::runtime::Transport {
                   std::uint32_t receiver, std::uint64_t round,
                   std::span<const lsa::field::Fp32::rep> payload) override {
       t_->hub_send_row(sid_, type, sender, receiver, round, payload);
-    }
-    void send(const lsa::runtime::Message& m) override {
-      counters().note_copy(4 * m.payload.size());
-      send_row(m.type, m.sender, m.receiver, m.round,
-               std::span<const lsa::field::Fp32::rep>(m.payload));
     }
     void broadcast_row(lsa::runtime::MsgType type, std::uint32_t sender,
                        std::uint64_t round,

@@ -2,12 +2,12 @@
 //
 // The zero-copy claim of the transport layer ("outbound frames are built
 // once, straight from arena rows") is enforced by measurement, not by
-// convention: every path that materializes an intermediate payload vector
-// (legacy Message construction, serialize() of a Message) bumps the
-// payload-copy counters, while the frame builder only bumps the framed-byte
-// counters. tests/transport_test.cpp and bench/bench_transport.cpp assert
-// that a round driven through the concurrent transport performs ZERO
-// intermediate payload copies on the send side.
+// convention: the frame builder bumps the framed-byte counters, and any
+// path that materializes an intermediate payload vector must bump the
+// payload-copy counters (none in src/ does; bench_transport's reproduction
+// of the seed router does, as its baseline). Tests and benches assert that
+// rounds through every transport — server sessions, serial references,
+// sockets — perform ZERO intermediate payload copies.
 //
 // Counters are process-global relaxed atomics: cheap enough to leave on in
 // release builds, and exact because every increment is a plain add.
@@ -23,8 +23,8 @@ struct Counters {
   std::atomic<std::uint64_t> frames_built{0};
   /// Payload bytes written by the frame builder (the single framing write).
   std::atomic<std::uint64_t> payload_bytes_framed{0};
-  /// Intermediate payload copies (Message vectors materialized, serialize()
-  /// memcpys from Message::payload) — the copies the legacy path performs.
+  /// Intermediate payload copies: a payload vector materialized between a
+  /// sender's row and its frame, or a frame and the receiver's row.
   std::atomic<std::uint64_t> payload_copies{0};
   std::atomic<std::uint64_t> payload_bytes_copied{0};
   /// Pool traffic: fresh heap allocations vs recycled buffers.

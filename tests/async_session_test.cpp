@@ -102,38 +102,6 @@ TEST(AsyncSession, ScheduledCyclesBitIdenticalToLegacyDrive) {
   EXPECT_EQ(session.stats().steps, 3u);
 }
 
-TEST(AsyncSession, BothMailboxStrategiesBitIdenticalToLegacyDrive) {
-  // The lock-free ring mailbox and the mutex-deque reference must drive
-  // async buffer cycles to byte-for-byte the same weighted aggregates as
-  // the legacy single-threaded AsyncNetwork.
-  const auto base = async_config(/*seed=*/44, /*sched_seed=*/9);
-  lsa::runtime::ArrivalScheduler sched(base.schedule, kN, kD, kBufferK);
-  lsa::runtime::AsyncNetwork legacy(base.params, kBufferK, base.staleness,
-                                    kCg, /*seed=*/44);
-  std::vector<lsa::runtime::AsyncAggregationServer::Output> expected;
-  for (std::uint64_t c = 0; c < 3; ++c) {
-    expected.push_back(
-        legacy.run_cycle(sched.now_for_cycle(c), sched.arrivals_for_cycle(c)));
-  }
-  for (const auto strategy : {lsa::transport::MailboxStrategy::kLockFreeRing,
-                              lsa::transport::MailboxStrategy::kMutexDeque}) {
-    SCOPED_TRACE(lsa::transport::to_string(strategy));
-    auto cfg = base;
-    cfg.mailbox = strategy;
-    lsa::server::AsyncSession session(cfg);
-    EXPECT_EQ(session.router().strategy(), strategy);
-    session.enqueue_scheduled_cycles(3);
-    while (!session.done()) session.step();
-    ASSERT_EQ(session.outputs().size(), 3u);
-    for (std::uint64_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(session.outputs()[c].weighted_sum, expected[c].weighted_sum)
-          << "cycle " << c;
-      EXPECT_EQ(session.outputs()[c].weight_sum, expected[c].weight_sum)
-          << "cycle " << c;
-    }
-  }
-}
-
 TEST(AsyncSession, UBoundaryDropoutWithManyBornRounds) {
   // Exactly U weighted-share responders (3 of 10 users crash before
   // recovery) while the buffered rounds span FOUR distinct born-rounds —

@@ -49,61 +49,6 @@ TEST(Crc32, SliceBy8MatchesBitwiseReferenceOnRandomInputs) {
   }
 }
 
-TEST(FuzzWire, RandomBytesNeverCrash) {
-  lsa::common::Xoshiro256ss rng(1);
-  int accepted = 0;
-  for (int trial = 0; trial < 2000; ++trial) {
-    const std::size_t len = rng.next_below(200);
-    std::vector<std::uint8_t> buf(len);
-    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
-    try {
-      const auto m = deserialize(buf);
-      // Acceptance requires a valid CRC over a consistent length — possible
-      // but astronomically unlikely for random bytes (zero-length payloads
-      // with crc 0... those are legitimately consistent frames).
-      if (!m.payload.empty()) ++accepted;
-    } catch (const lsa::Error&) {
-      // expected
-    }
-  }
-  EXPECT_EQ(accepted, 0);
-}
-
-TEST(FuzzWire, SingleByteMutationsAreDetectedOrHarmless) {
-  // Mutate each byte position of a valid frame; the result must either
-  // throw or decode to a *different header* (header bytes are not integrity
-  // protected — transport-level corruption of the payload is).
-  Message m;
-  m.type = MsgType::kMaskedModel;
-  m.sender = 3;
-  m.receiver = 9;
-  m.round = 77;
-  m.payload = {10, 20, 30, 40, 50};
-  const auto frame = serialize(m);
-
-  for (std::size_t pos = kHeaderBytes; pos < frame.size(); ++pos) {
-    for (std::uint8_t bit : {0x01, 0x80}) {
-      auto mutated = frame;
-      mutated[pos] ^= bit;
-      EXPECT_THROW((void)deserialize(mutated), lsa::ProtocolError)
-          << "payload byte " << pos << " bit " << int(bit);
-    }
-  }
-}
-
-TEST(FuzzWire, LengthFieldMutationsRejected) {
-  Message m;
-  m.payload = {1, 2, 3};
-  auto frame = serialize(m);
-  // The payload-length field lives at offset 20 (after type/flags/sender/
-  // receiver/round).
-  for (int delta : {1, 2, 255}) {
-    auto mutated = frame;
-    mutated[20] = static_cast<std::uint8_t>(mutated[20] + delta);
-    EXPECT_THROW((void)deserialize(mutated), lsa::ProtocolError);
-  }
-}
-
 TEST(FuzzPooledFrames, RandomBytesNeverAccepted) {
   lsa::transport::BufferPool pool;
   lsa::common::Xoshiro256ss rng(5);
@@ -320,7 +265,7 @@ TEST(FuzzNetwork, CorruptingRouterFramesFailsLoudlyNotWrongly) {
                                     std::span<const rep>(mdl));
     }
     int count = 0;
-    net.router().set_fault_hook([&count](std::vector<std::uint8_t>& frame) {
+    net.router().set_fault_hook([&count](std::span<std::uint8_t> frame) {
       if (++count % 7 == 0 && frame.size() > kHeaderBytes) {
         frame[kHeaderBytes] ^= 0x10;
       }

@@ -1,96 +1,124 @@
-// Distributed runtime: wire format, router fault injection, and LightSecAgg
-// as communicating state machines (including the "delayed user" semantics
-// the orchestrated implementation does not model).
+// Distributed runtime: wire format, the serial reference's router (crash
+// and fault-hook semantics), and LightSecAgg as communicating state
+// machines (including the "delayed user" semantics the orchestrated
+// implementation does not model).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "common/rng.h"
 #include "field/random_field.h"
+#include "quant/staleness.h"
+#include "runtime/async_machines.h"
 #include "runtime/machines.h"
+#include "transport/concurrent_router.h"
+#include "transport/frame.h"
+#include "transport/stats.h"
 
 namespace {
 
 using namespace lsa::runtime;
 using lsa::field::Fp32;
+using lsa::transport::BufferPool;
+using lsa::transport::ConcurrentRouter;
+using lsa::transport::Inbound;
 using rep = Fp32::rep;
 
-TEST(Wire, SerializeDeserializeRoundTrip) {
-  Message m;
-  m.type = MsgType::kAggregatedShares;
-  m.sender = 7;
-  m.receiver = 12;
-  m.round = 0xdeadbeefULL;
-  m.payload = {0, 1, 4294967290u, 42};
-  const auto frame = serialize(m);
-  const auto back = deserialize(frame);
-  EXPECT_EQ(back.type, m.type);
-  EXPECT_EQ(back.sender, m.sender);
-  EXPECT_EQ(back.receiver, m.receiver);
-  EXPECT_EQ(back.round, m.round);
-  EXPECT_EQ(back.payload, m.payload);
+/// A frame's raw bytes, as a peer puts them on the wire.
+std::vector<std::uint8_t> wire_bytes(MsgType type, std::uint32_t sender,
+                                     std::uint32_t receiver,
+                                     std::uint64_t round,
+                                     const std::vector<rep>& payload) {
+  BufferPool pool;
+  const auto frame = lsa::transport::build_frame(
+      pool, type, sender, receiver, round, std::span<const rep>(payload));
+  return {frame.bytes().begin(), frame.bytes().end()};
+}
+
+/// Ingests raw bytes and validates them the way a receiver does.
+void parse_bytes(const std::vector<std::uint8_t>& bytes) {
+  BufferPool pool;
+  (void)lsa::transport::parse_frame(
+      lsa::transport::frame_from_bytes(pool, bytes));
+}
+
+TEST(Wire, FrameRoundTrip) {
+  const std::vector<rep> payload = {0, 1, 4294967290u, 42};
+  const auto bytes =
+      wire_bytes(MsgType::kAggregatedShares, 7, 12, 0xdeadbeefULL, payload);
+  BufferPool pool;
+  const auto frame = lsa::transport::frame_from_bytes(pool, bytes);
+  const auto back = lsa::transport::parse_frame(frame);
+  EXPECT_EQ(back.type, MsgType::kAggregatedShares);
+  EXPECT_EQ(back.sender, 7u);
+  EXPECT_EQ(back.receiver, 12u);
+  EXPECT_EQ(back.round, 0xdeadbeefULL);
+  EXPECT_EQ(std::vector<rep>(back.payload.begin(), back.payload.end()),
+            payload);
 }
 
 TEST(Wire, CorruptionIsDetected) {
-  Message m;
-  m.payload = {1, 2, 3};
-  auto frame = serialize(m);
-  frame[kHeaderBytes + 1] ^= 0x40;  // flip a payload bit
-  EXPECT_THROW((void)deserialize(frame), lsa::ProtocolError);
+  auto bytes = wire_bytes(MsgType::kMaskedModel, 0, 1, 0, {1, 2, 3});
+  bytes[kHeaderBytes + 1] ^= 0x40;  // flip a payload bit
+  EXPECT_THROW(parse_bytes(bytes), lsa::ProtocolError);
 }
 
 TEST(Wire, TruncationIsDetected) {
-  Message m;
-  m.payload = {1, 2, 3};
-  auto frame = serialize(m);
-  frame.pop_back();
-  EXPECT_THROW((void)deserialize(frame), lsa::ProtocolError);
+  auto bytes = wire_bytes(MsgType::kMaskedModel, 0, 1, 0, {1, 2, 3});
+  bytes.pop_back();
+  EXPECT_THROW(parse_bytes(bytes), lsa::ProtocolError);
 }
 
 TEST(Wire, NonCanonicalElementsRejected) {
-  Message m;
-  m.payload = {4294967295u};  // >= q = 2^32 - 5
-  auto frame = serialize(m);
-  EXPECT_THROW((void)deserialize(frame), lsa::ProtocolError);
+  // The sender frames (and checksums) whatever it is given; the receiver's
+  // canonicality scan must still refuse it.
+  const auto bytes =
+      wire_bytes(MsgType::kMaskedModel, 0, 1, 0, {4294967295u});  // >= q
+  EXPECT_THROW(parse_bytes(bytes), lsa::ProtocolError);
+}
+
+void send_one(ConcurrentRouter& router, std::uint32_t sender,
+              std::uint32_t receiver, rep value) {
+  const std::vector<rep> payload = {value};
+  router.send_row(MsgType::kMaskedModel, sender, receiver, 0,
+                  std::span<const rep>(payload));
 }
 
 TEST(Router, FifoDeliveryAndCrashSemantics) {
-  Router router(3);
-  Message a;
-  a.sender = 0;
-  a.receiver = 1;
-  a.payload = {1};
-  Message b = a;
-  b.payload = {2};
-  router.send(a);
-  router.send(b);
+  ConcurrentRouter router(3);
+  send_one(router, 0, 1, 1);
+  send_one(router, 0, 1, 2);
   router.crash(0);
-  Message late = a;
-  late.payload = {3};
-  router.send(late);  // dropped: sender is down
+  send_one(router, 0, 1, 3);  // dropped: sender is down
 
-  Message got;
-  ASSERT_TRUE(router.deliver_next(got));
-  EXPECT_EQ(got.payload, std::vector<rep>{1});
-  ASSERT_TRUE(router.deliver_next(got));
-  EXPECT_EQ(got.payload, std::vector<rep>{2});
-  EXPECT_FALSE(router.deliver_next(got));  // nothing else
+  Inbound got;
+  ASSERT_TRUE(router.try_recv(1, got));
+  EXPECT_EQ(got.view.payload[0], 1u);
+  ASSERT_TRUE(router.try_recv(1, got));
+  EXPECT_EQ(got.view.payload[0], 2u);
+  EXPECT_FALSE(router.try_recv(1, got));  // nothing else
+
+  // Frames addressed to a party that crashes are discarded undelivered.
+  router.revive(0);
+  send_one(router, 0, 1, 4);
+  router.crash(1);
+  EXPECT_FALSE(router.try_recv(1, got));
+  EXPECT_TRUE(router.idle());
 }
 
 TEST(Router, FaultHookCanDropFrames) {
-  Router router(2);
+  ConcurrentRouter router(2);
   int count = 0;
-  router.set_fault_hook([&count](std::vector<std::uint8_t>&) {
+  router.set_fault_hook([&count](std::span<std::uint8_t>) {
     return ++count % 2 == 0;  // drop every other frame
   });
-  Message m;
-  m.sender = 0;
-  m.receiver = 1;
-  for (int i = 0; i < 6; ++i) router.send(m);
-  Message got;
+  for (int i = 0; i < 6; ++i) send_one(router, 0, 1, 9);
+  Inbound got;
   int delivered = 0;
-  while (router.deliver_next(got)) ++delivered;
+  while (router.try_recv(1, got)) ++delivered;
   EXPECT_EQ(delivered, 3);
+  EXPECT_EQ(router.frames_dropped(), 3u);
 }
 
 lsa::protocol::Params net_params(std::size_t n, std::size_t t,
@@ -186,15 +214,42 @@ TEST(NetworkRound, ServerSeesOnlyMaskedUniformLookingData) {
   auto models = random_models(4, 32, 14);
 
   bool saw_raw_model = false;
-  net.router().set_fault_hook([&](std::vector<std::uint8_t>& frame) {
-    Message m = deserialize(frame);
-    if (m.type == MsgType::kMaskedModel) {
-      if (m.payload == models[m.sender]) saw_raw_model = true;
+  net.router().set_fault_hook([&](std::span<std::uint8_t> frame) {
+    const WireHeader h = read_header_checked(frame);
+    if (h.type == MsgType::kMaskedModel &&
+        std::memcmp(frame.data() + kHeaderBytes, models[h.sender].data(),
+                    frame.size() - kHeaderBytes) == 0) {
+      saw_raw_model = true;
     }
     return true;
   });
   (void)net.run_round(0, models, {});
   EXPECT_FALSE(saw_raw_model);
+}
+
+TEST(SerialReference, NetworkAndAsyncNetworkMakeNoPayloadCopies) {
+  // The serial references ride the same zero-copy plane as the server
+  // sessions: a round with post-upload dropouts and a buffer cycle with a
+  // pre-recovery crash frame every payload once and copy none.
+  const auto before = lsa::transport::snapshot();
+  Network net(net_params(7, 2, 5, 16), 7);
+  const auto models = random_models(7, 16, 8);
+  EXPECT_EQ(net.run_round(0, models, {1, 4}),
+            sum_of(models, {0, 1, 2, 3, 4, 5, 6}));
+
+  const lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  AsyncNetwork async_net(net_params(6, 1, 4, 16), /*buffer_k=*/3, constant,
+                         /*c_g=*/64, /*seed=*/5);
+  const auto updates = random_models(3, 16, 9);
+  std::vector<Arrival> arrivals;
+  for (std::size_t b = 0; b < 3; ++b) arrivals.push_back({b, 2, updates[b]});
+  (void)async_net.run_cycle(/*now=*/3, arrivals,
+                            /*crash_before_recovery=*/{5});
+
+  const auto after = lsa::transport::snapshot();
+  EXPECT_EQ(after.payload_copies - before.payload_copies, 0u);
+  EXPECT_GT(after.frames_built - before.frames_built, 0u);
 }
 
 }  // namespace

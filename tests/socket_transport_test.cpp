@@ -198,7 +198,7 @@ void run_full_rounds(const std::string& listen_url, int uds_tag) {
 
   // Counter-enforced zero-copy: the whole socket phase (hub + 6 clients)
   // built frames straight from arena rows and relayed by refcount. Taken
-  // BEFORE the reference drive (the legacy Router path copies by design).
+  // BEFORE the reference drive so it covers the socket phase alone.
   const auto mid = lsa::transport::snapshot();
   EXPECT_EQ(mid.payload_copies - before.payload_copies, 0u);
 

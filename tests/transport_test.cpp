@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -23,7 +24,6 @@ namespace {
 
 using namespace lsa::transport;
 using lsa::field::Fp32;
-using lsa::runtime::Message;
 using lsa::runtime::MsgType;
 using rep = Fp32::rep;
 
@@ -76,29 +76,33 @@ TEST(BufferPool, FreelistIsBounded) {
 
 // ----------------------------------------------------------------- frames
 
-TEST(Frame, ByteCompatibleWithLegacyWireFormat) {
-  Message m;
-  m.type = MsgType::kAggregatedShares;
-  m.sender = 7;
-  m.receiver = 12;
-  m.round = 0xdeadbeefULL;
-  m.payload = {0, 1, 4294967290u, 42};
-  const auto legacy = lsa::runtime::serialize(m);
+TEST(Frame, LayoutIsTheWireHeaderPlusPayload) {
+  // build_frame writes exactly runtime/wire.h's layout: the 28-byte header
+  // (CRC over the payload bytes, bitwise reference) then the payload words.
+  const std::vector<rep> payload = {0, 1, 4294967290u, 42};
+  const std::size_t hdr = lsa::runtime::kHeaderBytes;
+  std::vector<std::uint8_t> expected(hdr + 4 * payload.size());
+  std::memcpy(expected.data() + hdr, payload.data(), 4 * payload.size());
+  lsa::runtime::write_header(
+      expected.data(), MsgType::kAggregatedShares, 7, 12, 0xdeadbeefULL,
+      static_cast<std::uint32_t>(payload.size()),
+      lsa::runtime::crc32_reference(
+          std::span<const std::uint8_t>(expected).subspan(hdr)));
 
   BufferPool pool;
-  const auto frame = build_frame(pool, m.type, m.sender, m.receiver, m.round,
-                                 std::span<const rep>(m.payload));
-  ASSERT_EQ(frame.size_bytes(), legacy.size());
+  const auto frame = build_frame(pool, MsgType::kAggregatedShares, 7, 12,
+                                 0xdeadbeefULL, std::span<const rep>(payload));
+  ASSERT_EQ(frame.size_bytes(), expected.size());
   const auto bytes = frame.bytes();
-  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), legacy.begin()));
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expected.begin()));
 
   const auto view = parse_frame(frame);
-  EXPECT_EQ(view.type, m.type);
-  EXPECT_EQ(view.sender, m.sender);
-  EXPECT_EQ(view.receiver, m.receiver);
-  EXPECT_EQ(view.round, m.round);
+  EXPECT_EQ(view.type, MsgType::kAggregatedShares);
+  EXPECT_EQ(view.sender, 7u);
+  EXPECT_EQ(view.receiver, 12u);
+  EXPECT_EQ(view.round, 0xdeadbeefULL);
   EXPECT_TRUE(std::equal(view.payload.begin(), view.payload.end(),
-                         m.payload.begin()));
+                         payload.begin()));
 }
 
 TEST(Frame, PayloadViewAliasesTheBuffer) {
@@ -292,51 +296,44 @@ TEST(ConcurrentRouter, FaultHookCorruptionSurfacesAtDelivery) {
   EXPECT_TRUE(router.idle());  // the corrupted frame was consumed
 }
 
-constexpr MailboxStrategy kBothStrategies[] = {
-    MailboxStrategy::kLockFreeRing, MailboxStrategy::kMutexDeque};
-
-TEST(ConcurrentRouter, FifoAndBackpressureHoldUnderBothStrategies) {
-  for (const auto strategy : kBothStrategies) {
-    SCOPED_TRACE(to_string(strategy));
-    constexpr std::size_t kSenders = 4;
-    constexpr std::size_t kFrames = 100;
-    ConcurrentRouter router(kSenders + 1, /*queue_capacity=*/8, strategy);
-    const std::uint32_t receiver = kSenders;
-    std::vector<std::thread> senders;
-    for (std::uint32_t s = 0; s < kSenders; ++s) {
-      senders.emplace_back([&, s] {
-        for (std::uint32_t k = 0; k < kFrames; ++k) {
-          const std::vector<rep> payload = {s, k};
-          router.send_row(MsgType::kMaskedModel, s, receiver, 0,
-                          std::span<const rep>(payload));
-        }
-      });
-    }
-    std::vector<std::uint32_t> next_expected(kSenders, 0);
-    std::size_t got = 0;
-    Inbound in;
-    while (got < kSenders * kFrames &&
-           router.recv_wait(receiver, in, std::chrono::milliseconds(2000))) {
-      const std::uint32_t s = in.view.payload[0];
-      EXPECT_EQ(in.view.payload[1], next_expected[s]);
-      next_expected[s] = in.view.payload[1] + 1;
-      ++got;
-    }
-    for (auto& t : senders) t.join();
-    EXPECT_EQ(got, kSenders * kFrames);
-    EXPECT_TRUE(router.idle());
-    EXPECT_LE(router.max_queue_depth(), 8u);
+TEST(ConcurrentRouter, FifoHoldsUnderBackpressuredSenders) {
+  constexpr std::size_t kSenders = 4;
+  constexpr std::size_t kFrames = 100;
+  ConcurrentRouter router(kSenders + 1, /*queue_capacity=*/8);
+  const std::uint32_t receiver = kSenders;
+  std::vector<std::thread> senders;
+  for (std::uint32_t s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      for (std::uint32_t k = 0; k < kFrames; ++k) {
+        const std::vector<rep> payload = {s, k};
+        router.send_row(MsgType::kMaskedModel, s, receiver, 0,
+                        std::span<const rep>(payload));
+      }
+    });
   }
+  std::vector<std::uint32_t> next_expected(kSenders, 0);
+  std::size_t got = 0;
+  Inbound in;
+  while (got < kSenders * kFrames &&
+         router.recv_wait(receiver, in, std::chrono::milliseconds(2000))) {
+    const std::uint32_t s = in.view.payload[0];
+    EXPECT_EQ(in.view.payload[1], next_expected[s]);
+    next_expected[s] = in.view.payload[1] + 1;
+    ++got;
+  }
+  for (auto& t : senders) t.join();
+  EXPECT_EQ(got, kSenders * kFrames);
+  EXPECT_TRUE(router.idle());
+  EXPECT_LE(router.max_queue_depth(), 8u);
 }
 
 TEST(ConcurrentRouter, DefaultCapacityAgreesWithSyncSessionRule) {
-  // Satellite regression: the old fallback (max(64, 4 * num_parties))
-  // disagreed with SessionBase::resolve_queue_capacity. A bare router and
-  // a server-owned sync session router must now resolve identically.
+  // A bare router, the serial Network and a server-owned sync session
+  // must all resolve the same mailbox bound.
   for (const std::size_t n : {4u, 6u, 32u, 100u}) {
     ConcurrentRouter bare(n + 1);
     EXPECT_EQ(bare.queue_capacity(),
-              lsa::server::Session::fanin_bound(n) +
+              lsa::runtime::sync_fanin_bound(n) +
                   ConcurrentRouter::kCapacityHeadroom)
         << "n=" << n;
   }
@@ -350,69 +347,65 @@ TEST(ConcurrentRouter, DefaultCapacityAgreesWithSyncSessionRule) {
       lsa::server::SessionConfig{.params = p, .seed = 1});
   ConcurrentRouter bare(6 + 1);
   EXPECT_EQ(session.router().queue_capacity(), bare.queue_capacity());
+  EXPECT_EQ(lsa::runtime::Network(p, 1).router().queue_capacity(),
+            bare.queue_capacity());
 }
 
 TEST(ConcurrentRouter, CrashFencesParkedSenderOutOfRevivedMailbox) {
-  // Satellite regression (crash/revive enqueue race): a sender that passed
-  // its liveness check and is parked on backpressure when crash() runs
-  // must NOT slip its pre-crash frame into the mailbox after revive().
-  // crash() fences: it returns only when the enqueue gate is idle, so by
-  // the time revive() can run the late frame has been dropped and counted.
-  for (const auto strategy : kBothStrategies) {
-    SCOPED_TRACE(to_string(strategy));
-    ConcurrentRouter router(2, /*queue_capacity=*/2, strategy);
-    const std::vector<rep> payload = {5};
-    auto send01 = [&] {
-      router.send_row(MsgType::kMaskedModel, 0, 1, 0,
-                      std::span<const rep>(payload));
-    };
-    send01();
-    send01();  // mailbox now at capacity
-    std::thread late(send01);
-    // Wait until the late sender is provably parked on backpressure.
-    while (router.parked_senders(1) == 0) std::this_thread::yield();
-    router.crash(1);
-    router.revive(1);  // immediately — the historical race window
-    late.join();
-    // The revived mailbox must start empty: 2 drained + 1 late = 3 drops.
-    EXPECT_TRUE(router.idle());
-    Inbound in;
-    EXPECT_FALSE(router.try_recv(1, in));
-    EXPECT_EQ(router.frames_dropped(), 3u);
-    // Post-revive traffic flows normally.
-    send01();
-    ASSERT_TRUE(router.try_recv(1, in));
-    EXPECT_EQ(in.view.payload[0], 5u);
-  }
+  // Crash/revive enqueue race: a sender that passed its liveness check and
+  // is parked on backpressure when crash() runs must NOT slip its pre-crash
+  // frame into the mailbox after revive(). crash() bumps the mailbox epoch,
+  // so the parked sender wakes to a changed epoch and drops (and counts)
+  // its frame even when revive() already ran.
+  ConcurrentRouter router(2, /*queue_capacity=*/2);
+  const std::vector<rep> payload = {5};
+  auto send01 = [&] {
+    router.send_row(MsgType::kMaskedModel, 0, 1, 0,
+                    std::span<const rep>(payload));
+  };
+  send01();
+  send01();  // mailbox now at capacity
+  std::thread late(send01);
+  // Wait until the late sender is provably parked on backpressure.
+  while (router.parked_senders(1) == 0) std::this_thread::yield();
+  router.crash(1);
+  router.revive(1);  // immediately — the historical race window
+  late.join();
+  // The revived mailbox must start empty: 2 discarded + 1 late = 3 drops.
+  EXPECT_TRUE(router.idle());
+  Inbound in;
+  EXPECT_FALSE(router.try_recv(1, in));
+  EXPECT_EQ(router.frames_dropped(), 3u);
+  // Post-revive traffic flows normally.
+  send01();
+  ASSERT_TRUE(router.try_recv(1, in));
+  EXPECT_EQ(in.view.payload[0], 5u);
 }
 
 TEST(ConcurrentRouter, CrashAtExactCapacityUnblocksAllAndDrainsPool) {
-  // Satellite: queue full with blocked senders, then receiver crash —
-  // every sender unblocks, nothing is delivered post-crash, and every
-  // pooled frame buffer is returned (outstanding back to zero).
-  for (const auto strategy : kBothStrategies) {
-    SCOPED_TRACE(to_string(strategy));
-    constexpr std::size_t kCap = 3;
-    constexpr std::size_t kBlocked = 4;
-    ConcurrentRouter router(2, kCap, strategy);
-    const std::vector<rep> payload(16, 7);
-    auto send01 = [&] {
-      router.send_row(MsgType::kMaskedModel, 0, 1, 0,
-                      std::span<const rep>(payload));
-    };
-    for (std::size_t k = 0; k < kCap; ++k) send01();  // exactly full
-    EXPECT_EQ(router.pool().outstanding(), kCap);
-    std::vector<std::thread> blocked;
-    for (std::size_t k = 0; k < kBlocked; ++k) blocked.emplace_back(send01);
-    while (router.parked_senders(1) < kBlocked) std::this_thread::yield();
-    router.crash(1);
-    for (auto& t : blocked) t.join();
-    EXPECT_TRUE(router.idle());
-    EXPECT_EQ(router.frames_dropped(), kCap + kBlocked);
-    // No frame leaked from the pool: queued ones were drained by crash,
-    // parked ones were dropped by their own senders.
-    EXPECT_EQ(router.pool().outstanding(), 0u);
-  }
+  // Queue full with blocked senders, then receiver crash — every sender
+  // unblocks, nothing is delivered post-crash, and every pooled frame
+  // buffer is returned (outstanding back to zero).
+  constexpr std::size_t kCap = 3;
+  constexpr std::size_t kBlocked = 4;
+  ConcurrentRouter router(2, kCap);
+  const std::vector<rep> payload(16, 7);
+  auto send01 = [&] {
+    router.send_row(MsgType::kMaskedModel, 0, 1, 0,
+                    std::span<const rep>(payload));
+  };
+  for (std::size_t k = 0; k < kCap; ++k) send01();  // exactly full
+  EXPECT_EQ(router.pool().outstanding(), kCap);
+  std::vector<std::thread> blocked;
+  for (std::size_t k = 0; k < kBlocked; ++k) blocked.emplace_back(send01);
+  while (router.parked_senders(1) < kBlocked) std::this_thread::yield();
+  router.crash(1);
+  for (auto& t : blocked) t.join();
+  EXPECT_TRUE(router.idle());
+  EXPECT_EQ(router.frames_dropped(), kCap + kBlocked);
+  // No frame leaked from the pool: queued ones were discarded by crash,
+  // parked ones were dropped by their own senders.
+  EXPECT_EQ(router.pool().outstanding(), 0u);
 }
 
 // --------------------------------------------------------------- sessions
@@ -457,27 +450,6 @@ TEST(Session, BitIdenticalToSingleThreadedNetworkWithDropouts) {
   EXPECT_FALSE(session.user(1).last_result().has_value());
   ASSERT_TRUE(session.user(0).last_result().has_value());
   EXPECT_EQ(*session.user(0).last_result(), expected);
-}
-
-TEST(Session, BothMailboxStrategiesBitIdenticalToNetwork) {
-  // The ring engine and the mutex reference must produce byte-for-byte the
-  // same aggregates as the serial runtime::Network — serial == parallel ==
-  // mutex-reference, including dropout at the U boundary.
-  const auto p = session_params(7, 2, 5, 40);
-  const auto models = random_models(7, 40, 77);
-  lsa::runtime::Network net(p, /*seed=*/13);
-  const auto expected = net.run_round(0, models, {2, 5});
-
-  lsa::sys::ThreadPool pool(4);
-  for (const auto strategy : kBothStrategies) {
-    SCOPED_TRACE(to_string(strategy));
-    auto pp = p;
-    pp.exec.pool = &pool;
-    lsa::server::Session session(lsa::server::SessionConfig{
-        .params = pp, .seed = 13, .mailbox = strategy});
-    EXPECT_EQ(session.router().strategy(), strategy);
-    EXPECT_EQ(session.run_round(0, models, {2, 5}), expected);
-  }
 }
 
 TEST(Session, SendSideIsZeroCopy) {
@@ -785,7 +757,7 @@ TEST(PipelinedSession, DepthTwoBitIdenticalAcrossDropoutsNoRevive) {
   }
 }
 
-TEST(PipelinedSession, BothMailboxStrategiesBitIdenticalAtDepthTwo) {
+TEST(PipelinedSession, DepthTwoBitIdenticalWithCrashesAtBothEnds) {
   const auto p = session_params(6, 1, 4, 24);
   constexpr std::size_t kRounds = 3;
   const std::vector<std::vector<std::size_t>> crashes = {{2}, {}, {5}};
@@ -794,28 +766,14 @@ TEST(PipelinedSession, BothMailboxStrategiesBitIdenticalAtDepthTwo) {
     model_sets.push_back(random_models(6, 24, 8100 + r));
   }
   lsa::runtime::Network net(p, /*seed=*/8);
-  std::vector<std::vector<rep>> expected;
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    expected.push_back(net.run_round(r, model_sets[r], crashes[r]));
-  }
-
   lsa::sys::ThreadPool pool(4);
-  for (const auto strategy : kBothStrategies) {
-    SCOPED_TRACE(to_string(strategy));
-    lsa::server::AggregationServer server(&pool, /*num_shards=*/1);
-    auto pp = p;
-    pp.pipeline = 2;
-    pp.exec.pool = &pool;
-    const auto id = server.open_session(lsa::server::SessionConfig{
-        .params = pp, .seed = 8, .mailbox = strategy});
-    std::vector<lsa::server::AggregationServer::RoundWork> works;
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      works.push_back({id, r, &model_sets[r], crashes[r]});
-    }
-    const auto results = server.run_rounds(works);
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      EXPECT_EQ(results[r], expected[r]) << "round " << r;
-    }
+  auto pp = p;
+  pp.pipeline = 2;
+  const auto results =
+      drive_batched_rounds(pool, pp, /*seed=*/8, model_sets, crashes);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    EXPECT_EQ(results[r], net.run_round(r, model_sets[r], crashes[r]))
+        << "round " << r;
   }
 }
 
