@@ -2,17 +2,21 @@
 // complexity at server O(d U logU / (U-T))").
 //
 // The paper's decode-complexity row assumes *fast* polynomial interpolation.
-// This bench runs every implemented kernel on the real C++ field arithmetic
-// and locates the crossovers:
+// This bench runs the shipped kernels on the real C++ field arithmetic
+// against a per-coordinate fast-decode baseline and locates the crossovers:
 //
-//   lagrange     O(U^2 (U-T)) scalar + O(U d) vector        (reference)
 //   barycentric  O(U^2)       scalar + blocked lazy O(U d)  (GEMM default)
 //   ntt          O(d U log^2 U / (U-T)) with per-coordinate Newton
-//                inversions and allocations                  (legacy)
+//                inversions and allocations — a bench-local loop over
+//                SubproductTree::interpolate / evaluate     (baseline)
 //   batched-ntt  same complexity class, but the subproduct trees, Newton
 //                inverses, twiddle/operand transforms are built once per
 //                (xs, betas) plan and all coordinates stream through
 //                (coding/decode_plan.h)                      (the plane)
+//
+// The per-coordinate baseline must decode to the barycentric GEMM's bits
+// at every measured point (hard FAIL otherwise), so every speedup compares
+// two correct decodes.
 //
 // Part 0 measures the 64-bit axpy kernel substrate itself: per-term
 // Barrett/Mersenne/Goldilocks reduction vs Shoup precomputed-operand
@@ -30,9 +34,10 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "coding/aggregate_decode.h"
+#include "coding/decode_plan.h"
 #include "coding/mask_codec.h"
 #include "coding/ntt.h"
+#include "coding/poly.h"
 #include "common/timer.h"
 #include "field/fp.h"
 #include "field/goldilocks.h"
@@ -76,17 +81,63 @@ DecodeInputs make_inputs(std::size_t u, std::size_t t, std::size_t d,
   return in;
 }
 
-double time_decode(DecodeStrategy strategy, const DecodeInputs& in,
-                   int reps) {
-  lsa::common::Stopwatch sw;
-  for (int r = 0; r < reps; ++r) {
-    const auto out = lsa::coding::decode_eval<F>(
-        strategy, in.xs, in.betas,
-        std::span<const rep* const>(in.rows), in.seg_len);
-    volatile auto sink = out[0];
-    (void)sink;
+/// The per-coordinate baseline the batched plane replaces: per coordinate,
+/// fast-interpolate g from the share column over a subproduct tree and
+/// fast-evaluate it at the betas. The trees are shared read-only across
+/// coordinates, but every coordinate re-runs the divrem Newton inversions
+/// and re-allocates its intermediates.
+std::vector<rep> percoord_decode(const DecodeInputs& in) {
+  const std::size_t u = in.xs.size();
+  const std::size_t nb = in.betas.size();
+  lsa::coding::SubproductTree<F> share_tree{std::span<const rep>(in.xs)};
+  lsa::coding::SubproductTree<F> beta_tree{std::span<const rep>(in.betas)};
+  std::vector<rep> out(nb * in.seg_len);
+  std::vector<rep> column(u);
+  for (std::size_t l = 0; l < in.seg_len; ++l) {
+    for (std::size_t j = 0; j < u; ++j) column[j] = in.rows[j][l];
+    const auto vals = beta_tree.evaluate(share_tree.interpolate(column));
+    for (std::size_t k = 0; k < nb; ++k) out[k * in.seg_len + l] = vals[k];
   }
-  return sw.elapsed_sec() / reps;
+  return out;
+}
+
+/// The GEMM decode as a caller without a plan cache pays it: barycentric
+/// weights for a fresh plan, then the blocked GEMM.
+std::vector<rep> barycentric_decode(const DecodeInputs& in) {
+  lsa::coding::BatchedDecodePlan<F> plan{std::span<const rep>(in.xs),
+                                         std::span<const rep>(in.betas)};
+  return plan.run(DecodeStrategy::kBarycentric,
+                  std::span<const rep* const>(in.rows), in.seg_len, {});
+}
+
+/// Mean seconds per call of `decode`, plus the last call's output.
+struct TimedDecode {
+  double s = 0.0;
+  std::vector<rep> out;
+};
+
+template <class Decode>
+TimedDecode time_decode(Decode&& decode, int reps) {
+  TimedDecode t;
+  lsa::common::Stopwatch sw;
+  for (int r = 0; r < reps; ++r) t.out = decode();
+  t.s = sw.elapsed_sec() / reps;
+  return t;
+}
+
+/// Times the barycentric GEMM and the per-coordinate baseline at one point
+/// and hard-FAILs (returns false) unless they decode to the same bits.
+bool time_baseline_pair(const DecodeInputs& in, int reps, double& bary_s,
+                        double& percoord_s) {
+  const auto tb = time_decode([&] { return barycentric_decode(in); }, reps);
+  const auto tn = time_decode([&] { return percoord_decode(in); }, reps);
+  bary_s = tb.s;
+  percoord_s = tn.s;
+  if (tb.out == tn.out) return true;
+  std::printf("FAIL: U=%zu U-T=%zu seg=%zu per-coordinate baseline "
+              "disagrees with the barycentric decode\n",
+              in.xs.size(), in.betas.size(), in.seg_len);
+  return false;
 }
 
 /// Streaming time of a REUSED plan (setup excluded — the per-session
@@ -389,9 +440,9 @@ int main(int argc, char** argv) {
 
   print_header(
       "Ablation — aggregate-decode kernels (Goldilocks field, real kernels)\n"
-      "lagrange = reference; barycentric = lazy GEMM (practical default);\n"
-      "ntt = legacy per-coordinate fast path; batched = plan-cached decode\n"
-      "plane (the paper's O(U log U) class with setup amortized)");
+      "barycentric = lazy GEMM (practical default); ntt = per-coordinate\n"
+      "fast-decode baseline; batched = plan-cached decode plane (the\n"
+      "paper's O(U log U) class with setup amortized)");
 
   std::printf(
       "\nPart 0 — 64-bit axpy substrate, U=128 rows x 32k reps:\n"
@@ -446,9 +497,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nPart 1 — U sweep at T = U/2 (paper's privacy point), d = %s\n",
       smoke ? "2^17 (smoke)" : "2^17");
-  std::printf("%-6s %-6s %-6s | %10s %10s %10s %10s %10s | %9s %9s\n", "U",
-              "U-T", "seg", "lagr.(s)", "bary(s)", "ntt(s)", "batch(s)",
-              "setup(s)", "ntt/batch", "bary/batch");
+  std::printf("%-6s %-6s %-6s | %10s %10s %10s %10s | %9s %9s\n", "U",
+              "U-T", "seg", "bary(s)", "ntt(s)", "batch(s)", "setup(s)",
+              "ntt/batch", "bary/batch");
   const std::size_t d = 1u << 17;
   double min_batched_speedup = 1e300;
   const std::vector<std::size_t> us =
@@ -458,29 +509,21 @@ int main(int argc, char** argv) {
     const std::size_t t = u / 2;
     const auto in = make_inputs(u, t, d, 17 + u);
     const int reps = smoke ? 1 : (u <= 256 ? 3 : 1);
-    // The reference kernel is O(U^2 (U-T)) scalar — only timed where it
-    // is realistically usable.
-    const double tl = (!smoke && u <= 256)
-                          ? time_decode(DecodeStrategy::kLagrange, in, 1)
-                          : -1.0;
-    const double tb = time_decode(DecodeStrategy::kBarycentric, in, reps);
-    const double tn = time_decode(DecodeStrategy::kNtt, in, reps);
+    double tb = 0.0, tn = 0.0;
+    if (!time_baseline_pair(in, reps, tb, tn)) return 1;
     const auto pb = time_plan(DecodeStrategy::kBatchedNtt, in, reps);
     const double speedup = tn / pb.stream_s;
     if (in.seg_len >= 4096) {
       min_batched_speedup = std::min(min_batched_speedup, speedup);
     }
     std::printf(
-        "%-6zu %-6zu %-6zu | %10s %10.4f %10.4f %10.4f %10.4f | %8.2fx "
-        "%8.2fx\n",
-        u, u - t, in.seg_len,
-        tl >= 0 ? std::to_string(tl).substr(0, 6).c_str() : "(skip)", tb, tn,
-        pb.stream_s, pb.setup_s, speedup, tb / pb.stream_s);
+        "%-6zu %-6zu %-6zu | %10.4f %10.4f %10.4f %10.4f | %8.2fx %8.2fx\n",
+        u, u - t, in.seg_len, tb, tn, pb.stream_s, pb.setup_s, speedup,
+        tb / pb.stream_s);
     json.add("sweep_u" + std::to_string(u),
              {{"u", double(u)},
               {"num_betas", double(u - t)},
               {"seg_len", double(in.seg_len)},
-              {"lagrange_s", tl},
               {"barycentric_s", tb},
               {"ntt_percoord_s", tn},
               {"batched_stream_s", pb.stream_s},
@@ -502,13 +545,12 @@ int main(int argc, char** argv) {
       const std::size_t u = 512;
       const std::size_t t = u - num_seg;
       const auto in = make_inputs(u, t, 1u << 13, 31 + num_seg);
-      const double tb = time_decode(DecodeStrategy::kBarycentric, in, 1);
-      const double tn = time_decode(DecodeStrategy::kNtt, in, 1);
+      double tb = 0.0, tn = 0.0;
+      if (!time_baseline_pair(in, 1, tb, tn)) return 1;
       const auto pb = time_plan(DecodeStrategy::kBatchedNtt, in, 1);
       lsa::coding::BatchedDecodePlan<F> probe{
           std::span<const rep>(in.xs), std::span<const rep>(in.betas)};
-      const auto picked =
-          probe.resolve(DecodeStrategy::kAuto, in.seg_len);
+      const auto picked = probe.resolve(DecodeStrategy::kAuto);
       std::printf("%-6zu %-6zu %-6zu | %10.4f %10.4f %10.4f | %8.2fx | %s\n",
                   u, num_seg, in.seg_len, tb, tn, pb.stream_s,
                   tb / pb.stream_s, lsa::coding::to_string(picked));

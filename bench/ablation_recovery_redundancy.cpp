@@ -17,6 +17,7 @@
 #include "bench_common.h"
 #include "coding/mask_codec.h"
 #include "common/timer.h"
+#include "field/flat_matrix.h"
 
 namespace {
 
@@ -26,27 +27,25 @@ using rep = F::rep;
 struct Inputs {
   lsa::coding::MaskCodec<F> codec;
   std::vector<std::size_t> owners;
-  std::vector<std::vector<rep>> shares;
+  lsa::field::FlatMatrix<F> shares;  ///< row j = owner j's share
+  std::vector<const rep*> rows;      ///< row views into `shares`
 
   Inputs(std::size_t n, std::size_t u, std::size_t t, std::size_t d,
          std::uint64_t seed)
-      : codec(n, u, t, d) {
+      : codec(n, u, t, d), shares(n, codec.segment_len()) {
     lsa::common::Xoshiro256ss rng(seed);
     const auto mask = lsa::field::uniform_vector<F>(d, rng);
-    auto sh = codec.encode(std::span<const rep>(mask), rng);
-    for (std::size_t j = 0; j < n; ++j) {
-      owners.push_back(j);
-      shares.push_back(std::move(sh[j]));
-    }
+    codec.encode_into(std::span<const rep>(mask), rng, shares);
+    for (std::size_t j = 0; j < n; ++j) owners.push_back(j);
+    rows = shares.row_ptrs();
   }
 
   [[nodiscard]] std::span<const std::size_t> first_owners(
       std::size_t m) const {
     return std::span<const std::size_t>(owners.data(), m);
   }
-  [[nodiscard]] std::span<const std::vector<rep>> first_shares(
-      std::size_t m) const {
-    return std::span<const std::vector<rep>>(shares.data(), m);
+  [[nodiscard]] std::span<const rep* const> first_rows(std::size_t m) const {
+    return std::span<const rep* const>(rows.data(), m);
   }
 };
 
@@ -80,26 +79,26 @@ int main() {
   for (const auto& c : cfgs) {
     Inputs in(c.n, c.u, c.t, c.d, 5 + c.n);
     const double fast = time_it(c.reps, [&] {
-      auto out = in.codec.decode_aggregate(in.first_owners(c.u),
-                                           in.first_shares(c.u));
+      auto out = in.codec.decode_aggregate_rows(in.first_owners(c.u),
+                                                in.first_rows(c.u));
       volatile auto s = out[0];
       (void)s;
     });
     const double verified = time_it(c.reps, [&] {
-      auto out = in.codec.decode_aggregate_verified(
-          in.first_owners(c.u + 1), in.first_shares(c.u + 1));
+      auto out = in.codec.decode_aggregate_verified_rows(
+          in.first_owners(c.u + 1), in.first_rows(c.u + 1));
       volatile auto s = out[0];
       (void)s;
     });
     const double corr1 = time_it(c.reps, [&] {
       auto out = in.codec.decode_aggregate_corrected(
-          in.first_owners(c.u + 2), in.first_shares(c.u + 2));
+          in.first_owners(c.u + 2), in.first_rows(c.u + 2));
       volatile auto s = out.aggregate[0];
       (void)s;
     });
     const double corr2 = time_it(c.reps, [&] {
       auto out = in.codec.decode_aggregate_corrected(
-          in.first_owners(c.u + 4), in.first_shares(c.u + 4));
+          in.first_owners(c.u + 4), in.first_rows(c.u + 4));
       volatile auto s = out.aggregate[0];
       (void)s;
     });

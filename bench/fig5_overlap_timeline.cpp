@@ -8,6 +8,7 @@
 
 #include "bench_common.h"
 #include "coding/mask_codec.h"
+#include "field/flat_matrix.h"
 #include "fl/cnn.h"
 #include "fl/dataset.h"
 #include "fl/sgd.h"
@@ -84,6 +85,8 @@ int main() {
                                                  /*T=*/30, cnn.dim());
   lsa::common::Xoshiro256ss rng(3);
   auto mask = lsa::field::uniform_vector<lsa::field::Fp32>(cnn.dim(), rng);
+  lsa::field::FlatMatrix<lsa::field::Fp32> shares(codec.num_users(),
+                                                  codec.segment_len());
 
   const auto t = lsa::sys::run_overlapped(
       [&] {
@@ -94,8 +97,8 @@ int main() {
       },
       [&] {
         lsa::common::Xoshiro256ss noise_rng(5);
-        (void)codec.encode(
-            std::span<const lsa::field::Fp32::rep>(mask), noise_rng);
+        codec.encode_into(std::span<const lsa::field::Fp32::rep>(mask),
+                          noise_rng, shares);
       });
   std::printf(
       "  training alone: %.2f s, offline encode alone: %.2f s\n"

@@ -196,9 +196,11 @@ void BM_MaskEncode(benchmark::State& state) {
   lsa::common::Xoshiro256ss rng(6);
   lsa::coding::MaskCodec<Fp32> codec(n, u, t, d);
   auto mask = lsa::field::uniform_vector<Fp32>(d, rng);
+  lsa::field::FlatMatrix<Fp32> shares(n, codec.segment_len());
   for (auto _ : state) {
-    auto shares = codec.encode(std::span<const rep32>(mask), rng);
-    benchmark::DoNotOptimize(shares.data());
+    codec.encode_into(std::span<const rep32>(mask), rng, shares);
+    benchmark::DoNotOptimize(shares.flat().data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(d));
 }
@@ -211,15 +213,17 @@ void BM_MaskDecodeAggregate(benchmark::State& state) {
   lsa::common::Xoshiro256ss rng(7);
   lsa::coding::MaskCodec<Fp32> codec(n, u, t, d);
   auto mask = lsa::field::uniform_vector<Fp32>(d, rng);
-  auto shares = codec.encode(std::span<const rep32>(mask), rng);
+  lsa::field::FlatMatrix<Fp32> shares(n, codec.segment_len());
+  codec.encode_into(std::span<const rep32>(mask), rng, shares);
+  // Owners 0..U-1 respond; their rows are read in place.
   std::vector<std::size_t> owners(u);
-  std::vector<std::vector<rep32>> sub;
+  std::vector<const rep32*> rows(u);
   for (std::size_t j = 0; j < u; ++j) {
     owners[j] = j;
-    sub.push_back(shares[j]);
+    rows[j] = shares.row_ptr(j);
   }
   for (auto _ : state) {
-    auto out = codec.decode_aggregate(owners, sub);
+    auto out = codec.decode_aggregate_rows(owners, rows);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(d));
@@ -313,7 +317,7 @@ std::vector<typename F::rep> seed_decode(
     for (std::size_t k = 0; k < u - t; ++k) {
       rep* dst = out.data() + k * seg;
       for (std::size_t j = 0; j < u; ++j) {
-        const rep wkj = w[k][j];
+        const rep wkj = w(k, j);
         if (wkj == F::zero) continue;
         const rep* src = shares[j].data();
         for (std::size_t l = l0; l < l1; ++l) {

@@ -85,10 +85,8 @@ int main() {
             &session.protocol())) {
       const auto st = lp->codec().last_decode_stats();
       std::printf(
-          "%-12s   decode: %s -> %s, plan %s, setup %.3f ms + stream %.3f "
-          "ms\n",
-          "", lsa::coding::to_string(st.requested),
-          lsa::coding::to_string(st.used),
+          "%-12s   decode: %s, plan %s, setup %.3f ms + stream %.3f ms\n",
+          "", lsa::coding::to_string(st.used),
           st.plan_reused ? "reused" : "built", st.setup_s * 1e3,
           st.stream_s * 1e3);
     }

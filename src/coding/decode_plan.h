@@ -1,23 +1,32 @@
-// Batched segment-block decode plane (paper §5.2, Table 5).
+// Server-side one-shot aggregate-mask decode (paper §5.2, Table 5).
 //
-// The legacy kNtt kernel (coding/aggregate_decode.h) walks the subproduct
-// tree once per mask coordinate: every coordinate re-runs Newton inversions
-// inside poly_divrem, re-transforms the fixed tree polynomials and
-// re-allocates every intermediate. A BatchedDecodePlan does all of that
-// ONCE per (xs, betas) pair:
+// The aggregated shares of the U responders are evaluations of the
+// aggregate polynomial g (degree < U) at their share points xs; the server
+// recovers the aggregate mask by evaluating g at the U-T data slots betas,
+// for every one of the seg_len mask coordinates. A BatchedDecodePlan holds
+// the precomputation for one (xs, betas) pair and streams any number of
+// coordinates through one of two kernels:
 //
-//   * both subproduct trees are built once, and every tree node is
-//     annotated with the Newton inverse of its reversed polynomial
-//     (the poly_divrem precomputation) at the node's fixed operating size;
-//   * every fixed product operand (node polynomials, Newton inverses) is
-//     forward-transformed once into cached NTT evaluations, with Shoup
-//     precomputed operands for the pointwise passes;
-//   * all transforms run through precomputed-twiddle NttPlan tables
-//     (coding/ntt.h) shared across the whole segment block;
-//   * the barycentric weight matrix is built once for the plan's GEMM
-//     strategy.
+//   kBarycentric — barycentric weights (shared denominators M'(x_j)),
+//                  O(U^2 + U(U-T)) scalar setup, then a cache-blocked
+//                  (U-T) x U x seg_len field GEMM (the fused
+//                  axpy_accumulate kernel of field/field_vec.h).
+//   kBatchedNtt  — fast interpolation + multipoint evaluation over
+//                  subproduct trees, the paper's Table 5 complexity class.
+//                  Everything that does not depend on the coordinate is
+//                  built ONCE per plan:
+//     * both subproduct trees, every tree node annotated with the Newton
+//       inverse of its reversed polynomial (the poly_divrem
+//       precomputation) at the node's fixed operating size;
+//     * every fixed product operand (node polynomials, Newton inverses)
+//       forward-transformed into cached NTT evaluations, with Shoup
+//       precomputed operands for the pointwise passes;
+//     * precomputed-twiddle NttPlan tables (coding/ntt.h) shared across
+//       the whole segment block.
+//   kAuto        — picks one of the two from the plan shape via the
+//                  measured crossover (BatchedDecodePlan::resolve).
 //
-// Streaming then pushes all seg_len coordinates through the trees in
+// The batched kernel streams the seg_len coordinates through the trees in
 // structure-of-arrays lane blocks: kLaneBlock coordinates interleave as
 // buf[coeff * kLaneBlock + lane] and walk the subproduct trees TOGETHER,
 // so every tree operation is a contiguous pass over lane blocks that maps
@@ -25,8 +34,8 @@
 // — lazy 192-bit dot/axpy kernels for the matvecs and schoolbook
 // products, lane-blocked SoA NTTs for the cached transforms, Shoup row
 // scaling for the pointwise passes. Every value produced is the exact
-// field result, so the plan is bit-identical to the per-coordinate
-// kernels under every policy, strategy and dispatch level
+// field result, so both kernels are bit-identical to the textbook Lagrange
+// evaluation (tests/decode_oracle.h) under every policy and dispatch level
 // (tests/decode_strategy_test.cpp).
 //
 // Plans are meant to be cached per session keyed on the survivor set
@@ -44,8 +53,6 @@
 #include <span>
 #include <vector>
 
-#include "coding/decode_strategy.h"
-#include "coding/lagrange.h"
 #include "coding/ntt.h"
 #include "coding/poly.h"
 #include "common/error.h"
@@ -58,13 +65,30 @@
 
 namespace lsa::coding {
 
-/// Evaluation-weight matrix W[k][j] such that g(betas[k]) = sum_j W[k][j] *
-/// g(xs[j]) for any polynomial g of degree < |xs|, computed barycentrically:
-///   W[k][j] = M(beta_k) / (M'(x_j) * (beta_k - x_j)),
+/// Server-side aggregate-decode kernel selection (see the header comment).
+enum class DecodeStrategy {
+  kBarycentric,  ///< shared-denominator weights + blocked GEMM
+  kBatchedNtt,   ///< plan-cached batched fast interpolate/evaluate
+  kAuto,         ///< pick kBarycentric / kBatchedNtt from (U, U-T)
+};
+
+[[nodiscard]] constexpr const char* to_string(DecodeStrategy s) {
+  switch (s) {
+    case DecodeStrategy::kBarycentric: return "barycentric";
+    case DecodeStrategy::kBatchedNtt: return "batched-ntt";
+    case DecodeStrategy::kAuto: return "auto";
+  }
+  return "?";
+}
+
+/// Evaluation-weight matrix W (|betas| x |xs|) such that g(betas[k]) =
+/// sum_j W(k, j) * g(xs[j]) for any polynomial g of degree < |xs|, computed
+/// barycentrically:
+///   W(k, j) = M(beta_k) / (M'(x_j) * (beta_k - x_j)),
 /// with one shared O(|xs|^2) pass for the M'(x_j) and O(|xs|) per beta.
 /// Preconditions: xs pairwise distinct; no beta coincides with an x.
 template <class F>
-[[nodiscard]] std::vector<std::vector<typename F::rep>> barycentric_weights(
+[[nodiscard]] lsa::field::FlatMatrix<F> barycentric_weights(
     std::span<const typename F::rep> xs,
     std::span<const typename F::rep> betas) {
   using rep = typename F::rep;
@@ -84,7 +108,7 @@ template <class F>
   }
   lsa::field::batch_inv_inplace<F>(std::span<rep>(mprime_inv));
 
-  std::vector<std::vector<rep>> w(betas.size());
+  lsa::field::FlatMatrix<F> w(betas.size(), u);
   std::vector<rep> diff_inv(u);
   for (std::size_t k = 0; k < betas.size(); ++k) {
     rep m_at_beta = F::one;
@@ -96,55 +120,12 @@ template <class F>
       diff_inv[j] = diff;
     }
     lsa::field::batch_inv_inplace<F>(std::span<rep>(diff_inv));
-    w[k].resize(u);
+    auto row = w.row(k);
     for (std::size_t j = 0; j < u; ++j) {
-      w[k][j] = F::mul(m_at_beta, F::mul(mprime_inv[j], diff_inv[j]));
+      row[j] = F::mul(m_at_beta, F::mul(mprime_inv[j], diff_inv[j]));
     }
   }
   return w;
-}
-
-/// out[k*seg + l] = sum_j w[k][j] * shares[j][l] — a (U-T) x U x seg field
-/// GEMM. Column blocks fan out over the policy; within a block each output
-/// row runs the fused axpy_accumulate kernel (split-word lazy accumulation
-/// on 32-bit fields, 3-limb lazy accumulation on 64-bit fields). The
-/// row_at callable maps a weight-row index to a span (shared by the
-/// nested-vector kernel and the plan's FlatMatrix weights).
-template <class F, class RowAt>
-[[nodiscard]] std::vector<typename F::rep> weighted_combine_rows_blocked(
-    RowAt&& row_at, std::size_t num_rows,
-    std::span<const typename F::rep* const> shares, std::size_t seg_len,
-    const lsa::sys::ExecPolicy& pol = {}) {
-  using rep = typename F::rep;
-  std::vector<rep> out(num_rows * seg_len, F::zero);
-  const std::size_t chunk =
-      pol.chunk_reps == 0 ? lsa::field::kDefaultChunkReps : pol.chunk_reps;
-  pol.run_blocked(
-      seg_len,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<const rep*> shifted(shares.size());
-        for (std::size_t j = 0; j < shares.size(); ++j) {
-          shifted[j] = shares[j] + begin;
-        }
-        for (std::size_t k = 0; k < num_rows; ++k) {
-          std::span<rep> dst(out.data() + k * seg_len + begin, end - begin);
-          lsa::field::axpy_accumulate_blocked<F>(dst, row_at(k), shifted,
-                                                 chunk);
-        }
-      },
-      chunk);
-  return out;
-}
-
-template <class F>
-[[nodiscard]] std::vector<typename F::rep> weighted_combine_blocked(
-    const std::vector<std::vector<typename F::rep>>& w,
-    std::span<const typename F::rep* const> shares, std::size_t seg_len,
-    const lsa::sys::ExecPolicy& pol = {}) {
-  using rep = typename F::rep;
-  return weighted_combine_rows_blocked<F>(
-      [&](std::size_t k) { return std::span<const rep>(w[k]); }, w.size(),
-      shares, seg_len, pol);
 }
 
 /// Builds the subproduct tree / twiddle / weight tables for one (xs, betas)
@@ -273,13 +254,11 @@ class BatchedDecodePlan {
     return plan;
   }
 
-  /// Resolves kAuto to a concrete strategy from the plan shape and the
-  /// segment length; concrete strategies pass through unchanged.
-  [[nodiscard]] DecodeStrategy resolve(DecodeStrategy s,
-                                       std::size_t seg_len) const {
+  /// Resolves kAuto to a concrete strategy from the plan shape; concrete
+  /// strategies pass through unchanged.
+  [[nodiscard]] DecodeStrategy resolve(DecodeStrategy s) const {
     if (s != DecodeStrategy::kAuto) return s;
     if constexpr (!NttCapable<F>) {
-      (void)seg_len;
       return DecodeStrategy::kBarycentric;
     } else {
       // Measured crossover, re-calibrated for the SoA lane-streamed plane
@@ -292,12 +271,11 @@ class BatchedDecodePlan {
       // with 2*(U-T) against c*log2(U)^2, c ~ 10 vectorized (U = 1024,
       // U-T = 512 ties; U-T = 896 batched wins 1.5-1.7x) and c ~ 12
       // forced-scalar (U = 512, U-T = 448 barycentric still wins 1.3x;
-      // U = 1024, U-T = 512 ties). The old short-segment lowered threshold
-      // is gone: SoA streaming amortizes the subproduct-tree walk across
-      // kLaneBlock coordinates, so seg_len no longer shifts the winner
-      // (measured ratios at seg 32 match seg 2048 within ~15%). Below
-      // U = 512 the GEMM wins everywhere measured, in both dispatch modes.
-      (void)seg_len;
+      // U = 1024, U-T = 512 ties). The segment length does not enter: SoA
+      // streaming amortizes the subproduct-tree walk across kLaneBlock
+      // coordinates, so seg_len does not shift the winner (measured ratios
+      // at seg 32 match seg 2048 within ~15%). Below U = 512 the GEMM wins
+      // everywhere measured, in both dispatch modes.
       const std::size_t u = xs_.size();
       const std::size_t nb = betas_.size();
       if (u < 512) return DecodeStrategy::kBarycentric;
@@ -318,14 +296,9 @@ class BatchedDecodePlan {
                                      const lsa::sys::ExecPolicy& pol) const {
     lsa::require<lsa::CodingError>(shares.size() == xs_.size(),
                                    "decode plan: wrong share count");
-    switch (resolve(s, seg_len)) {
-      case DecodeStrategy::kBarycentric:
-        return run_barycentric(shares, seg_len, pol);
-      case DecodeStrategy::kBatchedNtt:
-        return run_batched(shares, seg_len, pol);
-      default:
-        throw lsa::CodingError("decode plan: unsupported strategy");
-    }
+    return resolve(s) == DecodeStrategy::kBatchedNtt
+               ? run_batched(shares, seg_len, pol)
+               : run_barycentric(shares, seg_len, pol);
   }
 
   /// One-time-setup cost already paid by this plan, per component (0 until
@@ -342,13 +315,34 @@ class BatchedDecodePlan {
 
   // ------------------------------------------------------------- GEMM path
 
+  /// out[k*seg + l] = sum_j W(k, j) * shares[j][l] — a (U-T) x U x seg
+  /// field GEMM. Column blocks fan out over the policy; within a block each
+  /// output row runs the fused axpy_accumulate kernel (split-word lazy
+  /// accumulation on 32-bit fields, 3-limb lazy accumulation on 64-bit
+  /// fields).
   [[nodiscard]] std::vector<rep> run_barycentric(
       std::span<const rep* const> shares, std::size_t seg_len,
       const lsa::sys::ExecPolicy& pol) const {
     const Bary& b = bary();
-    return weighted_combine_rows_blocked<F>(
-        [&](std::size_t k) { return b.w.row(k); }, betas_.size(), shares,
-        seg_len, pol);
+    const std::size_t nb = betas_.size();
+    std::vector<rep> out(nb * seg_len, F::zero);
+    const std::size_t chunk =
+        pol.chunk_reps == 0 ? lsa::field::kDefaultChunkReps : pol.chunk_reps;
+    pol.run_blocked(
+        seg_len,
+        [&](std::size_t begin, std::size_t end) {
+          std::vector<const rep*> shifted(shares.size());
+          for (std::size_t j = 0; j < shares.size(); ++j) {
+            shifted[j] = shares[j] + begin;
+          }
+          for (std::size_t k = 0; k < nb; ++k) {
+            std::span<rep> dst(out.data() + k * seg_len + begin, end - begin);
+            lsa::field::axpy_accumulate_blocked<F>(dst, b.w.row(k), shifted,
+                                                   chunk);
+          }
+        },
+        chunk);
+    return out;
   }
 
   // ---------------------------------------------------- batched fast path
@@ -493,12 +487,8 @@ class BatchedDecodePlan {
     if (!bary_) {
       lsa::common::Stopwatch sw;
       auto b = std::make_unique<Bary>();
-      const auto w = barycentric_weights<F>(std::span<const rep>(xs_),
-                                            std::span<const rep>(betas_));
-      b->w.reset(betas_.size(), xs_.size());
-      for (std::size_t k = 0; k < betas_.size(); ++k) {
-        std::copy(w[k].begin(), w[k].end(), b->w.row(k).begin());
-      }
+      b->w = barycentric_weights<F>(std::span<const rep>(xs_),
+                                    std::span<const rep>(betas_));
       b->setup_s = sw.elapsed_sec();
       bary_ = std::move(b);
     }

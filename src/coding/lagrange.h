@@ -1,9 +1,9 @@
 // Lagrange interpolation weights over F_q.
 //
 // Shared by Shamir reconstruction (evaluate at x = 0) and the LightSecAgg
-// mask codec (evaluate the interpolated aggregate polynomial at the data
-// points). Given sample points xs and a target x0, lagrange_weights_at
-// returns w such that for any polynomial f of degree < xs.size():
+// mask codec (its encoding matrix W[k][j] = l_k(alpha_j)). Given sample
+// points xs and a target x0, lagrange_weights_at returns w such that for
+// any polynomial f of degree < xs.size():
 //     f(x0) = sum_j w[j] * f(xs[j]).
 #pragma once
 
@@ -41,22 +41,6 @@ template <class F>
   std::vector<rep> w(n);
   for (std::size_t j = 0; j < n; ++j) w[j] = F::mul(numer[j], denom[j]);
   return w;
-}
-
-/// Full interpolation: returns f(x0) for the unique degree-(n-1) polynomial
-/// through (xs[j], ys[j]).
-template <class F>
-[[nodiscard]] typename F::rep interpolate_at(
-    std::span<const typename F::rep> xs,
-    std::span<const typename F::rep> ys, typename F::rep x0) {
-  lsa::require<lsa::CodingError>(xs.size() == ys.size(),
-                                 "interpolate: xs/ys size mismatch");
-  const auto w = lagrange_weights_at<F>(xs, x0);
-  typename F::rep acc = F::zero;
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    acc = F::add(acc, F::mul(w[j], ys[j]));
-  }
-  return acc;
 }
 
 }  // namespace lsa::coding

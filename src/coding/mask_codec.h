@@ -32,9 +32,11 @@
 //   * encode_all batches a whole round: arena row j*N + i holds [~z_i]_j,
 //     so holder j's shares form one contiguous row block for the
 //     aggregation pass;
-//   * decode_aggregate accepts share *row views* (flat arenas, nested
-//     vectors, wire buffers) and fans the coordinate range out over a
-//     sys::ExecPolicy.
+//   * decode_aggregate_rows is the one decode entry point: it takes share
+//     *row views* (flat arena rows, share-bank rows, wire buffers) without
+//     copying and fans the coordinate range out over a sys::ExecPolicy.
+//     The flat-arena, verified and error-correcting decodes all route
+//     through it.
 //
 // Decoding is plan-based: the codec keeps a per-instance LRU cache of
 // coding::BatchedDecodePlan keyed on the SORTED survivor point set (hash
@@ -45,15 +47,12 @@
 // of rebuilding: a requested set differing from a cached plan's by at most
 // kMaxPatchChurn points goes through BatchedDecodePlan::patched_from —
 // only the dirtied root-to-leaf tree paths and the barycentric weight
-// updates are recomputed, bit-identical to a fresh build. The default
-// strategy kAuto picks the GEMM or the batched fast path from (U, U-T,
-// seg_len) via the measured crossover; last_decode_stats() reports what
-// ran, the setup-vs-stream split, and the cumulative full-build / patch /
-// eviction counters.
-//
-// The legacy nested-vector APIs remain as thin adapters over the same
-// kernels, and every path is bit-identical to every other
-// (tests/parallel_codec_test.cpp).
+// updates are recomputed, bit-identical to a fresh build. kAuto picks the
+// GEMM or the batched fast path from (U, U-T) via the measured crossover
+// (coding/decode_plan.h); last_decode_stats() reports what ran, the
+// setup-vs-stream split, and the cumulative full-build / patch / eviction
+// counters. Every path is bit-identical under every policy and strategy
+// (tests/parallel_codec_test.cpp, tests/decode_strategy_test.cpp).
 #pragma once
 
 #include <algorithm>
@@ -65,7 +64,6 @@
 #include <span>
 #include <vector>
 
-#include "coding/aggregate_decode.h"
 #include "coding/decode_plan.h"
 #include "coding/error_correction.h"
 #include "coding/lagrange.h"
@@ -188,44 +186,15 @@ class MaskCodec {
     return arena;
   }
 
-  /// Legacy nested-vector encode (one user). Same kernels, same bits.
-  template <lsa::field::BitSource G>
-  [[nodiscard]] std::vector<std::vector<rep>> encode(
-      std::span<const rep> mask, G& noise_rng) const {
-    Matrix out(n_, seg_len_);
-    encode_into(mask, noise_rng, out);
-    return rows_to_nested(out);
-  }
-
-  /// Legacy deterministic variant used by tests: caller supplies the noise
-  /// segments as vectors.
-  [[nodiscard]] std::vector<std::vector<rep>> encode_with_noise(
-      std::span<const rep> mask,
-      const std::vector<std::vector<rep>>& noise_segments) const {
-    lsa::require<lsa::CodingError>(noise_segments.size() == t_,
-                                   "encode: need exactly T noise segments");
-    Matrix noise(t_, seg_len_);
-    for (std::size_t k = 0; k < t_; ++k) {
-      lsa::require<lsa::CodingError>(noise_segments[k].size() == seg_len_,
-                                     "encode: bad noise segment length");
-      std::copy(noise_segments[k].begin(), noise_segments[k].end(),
-                noise.row(k).begin());
-    }
-    Matrix out(n_, seg_len_);
-    encode_with_noise_into(mask, noise, out);
-    return rows_to_nested(out);
-  }
-
   // ---------------------------------------------------------------- decode
 
-  /// What the last decode on this codec actually did: the requested and
-  /// resolved strategy, whether the per-session plan cache already held
-  /// the survivor set's plan (or patched a small-churn neighbor), and the
+  /// What the last decode on this codec actually did: the resolved
+  /// strategy, whether the per-session plan cache already held the
+  /// survivor set's plan (or patched a small-churn neighbor), and the
   /// setup-vs-streaming time split (the amortization the cache buys). The
   /// trailing counters are cumulative over the codec's lifetime — the
   /// plan-maintenance telemetry sessions fold into their stats.
   struct DecodeStats {
-    DecodeStrategy requested = DecodeStrategy::kAuto;
     DecodeStrategy used = DecodeStrategy::kAuto;
     bool plan_reused = false;
     bool plan_patched = false;      ///< this decode patched a cached plan
@@ -264,11 +233,10 @@ class MaskCodec {
   /// One-shot aggregate decode over share *row views*: share_owners[j] is
   /// the 0-based user id whose aggregated share rows[j] (seg_len reps) is
   /// given. Needs at least U distinct owners; uses the first U. Returns
-  /// the aggregate mask sum_{i in U1} z_i (length d). The decode kernel is
-  /// selectable (coding/decode_strategy.h); all strategies are bit-exact.
-  /// kAuto (the default) picks the GEMM or the batched fast path from the
-  /// measured crossover; plan-based strategies hit this codec's plan cache
-  /// keyed on the survivor set.
+  /// the aggregate mask sum_{i in U1} z_i (length d). kAuto (the default)
+  /// picks the GEMM or the batched fast path from the measured crossover;
+  /// both are bit-exact, and both hit this codec's plan cache keyed on the
+  /// survivor set.
   [[nodiscard]] std::vector<rep> decode_aggregate_rows(
       std::span<const std::size_t> share_owners,
       std::span<const rep* const> rows,
@@ -281,67 +249,50 @@ class MaskCodec {
         share_owners.size() >= u_,
         "decode: fewer than U aggregated shares — unrecoverable round");
 
-    std::vector<rep> xs(u_);
+    // Canonical cache key: the sorted survivor points (the decode result
+    // is order-independent — the interpolant is unique and every kernel
+    // returns canonical field elements). order[a] = incoming row index of
+    // the a-th smallest point; sorted, duplicates are adjacent.
+    std::vector<std::uint32_t> order(u_);
     for (std::size_t j = 0; j < u_; ++j) {
       lsa::require<lsa::ProtocolError>(share_owners[j] < n_,
                                        "decode: share owner out of range");
-      xs[j] = alpha_[share_owners[j]];
+      order[j] = static_cast<std::uint32_t>(j);
     }
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return alpha_[share_owners[a]] < alpha_[share_owners[b]];
+              });
+    std::vector<rep> sorted_xs(u_);
     for (std::size_t a = 0; a < u_; ++a) {
-      for (std::size_t b = a + 1; b < u_; ++b) {
-        lsa::require<lsa::ProtocolError>(xs[a] != xs[b],
-                                         "decode: duplicate share owners");
-      }
+      sorted_xs[a] = alpha_[share_owners[order[a]]];
+      lsa::require<lsa::ProtocolError>(
+          a == 0 || sorted_xs[a] != sorted_xs[a - 1],
+          "decode: duplicate share owners");
     }
 
     // Evaluate the aggregate polynomial g at the U-T data slots.
-    std::span<const rep> data_betas(beta_.data(), u_ - t_);
     DecodeStats stats;
-    stats.requested = strategy;
-    std::vector<rep> out;
     lsa::common::Stopwatch sw;
-    if (strategy == DecodeStrategy::kLagrange ||
-        strategy == DecodeStrategy::kNtt) {
-      // Reference kernels: never plan-cached.
-      stats.used = strategy;
-      out = decode_eval<F>(strategy, std::span<const rep>(xs), data_betas,
-                           rows.first(u_), seg_len_, pol);
-      stats.stream_s = sw.elapsed_sec();
-    } else {
-      // Canonical cache key: the sorted survivor points (the decode result
-      // is order-independent — the interpolant is unique and every kernel
-      // returns canonical field elements). order[a] = incoming row index
-      // of the a-th smallest point.
-      std::vector<std::uint32_t> order(u_);
-      for (std::size_t j = 0; j < u_; ++j) {
-        order[j] = static_cast<std::uint32_t>(j);
-      }
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return xs[a] < xs[b];
-                });
-      std::vector<rep> sorted_xs(u_);
-      for (std::size_t a = 0; a < u_; ++a) sorted_xs[a] = xs[order[a]];
-      auto found = plan_for(std::move(sorted_xs));
-      stats.plan_reused = found.reused;
-      stats.plan_patched = found.patched;
-      stats.patched_nodes = found.patched_nodes;
-      // Rows in the plan's own point order: patched plans keep their
-      // base's order, fresh plans the sorted key (empty perm = identity).
-      std::vector<const rep*> plan_rows(u_);
-      for (std::size_t j = 0; j < u_; ++j) {
-        const std::size_t s = found.perm.empty() ? j : found.perm[j];
-        plan_rows[j] = rows[order[s]];
-      }
-      stats.used = found.plan->resolve(strategy, seg_len_);
-      const double setup_before = plan_setup_seconds(*found.plan);
-      out = found.plan->run(stats.used,
-                            std::span<const rep* const>(plan_rows), seg_len_,
-                            pol);
-      stats.setup_s =
-          found.patch_s + plan_setup_seconds(*found.plan) - setup_before;
-      stats.stream_s = sw.elapsed_sec() - stats.setup_s;
+    auto found = plan_for(std::move(sorted_xs));
+    stats.plan_reused = found.reused;
+    stats.plan_patched = found.patched;
+    stats.patched_nodes = found.patched_nodes;
+    // Rows in the plan's own point order: patched plans keep their base's
+    // order, fresh plans the sorted key (empty perm = identity).
+    std::vector<const rep*> plan_rows(u_);
+    for (std::size_t j = 0; j < u_; ++j) {
+      const std::size_t s = found.perm.empty() ? j : found.perm[j];
+      plan_rows[j] = rows[order[s]];
     }
+    stats.used = found.plan->resolve(strategy);
+    const double setup_before = plan_setup_seconds(*found.plan);
+    auto out = found.plan->run(stats.used,
+                               std::span<const rep* const>(plan_rows),
+                               seg_len_, pol);
+    stats.setup_s =
+        found.patch_s + plan_setup_seconds(*found.plan) - setup_before;
+    stats.stream_s = sw.elapsed_sec() - stats.setup_s;
     {
       lsa::sync::MutexLock lk(plans_->mu);
       stats.full_builds = plans_->full_builds;
@@ -365,18 +316,6 @@ class MaskCodec {
     const auto rows = agg_shares.row_ptrs();
     return decode_aggregate_rows(share_owners,
                                  std::span<const rep* const>(rows), pol,
-                                 strategy);
-  }
-
-  /// Legacy nested-vector decode.
-  [[nodiscard]] std::vector<rep> decode_aggregate(
-      std::span<const std::size_t> share_owners,
-      std::span<const std::vector<rep>> agg_shares,
-      DecodeStrategy strategy = DecodeStrategy::kAuto) const {
-    check_nested_lengths(agg_shares);
-    const auto rows = share_row_ptrs<F>(agg_shares);
-    return decode_aggregate_rows(share_owners,
-                                 std::span<const rep* const>(rows), {},
                                  strategy);
   }
 
@@ -421,19 +360,6 @@ class MaskCodec {
         share_owners, std::span<const rep* const>(rows), pol);
   }
 
-  /// Legacy nested-vector verified decode.
-  [[nodiscard]] std::vector<rep> decode_aggregate_verified(
-      std::span<const std::size_t> share_owners,
-      std::span<const std::vector<rep>> agg_shares) const {
-    lsa::require<lsa::ProtocolError>(
-        share_owners.size() == agg_shares.size(),
-        "decode: owners/shares size mismatch");
-    check_nested_lengths(agg_shares);
-    const auto rows = share_row_ptrs<F>(agg_shares);
-    return decode_aggregate_verified_rows(
-        share_owners, std::span<const rep* const>(rows));
-  }
-
   struct CorrectedAggregate {
     std::vector<rep> aggregate;
     /// User ids whose aggregated shares were corrupted and discarded.
@@ -451,12 +377,15 @@ class MaskCodec {
   /// paper's honest-but-curious baseline assumes zero corruption anyway).
   /// Throws CodingError when more shares are corrupted than the redundancy
   /// can fix (detected via the BW consistency check, never mis-decoded).
+  /// rows[j] views owner share_owners[j]'s aggregated share (seg_len reps,
+  /// read in place); the final decode of the clean rows runs under pol.
   [[nodiscard]] CorrectedAggregate decode_aggregate_corrected(
       std::span<const std::size_t> share_owners,
-      std::span<const std::vector<rep>> agg_shares,
+      std::span<const rep* const> rows,
+      const lsa::sys::ExecPolicy& pol = {},
       std::uint64_t probe_seed = 0x5eedu) const {
     lsa::require<lsa::ProtocolError>(
-        share_owners.size() == agg_shares.size(),
+        share_owners.size() == rows.size(),
         "corrected decode: owners/shares size mismatch");
     lsa::require<lsa::ProtocolError>(
         share_owners.size() >= u_,
@@ -470,11 +399,9 @@ class MaskCodec {
     for (std::size_t j = 0; j < n_resp; ++j) {
       lsa::require<lsa::ProtocolError>(share_owners[j] < n_,
                                        "corrected decode: owner range");
-      lsa::require<lsa::ProtocolError>(agg_shares[j].size() == seg_len_,
-                                       "corrected decode: share length");
       xs[j] = alpha_[share_owners[j]];
       ys[j] = lsa::field::dot<F>(std::span<const rep>(probe),
-                                 std::span<const rep>(agg_shares[j]));
+                                 std::span<const rep>(rows[j], seg_len_));
     }
 
     const auto bw = berlekamp_welch<F>(std::span<const rep>(xs),
@@ -486,7 +413,7 @@ class MaskCodec {
 
     CorrectedAggregate out;
     std::vector<std::size_t> clean_owners;
-    std::vector<std::vector<rep>> clean_shares;
+    std::vector<const rep*> clean_rows;
     std::size_t next_err = 0;
     for (std::size_t j = 0; j < n_resp; ++j) {
       if (next_err < bw->error_positions.size() &&
@@ -496,9 +423,10 @@ class MaskCodec {
         continue;
       }
       clean_owners.push_back(share_owners[j]);
-      clean_shares.push_back(agg_shares[j]);
+      clean_rows.push_back(rows[j]);
     }
-    out.aggregate = decode_aggregate(clean_owners, clean_shares);
+    out.aggregate = decode_aggregate_rows(
+        clean_owners, std::span<const rep* const>(clean_rows), pol);
     return out;
   }
 
@@ -533,20 +461,6 @@ class MaskCodec {
       std::fill(dst.begin(), dst.end(), F::zero);
       lsa::field::axpy_accumulate_blocked<F>(
           dst, w_cols_.row(j), std::span<const rep* const>(seg_rows), chunk);
-    }
-  }
-
-  [[nodiscard]] std::vector<std::vector<rep>> rows_to_nested(
-      const Matrix& m) const {
-    std::vector<std::vector<rep>> out(m.rows());
-    for (std::size_t j = 0; j < m.rows(); ++j) out[j] = m.row_copy(j);
-    return out;
-  }
-
-  void check_nested_lengths(std::span<const std::vector<rep>> shares) const {
-    for (const auto& s : shares) {
-      lsa::require<lsa::ProtocolError>(s.size() == seg_len_,
-                                       "decode: bad share length");
     }
   }
 

@@ -54,7 +54,6 @@ std::vector<RoundRecord> run_fedbuff(
     p.target_survivors = u;
     p.model_dim = d;
     p.exec = cfg.exec;
-    p.decode = cfg.decode;
     secure = std::make_unique<lsa::protocol::AsyncLightSecAgg<Fp32>>(
         p, cfg.buffer_k, cfg.staleness, cfg.c_g, cfg.seed ^ 0xfedbull);
   }

@@ -17,7 +17,6 @@
 #include <functional>
 #include <vector>
 
-#include "coding/decode_strategy.h"
 #include "fl/dataset.h"
 #include "fl/fedavg.h"  // RoundRecord
 #include "fl/model.h"
@@ -44,11 +43,10 @@ struct FedBuffConfig {
   std::uint64_t c_g = 1u << 6;   ///< staleness quantization levels (App. F.5)
   std::size_t privacy_t = 0;     ///< T for AsyncLightSecAgg (0 = N/10)
   std::size_t target_u = 0;      ///< U (0 = default N - D with D = N/5)
-  /// Execution policy and decode strategy threaded into the secure
-  /// aggregator's Params (encode fan-out, one-shot weighted recovery);
-  /// results are bit-identical under every choice.
+  /// Execution policy threaded into the secure aggregator's Params
+  /// (encode fan-out, one-shot weighted recovery); results are
+  /// bit-identical under every choice.
   lsa::sys::ExecPolicy exec{};
-  lsa::coding::DecodeStrategy decode = lsa::coding::DecodeStrategy::kAuto;
 
   /// Optional transform applied to each arriving update before it reaches
   /// the server (identity when empty). This is where the DP baseline plugs

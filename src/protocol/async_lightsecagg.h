@@ -231,8 +231,8 @@ class AsyncLightSecAgg {
       }
     }
 
-    auto agg_mask = codec_->decode_aggregate(responders, agg_shares,
-                                             params_.exec, params_.decode);
+    auto agg_mask =
+        codec_->decode_aggregate(responders, agg_shares, params_.exec);
     if (ledger_ != nullptr) {
       ledger_->add_compute(
           lsa::net::Phase::kRecovery, ledger_->server_id(),

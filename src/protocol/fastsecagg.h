@@ -149,8 +149,7 @@ class FastSecAgg final : public SecureAggregator<F> {
     });
 
     // ---- Phase 3: one-shot decode of the aggregate *model*. ----
-    auto aggregate = codec_->decode_aggregate(responders, agg_shares_, pol,
-                                              params_.decode);
+    auto aggregate = codec_->decode_aggregate(responders, agg_shares_, pol);
     if (ledger_ != nullptr) {
       ledger_->add_compute(lsa::net::Phase::kRecovery, ledger_->server_id(),
                            lsa::net::CompKind::kMaskDecode,

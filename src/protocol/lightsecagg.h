@@ -188,13 +188,13 @@ class LightSecAgg final : public SecureAggregator<F> {
     auto agg_mask =
         (verify_redundant_ && responders.size() > u)
             ? codec_->decode_aggregate_verified(responders, agg_shares_, pol)
-            : codec_->decode_aggregate(responders, agg_shares_, pol,
-                                       params_.decode);
+            : codec_->decode_aggregate(responders, agg_shares_, pol);
     if (ledger_ != nullptr) {
       // Decode: U-T output segments, each a U-term combination (d*U work),
       // plus the barycentric weight computation — O(U^2) shared denominators
       // + O(U (U-T)) per-beta numerators — independent of d
-      // (coding/aggregate_decode.h, the default kBarycentric kernel).
+      // (coding/decode_plan.h: kBarycentric, which kAuto picks below
+      // U = 512).
       ledger_->add_compute(lsa::net::Phase::kRecovery, ledger_->server_id(),
                            lsa::net::CompKind::kMaskDecode,
                            static_cast<std::uint64_t>(u) * (u - t) * seg,

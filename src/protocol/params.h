@@ -3,7 +3,6 @@
 
 #include <cstddef>
 
-#include "coding/decode_strategy.h"
 #include "common/error.h"
 #include "field/simd/simd_policy.h"
 #include "sys/exec_policy.h"
@@ -24,12 +23,6 @@ struct Params {
   /// blocked share aggregation, one-shot decode). Default: serial, default
   /// cache chunking — results are bit-identical under every policy.
   lsa::sys::ExecPolicy exec{};
-
-  /// Server-side decode kernel. kAuto picks barycentric GEMM or the
-  /// batched-NTT plane from (U, T, seg_len); every choice is bit-identical
-  /// (coding/decode_strategy.h). Plans are cached per session keyed on the
-  /// survivor set, so repeated rounds pay setup once.
-  lsa::coding::DecodeStrategy decode = lsa::coding::DecodeStrategy::kAuto;
 
   /// Steady-state cohort mode (ACCESS-FL-style, see README "Steady-state
   /// cohorts"): user devices run offline encoding + mask-share

@@ -159,8 +159,7 @@ class ZhaoSunOneShot final : public SecureAggregator<F> {
       share_rows.push_back(it->second.data());
     }
     auto agg_mask = codec_->decode_aggregate_rows(
-        responders, std::span<const rep* const>(share_rows), params_.exec,
-        params_.decode);
+        responders, std::span<const rep* const>(share_rows), params_.exec);
     lsa::field::sub_inplace<F>(std::span<rep>(sum_masked),
                                std::span<const rep>(agg_mask));
     return sum_masked;

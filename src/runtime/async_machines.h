@@ -349,8 +349,7 @@ class AsyncAggregationServer final : public Party {
       share_rows.push_back(vec.data());
     }
     auto agg_mask = codec_.decode_aggregate_rows(
-        owners, std::span<const rep* const>(share_rows), params_.exec,
-        params_.decode);
+        owners, std::span<const rep* const>(share_rows), params_.exec);
     lsa::field::sub_inplace<Fp>(std::span<rep>(acc),
                                 std::span<const rep>(agg_mask));
 

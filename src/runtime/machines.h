@@ -484,21 +484,16 @@ class AggregationServer final : public Party {
       owners.push_back(user);
       rows.push_back(shares.rows.row_ptr(user));
     }
+    const std::span<const rep* const> share_rows(rows);
     std::vector<rep> agg_mask;
     if (byzantine_tolerant_) {
-      std::vector<std::vector<rep>> payloads;
-      payloads.reserve(owners.size());
-      for (const std::size_t user : owners) {
-        payloads.push_back(shares.rows.row_copy(user));
-      }
-      auto corrected = codec_.decode_aggregate_corrected(owners, payloads);
+      auto corrected =
+          codec_.decode_aggregate_corrected(owners, share_rows, params_.exec);
       agg_mask = std::move(corrected.aggregate);
       last_corrupted_.assign(corrected.corrupted_owners.begin(),
                              corrected.corrupted_owners.end());
     } else {
-      agg_mask = codec_.decode_aggregate_rows(
-          owners, std::span<const rep* const>(rows), params_.exec,
-          params_.decode);
+      agg_mask = codec_.decode_aggregate_rows(owners, share_rows, params_.exec);
     }
 
     std::vector<rep> result(params_.model_dim, Fp::zero);

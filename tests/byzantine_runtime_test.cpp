@@ -8,8 +8,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "field/field_vec.h"
 #include "field/random_field.h"
 #include "runtime/machines.h"
+#include "sys/exec_policy.h"
+#include "sys/thread_pool.h"
 
 namespace {
 
@@ -101,6 +104,33 @@ TEST(ByzantineRuntime, WithoutToleranceAFalsifiedShareCanPoisonSilently) {
   const auto models = random_models(kN, kD, 16);
   const auto result = net.run_round(0, models, {});
   EXPECT_NE(result, expected_sum(models));
+}
+
+TEST(ByzantineRuntime, PooledCorrectedDecodeMatchesSerial) {
+  // The corrected decode reads the server's share bank in place and runs
+  // under the session policy. With a 3-worker pool and a model large
+  // enough that each share (seg_len = 3 chunks of 4096 reps) splits into
+  // several column blocks, the pooled Network must name the same
+  // falsifier and return the same aggregate as the serial one.
+  constexpr std::size_t kChunk = lsa::field::kDefaultChunkReps;
+  constexpr std::size_t kBigD = (kU - kT) * 3 * kChunk;
+  const auto models = random_models(kN, kBigD, 20);
+
+  lsa::runtime::Network serial(make_params(kN, kT, kU, kBigD), 21,
+                               /*byzantine_tolerant=*/true);
+  serial.user(7).set_byzantine(true);
+  const auto serial_out = serial.run_round(0, models, {});
+  EXPECT_EQ(serial_out, expected_sum(models));
+  EXPECT_EQ(serial.server().last_corrupted(), std::vector<std::size_t>{7});
+
+  lsa::sys::ThreadPool pool(3);
+  auto params = make_params(kN, kT, kU, kBigD);
+  params.exec = lsa::sys::ExecPolicy{&pool, kChunk};
+  lsa::runtime::Network pooled(params, 21, /*byzantine_tolerant=*/true);
+  pooled.user(7).set_byzantine(true);
+  EXPECT_EQ(pooled.run_round(0, models, {}), serial_out);
+  EXPECT_EQ(pooled.server().last_corrupted(),
+            serial.server().last_corrupted());
 }
 
 TEST(ByzantineRuntime, MultiRoundRecoveryAfterAttack) {

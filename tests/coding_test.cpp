@@ -9,16 +9,21 @@
 #include "coding/matrix.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/random_field.h"
 
+#include "decode_oracle.h"
+
 namespace {
 
+using lsa::field::FlatMatrix;
 using lsa::field::Fp32;
 using rep = Fp32::rep;
 
 TEST(Lagrange, RecoversPolynomialEvaluations) {
-  // f(x) = 3 + 2x + 5x^2 over 4 points; interpolate at fresh points.
+  // f(x) = 3 + 2x + 5x^2 over 4 points; interpolate at fresh points, both
+  // through the oracle and through lagrange_weights_at.
   auto f = [](rep x) {
     return Fp32::add(Fp32::add(3, Fp32::mul(2, x)),
                      Fp32::mul(5, Fp32::mul(x, x)));
@@ -27,9 +32,16 @@ TEST(Lagrange, RecoversPolynomialEvaluations) {
   std::vector<rep> ys;
   for (auto x : xs) ys.push_back(f(x));
   for (rep x0 : {0u, 5u, 100u, 12345u}) {
-    EXPECT_EQ(lsa::coding::interpolate_at<Fp32>(
+    EXPECT_EQ(lsa::test::oracle_interpolate_at<Fp32>(
                   std::span<const rep>(xs), std::span<const rep>(ys), x0),
               f(x0));
+    const auto w = lsa::coding::lagrange_weights_at<Fp32>(
+        std::span<const rep>(xs), x0);
+    rep acc = Fp32::zero;
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+      acc = Fp32::add(acc, Fp32::mul(w[j], ys[j]));
+    }
+    EXPECT_EQ(acc, f(x0));
   }
 }
 
@@ -96,16 +108,20 @@ TEST_P(MaskCodecSweep, SingleMaskDecodesFromAnyUSubset) {
   lsa::common::Xoshiro256ss rng(n * 31 + u * 7 + t);
   lsa::coding::MaskCodec<Fp32> codec(n, u, t, d);
   auto mask = lsa::field::uniform_vector<Fp32>(d, rng);
-  auto shares = codec.encode(std::span<const rep>(mask), rng);
-  ASSERT_EQ(shares.size(), n);
+  FlatMatrix<Fp32> shares(n, codec.segment_len());
+  codec.encode_into(std::span<const rep>(mask), rng, shares);
+  // Row views of the owners' shares, read in place.
+  const auto rows_of = [&](const std::vector<std::size_t>& owners) {
+    std::vector<const rep*> rows;
+    for (auto o : owners) rows.push_back(shares.row_ptr(o));
+    return rows;
+  };
 
   // Decode from several U-subsets (contiguous windows + a scattered one).
   for (std::size_t start = 0; start + u <= n; start += std::max<std::size_t>(1, n / 3)) {
     std::vector<std::size_t> owners(u);
     std::iota(owners.begin(), owners.end(), start);
-    std::vector<std::vector<rep>> sub;
-    for (auto o : owners) sub.push_back(shares[o]);
-    EXPECT_EQ(codec.decode_aggregate(owners, sub), mask);
+    EXPECT_EQ(codec.decode_aggregate_rows(owners, rows_of(owners)), mask);
   }
   std::vector<std::size_t> scattered;
   for (std::size_t j = 0; j < n && scattered.size() < u; j += 2) {
@@ -114,9 +130,7 @@ TEST_P(MaskCodecSweep, SingleMaskDecodesFromAnyUSubset) {
   for (std::size_t j = 1; j < n && scattered.size() < u; j += 2) {
     scattered.push_back(j);  // ... then odds: a non-contiguous U-subset
   }
-  std::vector<std::vector<rep>> sub;
-  for (auto o : scattered) sub.push_back(shares[o]);
-  EXPECT_EQ(codec.decode_aggregate(scattered, sub), mask);
+  EXPECT_EQ(codec.decode_aggregate_rows(scattered, rows_of(scattered)), mask);
 }
 
 TEST_P(MaskCodecSweep, AggregateOfEncodedSharesDecodesToAggregateMask) {
@@ -125,11 +139,13 @@ TEST_P(MaskCodecSweep, AggregateOfEncodedSharesDecodesToAggregateMask) {
   lsa::common::Xoshiro256ss rng(n * 131 + u * 17 + t);
   lsa::coding::MaskCodec<Fp32> codec(n, u, t, d);
 
+  // Arena row j*N + i = user i's share for holder j (encode_all's layout).
   std::vector<std::vector<rep>> masks(n);
-  std::vector<std::vector<std::vector<rep>>> all_shares(n);
+  FlatMatrix<Fp32> arena(n * n, codec.segment_len());
   for (std::size_t i = 0; i < n; ++i) {
     masks[i] = lsa::field::uniform_vector<Fp32>(d, rng);
-    all_shares[i] = codec.encode(std::span<const rep>(masks[i]), rng);
+    codec.encode_into(std::span<const rep>(masks[i]), rng, arena,
+                      /*base=*/i, /*stride=*/n);
   }
   // Simulate a surviving set: drop the last n-u users... keep first u+?
   std::vector<std::size_t> survivors(u);
@@ -140,14 +156,12 @@ TEST_P(MaskCodecSweep, AggregateOfEncodedSharesDecodesToAggregateMask) {
     lsa::field::add_inplace<Fp32>(std::span<rep>(expected),
                                   std::span<const rep>(masks[i]));
   }
-  std::vector<std::vector<rep>> agg_shares;
-  for (auto j : survivors) {
-    std::vector<rep> acc(codec.segment_len(), Fp32::zero);
+  FlatMatrix<Fp32> agg_shares(survivors.size(), codec.segment_len());
+  for (std::size_t r = 0; r < survivors.size(); ++r) {
     for (auto i : survivors) {
-      lsa::field::add_inplace<Fp32>(std::span<rep>(acc),
-                                    std::span<const rep>(all_shares[i][j]));
+      lsa::field::add_inplace<Fp32>(agg_shares.row(r),
+                                    arena.row(survivors[r] * n + i));
     }
-    agg_shares.push_back(std::move(acc));
   }
   EXPECT_EQ(codec.decode_aggregate(survivors, agg_shares), expected);
 }
@@ -203,11 +217,12 @@ TEST(MaskCodec, TSharesLookUniform) {
   lsa::coding::MaskCodec<Fp32> codec(n, u, t, d);
   std::vector<rep> mask(d, 0);  // all-zero mask: worst case for leakage
   lsa::common::RunningStat stat;
+  FlatMatrix<Fp32> shares(n, codec.segment_len());
   for (int trial = 0; trial < 3000; ++trial) {
-    auto shares = codec.encode(std::span<const rep>(mask), rng);
-    stat.add(static_cast<double>(shares[0][0]) /
+    codec.encode_into(std::span<const rep>(mask), rng, shares);
+    stat.add(static_cast<double>(shares(0, 0)) /
              static_cast<double>(Fp32::modulus));
-    stat.add(static_cast<double>(shares[1][0]) /
+    stat.add(static_cast<double>(shares(1, 0)) /
              static_cast<double>(Fp32::modulus));
   }
   EXPECT_NEAR(stat.mean(), 0.5, 0.02);
@@ -224,22 +239,30 @@ TEST(MaskCodec, DecodeErrorsAreTyped) {
   lsa::common::Xoshiro256ss rng(66);
   lsa::coding::MaskCodec<Fp32> codec(5, 4, 1, 9);
   auto mask = lsa::field::uniform_vector<Fp32>(9, rng);
-  auto shares = codec.encode(std::span<const rep>(mask), rng);
+  FlatMatrix<Fp32> shares(5, codec.segment_len());
+  codec.encode_into(std::span<const rep>(mask), rng, shares);
+  const auto rows = shares.row_ptrs();
 
   // Too few shares.
   std::vector<std::size_t> owners = {0, 1, 2};
-  std::vector<std::vector<rep>> sub = {shares[0], shares[1], shares[2]};
-  EXPECT_THROW((void)codec.decode_aggregate(owners, sub),
+  EXPECT_THROW((void)codec.decode_aggregate_rows(
+                   owners, std::span<const rep* const>(rows.data(), 3)),
                lsa::ProtocolError);
-  // Duplicate owners.
-  owners = {0, 1, 2, 2};
-  sub = {shares[0], shares[1], shares[2], shares[2]};
-  EXPECT_THROW((void)codec.decode_aggregate(owners, sub),
+  // Duplicate owners, adjacent or not once sorted.
+  for (const auto& dup : {std::vector<std::size_t>{0, 1, 2, 2},
+                          std::vector<std::size_t>{3, 0, 1, 3}}) {
+    EXPECT_THROW((void)codec.decode_aggregate_rows(
+                     dup, std::span<const rep* const>(rows.data(), 4)),
+                 lsa::ProtocolError);
+  }
+  // Owner out of range.
+  owners = {0, 1, 2, 5};
+  EXPECT_THROW((void)codec.decode_aggregate_rows(
+                   owners, std::span<const rep* const>(rows.data(), 4)),
                lsa::ProtocolError);
-  // Wrong share length.
+  // Wrong share length (flat arena narrower than segment_len).
   owners = {0, 1, 2, 3};
-  sub = {shares[0], shares[1], shares[2], {1, 2}};
-  EXPECT_THROW((void)codec.decode_aggregate(owners, sub),
+  EXPECT_THROW((void)codec.decode_aggregate(owners, FlatMatrix<Fp32>(4, 2)),
                lsa::ProtocolError);
 }
 

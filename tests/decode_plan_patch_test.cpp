@@ -1,13 +1,14 @@
 // Incremental decode-plan maintenance must be invisible in the output:
 // BatchedDecodePlan::patched_from applied to survivor churn up to the
 // codec bound (MaskCodec::kMaxPatchChurn = 8) has to land on the SAME
-// BITS as a from-scratch plan over the same points, for both the
-// barycentric GEMM and the batched-NTT streaming path — swept
-// exhaustively at churn 1/2 at small U, randomized at U = 257 (carry
-// nodes) and at churn 3..8. The MaskCodec layer on top must route churn
-// <= 8 survivor sets through the patch, rebuild above the bound, keep
-// its plan cache LRU-bounded, and keep the telemetry counters
-// (full_builds / incremental_patches / evictions) honest.
+// BITS as a from-scratch plan over the same points and as the textbook
+// oracle (decode_oracle.h), for both the barycentric GEMM and the
+// batched-NTT streaming path — swept exhaustively at churn 1/2 at small
+// U, randomized at U = 257 (carry nodes) and at churn 3..8. The
+// MaskCodec layer on top must route churn <= 8 survivor sets through the
+// patch, rebuild above the bound, keep its plan cache LRU-bounded, keep
+// the telemetry counters (full_builds / incremental_patches / evictions)
+// honest, and decode every patched set to the oracle's bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,8 @@
 #include "field/fp.h"
 #include "field/goldilocks.h"
 #include "field/random_field.h"
+
+#include "decode_oracle.h"
 
 namespace {
 
@@ -71,7 +74,7 @@ struct PatchFixture {
 
 /// Builds a base plan with BOTH components materialized, patches it with
 /// `reps`, and demands byte-equality against a from-scratch plan over the
-/// patched point set on both strategies.
+/// patched point set and against the oracle, on both strategies.
 template <class F>
 void expect_patch_bit_identical(
     PatchFixture<F>& fx,
@@ -93,6 +96,8 @@ void expect_patch_bit_identical(
   for (const auto& r : reps) new_xs[r.pos] = r.value;
   Plan<F> fresh{std::span<const Rep<F>>(new_xs),
                 std::span<const Rep<F>>(fx.betas)};
+  const auto oracle = lsa::test::oracle_decode<F>(
+      new_xs, fx.betas, std::span<const Rep<F>* const>(fx.rows), fx.seg_len);
   for (const auto s :
        {DecodeStrategy::kBarycentric, DecodeStrategy::kBatchedNtt}) {
     const auto got = patched->run(
@@ -102,6 +107,8 @@ void expect_patch_bit_identical(
     ASSERT_EQ(got, want) << "u=" << fx.xs.size() << " churn=" << reps.size()
                          << " first_pos=" << reps.front().pos
                          << " strategy=" << lsa::coding::to_string(s);
+    ASSERT_EQ(want, oracle) << "u=" << fx.xs.size()
+                            << " strategy=" << lsa::coding::to_string(s);
   }
 }
 
@@ -235,8 +242,12 @@ TEST(DecodePlanPatch, RejectsInvalidReplacements) {
 using Codec = lsa::coding::MaskCodec<Goldilocks>;
 using GRep = Goldilocks::rep;
 
+constexpr DecodeStrategy kStrategies[] = {DecodeStrategy::kBatchedNtt,
+                                          DecodeStrategy::kBarycentric,
+                                          DecodeStrategy::kAuto};
+
 /// Random aggregated-share rows for a given owner set; decode output is
-/// checked against the never-cached kLagrange reference on the same rows.
+/// checked against the oracle on the same rows.
 struct CodecRows {
   std::vector<std::vector<GRep>> store;
   std::vector<const GRep*> rows;
@@ -251,6 +262,14 @@ struct CodecRows {
   }
 };
 
+/// The oracle's decode of `data` presented under `owners`.
+std::vector<GRep> oracle(const Codec& codec,
+                         const std::vector<std::size_t>& owners,
+                         const CodecRows& data) {
+  return lsa::test::oracle_codec_decode<Goldilocks>(
+      codec, owners, std::span<const GRep* const>(data.rows));
+}
+
 TEST(MaskCodecPatch, SmallChurnRoutesThroughPatch) {
   constexpr std::size_t kN = 40, kU = 8, kT = 2, kD = 64;
   Codec codec(kN, kU, kT, kD);
@@ -263,18 +282,16 @@ TEST(MaskCodecPatch, SmallChurnRoutesThroughPatch) {
   const auto first = codec.decode_aggregate_rows(
       owners, std::span<const GRep* const>(data.rows), {},
       DecodeStrategy::kBatchedNtt);
-  (void)codec.decode_aggregate_rows(owners,
-                                    std::span<const GRep* const>(data.rows),
-                                    {}, DecodeStrategy::kBarycentric);
+  const auto reused = codec.decode_aggregate_rows(
+      owners, std::span<const GRep* const>(data.rows), {},
+      DecodeStrategy::kBarycentric);
   auto st = codec.last_decode_stats();
   EXPECT_FALSE(st.plan_patched);
   EXPECT_TRUE(st.plan_reused);  // second decode, same owners
   EXPECT_EQ(st.full_builds, 1u);
   EXPECT_EQ(st.incremental_patches, 0u);
-  EXPECT_EQ(first,
-            codec.decode_aggregate_rows(
-                owners, std::span<const GRep* const>(data.rows), {},
-                DecodeStrategy::kLagrange));
+  EXPECT_EQ(first, oracle(codec, owners, data));
+  EXPECT_EQ(reused, first);
 
   // ±1 churn: owner 3 leaves, owner 20 joins.
   owners[3] = 20;
@@ -287,10 +304,7 @@ TEST(MaskCodecPatch, SmallChurnRoutesThroughPatch) {
   EXPECT_GE(st.patched_nodes, 1u);
   EXPECT_EQ(st.full_builds, 1u);
   EXPECT_EQ(st.incremental_patches, 1u);
-  EXPECT_EQ(patched_out,
-            codec.decode_aggregate_rows(
-                owners, std::span<const GRep* const>(data.rows), {},
-                DecodeStrategy::kLagrange));
+  EXPECT_EQ(patched_out, oracle(codec, owners, data));
 
   // ±2 churn off the ORIGINAL set (still cached, churn 2 <= bound).
   std::vector<std::size_t> owners2(kU);
@@ -303,10 +317,7 @@ TEST(MaskCodecPatch, SmallChurnRoutesThroughPatch) {
   st = codec.last_decode_stats();
   EXPECT_TRUE(st.plan_patched);
   EXPECT_EQ(st.incremental_patches, 2u);
-  EXPECT_EQ(patched2,
-            codec.decode_aggregate_rows(
-                owners2, std::span<const GRep* const>(data.rows), {},
-                DecodeStrategy::kLagrange));
+  EXPECT_EQ(patched2, oracle(codec, owners2, data));
 
   // Churn 3 is still within kMaxPatchChurn (= 8): patched too.
   std::vector<std::size_t> owners3(kU);
@@ -322,16 +333,13 @@ TEST(MaskCodecPatch, SmallChurnRoutesThroughPatch) {
   EXPECT_FALSE(st.plan_reused);
   EXPECT_EQ(st.full_builds, 1u);
   EXPECT_EQ(st.incremental_patches, 3u);
-  EXPECT_EQ(patched3,
-            codec.decode_aggregate_rows(
-                owners3, std::span<const GRep* const>(data.rows), {},
-                DecodeStrategy::kLagrange));
+  EXPECT_EQ(patched3, oracle(codec, owners3, data));
 }
 
 TEST(MaskCodecPatch, ChurnBoundaryPatchesAtEightRebuildsAtNine) {
   // kU = 16 so churn can exceed the bound. A set differing from the
   // cached base by exactly kMaxPatchChurn (8) members is patched and
-  // bit-identical to the kLagrange reference; one more leaver (churn 9
+  // bit-identical to the oracle; one more leaver (churn 9
   // against every cached set) forces a full rebuild.
   constexpr std::size_t kN = 256, kU = 16, kT = 4, kD = 64;
   static_assert(Codec::kMaxPatchChurn == 8,
@@ -359,10 +367,7 @@ TEST(MaskCodecPatch, ChurnBoundaryPatchesAtEightRebuildsAtNine) {
   EXPECT_TRUE(st.plan_patched);
   EXPECT_EQ(st.full_builds, 1u);
   EXPECT_EQ(st.incremental_patches, 1u);
-  EXPECT_EQ(got8,
-            codec.decode_aggregate_rows(
-                at_bound, std::span<const GRep* const>(data.rows), {},
-                DecodeStrategy::kLagrange));
+  EXPECT_EQ(got8, oracle(codec, at_bound, data));
 
   // Replace members 0..8 -> {200..208}: churn 9 against the base AND
   // churn 9 against the churn-8 set (they share only {9..15}) — rebuild.
@@ -377,10 +382,7 @@ TEST(MaskCodecPatch, ChurnBoundaryPatchesAtEightRebuildsAtNine) {
   EXPECT_FALSE(st.plan_reused);
   EXPECT_EQ(st.full_builds, 2u);
   EXPECT_EQ(st.incremental_patches, 1u);
-  EXPECT_EQ(got9,
-            codec.decode_aggregate_rows(
-                over_bound, std::span<const GRep* const>(data.rows), {},
-                DecodeStrategy::kLagrange));
+  EXPECT_EQ(got9, oracle(codec, over_bound, data));
 }
 
 TEST(MaskCodecPatch, DecodeOrderIndependentAcrossPatchedPlans) {
@@ -450,9 +452,10 @@ TEST(MaskCodecPatch, LruBoundAndEvictionCounter) {
 }
 
 TEST(MaskCodecPatch, RandomizedChurnSoak) {
-  // 100 rounds of ≤ 2-swap survivor churn: every decode must match the
-  // kLagrange reference bit for bit and the counters must account for
-  // every round exactly (build + patch + reuse == rounds).
+  // 100 rounds of ≤ 2-swap survivor churn, cycling through the shipped
+  // strategies: every decode must match the oracle bit for bit and the
+  // counters must account for every round exactly (build + patch + reuse
+  // == rounds).
   constexpr std::size_t kN = 64, kU = 16, kT = 4, kD = 48;
   constexpr std::size_t kRounds = 100;
   Codec codec(kN, kU, kT, kD);
@@ -473,15 +476,12 @@ TEST(MaskCodecPatch, RandomizedChurnSoak) {
       }
       owners[rng.next_u64() % kU] = candidate;
     }
+    const DecodeStrategy strategy = kStrategies[round % 3];
     const auto got = codec.decode_aggregate_rows(
-        owners, std::span<const GRep* const>(data.rows), {},
-        DecodeStrategy::kBatchedNtt);
-    // Snapshot BEFORE the reference decode (it overwrites last_stats).
+        owners, std::span<const GRep* const>(data.rows), {}, strategy);
     if (codec.last_decode_stats().plan_reused) ++reuses;
-    const auto want = codec.decode_aggregate_rows(
-        owners, std::span<const GRep* const>(data.rows), {},
-        DecodeStrategy::kLagrange);
-    ASSERT_EQ(got, want) << "round " << round;
+    ASSERT_EQ(got, oracle(codec, owners, data))
+        << "round " << round << " " << lsa::coding::to_string(strategy);
   }
   const auto st = codec.last_decode_stats();
   EXPECT_EQ(st.full_builds + st.incremental_patches + reuses, kRounds);

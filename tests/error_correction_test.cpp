@@ -10,6 +10,7 @@
 #include "coding/error_correction.h"
 #include "coding/mask_codec.h"
 #include "common/rng.h"
+#include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/goldilocks.h"
 #include "field/random_field.h"
@@ -141,24 +142,28 @@ struct CodecFixture {
   static constexpr std::size_t n = 14, u = 8, t = 3, d = 60;
   lsa::coding::MaskCodec<F> codec{n, u, t, d};
   std::vector<rep> mask;
-  std::vector<std::size_t> owners;              // all n respond
-  std::vector<std::vector<rep>> shares;         // single-user aggregate
+  std::vector<std::size_t> owners;       // all n respond
+  lsa::field::FlatMatrix<F> shares;      // single-user aggregate, row = owner
 
-  CodecFixture() {
+  CodecFixture() : shares(n, codec.segment_len()) {
     lsa::common::Xoshiro256ss rng(91);
     mask = lsa::field::uniform_vector<F>(d, rng);
-    auto sh = codec.encode(std::span<const rep>(mask), rng);
-    for (std::size_t j = 0; j < n; ++j) {
-      owners.push_back(j);
-      shares.push_back(std::move(sh[j]));
-    }
+    codec.encode_into(std::span<const rep>(mask), rng, shares);
+    for (std::size_t j = 0; j < n; ++j) owners.push_back(j);
+  }
+
+  /// Corrected decode of the first m responses, read in place.
+  [[nodiscard]] auto decode_first(std::size_t m) const {
+    const auto rows = shares.row_ptrs();
+    return codec.decode_aggregate_corrected(
+        std::span<const std::size_t>(owners.data(), m),
+        std::span<const rep* const>(rows.data(), m));
   }
 };
 
 TEST(CorrectedDecode, CleanSharesDecodeWithEmptyCorruptionSet) {
   CodecFixture fx;
-  const auto out =
-      fx.codec.decode_aggregate_corrected(fx.owners, fx.shares);
+  const auto out = fx.decode_first(CodecFixture::n);
   EXPECT_EQ(out.aggregate, fx.mask);
   EXPECT_TRUE(out.corrupted_owners.empty());
 }
@@ -168,10 +173,9 @@ TEST(CorrectedDecode, CorrectsUpToTheRedundancyBudget) {
   // 14 responses, U = 8: budget = 3 corrupted shares.
   lsa::common::Xoshiro256ss rng(92);
   for (const std::size_t j : {1u, 6u, 11u}) {
-    for (auto& v : fx.shares[j]) v = lsa::field::uniform<F>(rng);
+    for (auto& v : fx.shares.row(j)) v = lsa::field::uniform<F>(rng);
   }
-  const auto out =
-      fx.codec.decode_aggregate_corrected(fx.owners, fx.shares);
+  const auto out = fx.decode_first(CodecFixture::n);
   EXPECT_EQ(out.aggregate, fx.mask);
   EXPECT_EQ(out.corrupted_owners, (std::vector<std::size_t>{1, 6, 11}));
 }
@@ -180,9 +184,8 @@ TEST(CorrectedDecode, SingleElementTamperingIsStillLocated) {
   CodecFixture fx;
   // seg_len = ceil(60 / (8-3)) = 12; flip one in-range element.
   ASSERT_EQ(fx.codec.segment_len(), 12u);
-  fx.shares[4][7] = F::add(fx.shares[4][7], 1);  // one flipped element
-  const auto out =
-      fx.codec.decode_aggregate_corrected(fx.owners, fx.shares);
+  fx.shares(4, 7) = F::add(fx.shares(4, 7), 1);  // one flipped element
+  const auto out = fx.decode_first(CodecFixture::n);
   EXPECT_EQ(out.aggregate, fx.mask);
   EXPECT_EQ(out.corrupted_owners, std::vector<std::size_t>{4});
 }
@@ -191,11 +194,9 @@ TEST(CorrectedDecode, ThrowsLoudlyBeyondBudget) {
   CodecFixture fx;
   lsa::common::Xoshiro256ss rng(93);
   for (const std::size_t j : {0u, 3u, 7u, 10u}) {  // 4 > budget of 3
-    for (auto& v : fx.shares[j]) v = lsa::field::uniform<F>(rng);
+    for (auto& v : fx.shares.row(j)) v = lsa::field::uniform<F>(rng);
   }
-  EXPECT_THROW(
-      (void)fx.codec.decode_aggregate_corrected(fx.owners, fx.shares),
-      lsa::CodingError);
+  EXPECT_THROW((void)fx.decode_first(CodecFixture::n), lsa::CodingError);
 }
 
 TEST(CorrectedDecode, ExactlyUResponsesMeansZeroBudgetAndZeroDetection) {
@@ -205,28 +206,17 @@ TEST(CorrectedDecode, ExactlyUResponsesMeansZeroBudgetAndZeroDetection) {
   // decode — correct on clean shares, silently wrong on tampered ones.
   // Detection needs U + 1 responses, correction of one share needs U + 2.
   CodecFixture fx;
-  std::vector<std::size_t> owners(fx.owners.begin(), fx.owners.begin() + 8);
-  std::vector<std::vector<rep>> shares(fx.shares.begin(),
-                                       fx.shares.begin() + 8);
-  const auto clean = fx.codec.decode_aggregate_corrected(owners, shares);
+  const auto clean = fx.decode_first(8);
   EXPECT_EQ(clean.aggregate, fx.mask);
   EXPECT_TRUE(clean.corrupted_owners.empty());
 
-  shares[2][0] = F::add(shares[2][0], 5);
-  const auto tampered =
-      fx.codec.decode_aggregate_corrected(owners, shares);
+  fx.shares(2, 0) = F::add(fx.shares(2, 0), 5);
+  const auto tampered = fx.decode_first(8);
   EXPECT_NE(tampered.aggregate, fx.mask);  // wrong, and undetectably so
   EXPECT_TRUE(tampered.corrupted_owners.empty());
 
   // One extra response restores detection (but not yet correction).
-  std::vector<std::size_t> owners9(fx.owners.begin(),
-                                   fx.owners.begin() + 9);
-  std::vector<std::vector<rep>> shares9(fx.shares.begin(),
-                                        fx.shares.begin() + 9);
-  shares9[2][0] = F::add(shares9[2][0], 5);
-  EXPECT_THROW(
-      (void)fx.codec.decode_aggregate_corrected(owners9, shares9),
-      lsa::CodingError);
+  EXPECT_THROW((void)fx.decode_first(9), lsa::CodingError);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "coding/mask_codec.h"
 #include "common/rng.h"
+#include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/random_field.h"
 #include "fl/secure_adapter.h"
@@ -14,33 +15,46 @@
 
 namespace {
 
+using lsa::field::FlatMatrix;
 using lsa::field::Fp32;
 using rep = Fp32::rep;
+
+/// One user's N shares of `mask` (row j = share j); with a single user the
+/// shares are also the "aggregated" shares, which decode to the mask.
+FlatMatrix<Fp32> encode_shares(const lsa::coding::MaskCodec<Fp32>& codec,
+                               const std::vector<rep>& mask,
+                               lsa::common::Xoshiro256ss& rng) {
+  FlatMatrix<Fp32> shares(codec.num_users(), codec.segment_len());
+  codec.encode_into(std::span<const rep>(mask), rng, shares);
+  return shares;
+}
 
 TEST(VerifiedDecode, AgreesOnHonestShares) {
   lsa::common::Xoshiro256ss rng(1);
   lsa::coding::MaskCodec<Fp32> codec(/*N=*/8, /*U=*/5, /*T=*/2, /*d=*/21);
   auto mask = lsa::field::uniform_vector<Fp32>(21, rng);
-  auto shares = codec.encode(std::span<const rep>(mask), rng);
+  const auto shares = encode_shares(codec, mask, rng);
 
+  // Owners 0..6 are the first 7 rows of the share matrix.
   std::vector<std::size_t> owners = {0, 1, 2, 3, 4, 5, 6};
-  std::vector<std::vector<rep>> sub;
-  for (auto o : owners) sub.push_back(shares[o]);
-  EXPECT_EQ(codec.decode_aggregate_verified(owners, sub), mask);
+  const auto rows = shares.row_ptrs();
+  EXPECT_EQ(codec.decode_aggregate_verified_rows(
+                owners, std::span<const rep* const>(rows.data(), 7)),
+            mask);
 }
 
 TEST(VerifiedDecode, DetectsSingleTamperedShare) {
   lsa::common::Xoshiro256ss rng(2);
   lsa::coding::MaskCodec<Fp32> codec(8, 5, 2, 21);
   auto mask = lsa::field::uniform_vector<Fp32>(21, rng);
-  auto shares = codec.encode(std::span<const rep>(mask), rng);
+  auto shares = encode_shares(codec, mask, rng);
 
   std::vector<std::size_t> owners = {0, 1, 2, 3, 4, 5, 6};
-  std::vector<std::vector<rep>> sub;
-  for (auto o : owners) sub.push_back(shares[o]);
   // A Byzantine responder perturbs one element of its aggregated share.
-  sub[3][0] = Fp32::add(sub[3][0], 1);
-  EXPECT_THROW((void)codec.decode_aggregate_verified(owners, sub),
+  shares(3, 0) = Fp32::add(shares(3, 0), 1);
+  const auto rows = shares.row_ptrs();
+  EXPECT_THROW((void)codec.decode_aggregate_verified_rows(
+                   owners, std::span<const rep* const>(rows.data(), 7)),
                lsa::CodingError);
 }
 
@@ -48,13 +62,14 @@ TEST(VerifiedDecode, DetectsTamperingInEverySharePosition) {
   lsa::common::Xoshiro256ss rng(3);
   lsa::coding::MaskCodec<Fp32> codec(7, 4, 1, 12);
   auto mask = lsa::field::uniform_vector<Fp32>(12, rng);
-  auto shares = codec.encode(std::span<const rep>(mask), rng);
+  const auto shares = encode_shares(codec, mask, rng);
   std::vector<std::size_t> owners = {0, 1, 2, 3, 4, 5};
   for (std::size_t victim = 0; victim < owners.size(); ++victim) {
-    std::vector<std::vector<rep>> sub;
-    for (auto o : owners) sub.push_back(shares[o]);
-    sub[victim][2] = Fp32::add(sub[victim][2], 12345);
-    EXPECT_THROW((void)codec.decode_aggregate_verified(owners, sub),
+    auto sub = shares;
+    sub(victim, 2) = Fp32::add(sub(victim, 2), 12345);
+    const auto rows = sub.row_ptrs();
+    EXPECT_THROW((void)codec.decode_aggregate_verified_rows(
+                     owners, std::span<const rep* const>(rows.data(), 6)),
                  lsa::CodingError)
         << "tampered position " << victim;
   }
@@ -64,11 +79,11 @@ TEST(VerifiedDecode, NeedsRedundancy) {
   lsa::common::Xoshiro256ss rng(4);
   lsa::coding::MaskCodec<Fp32> codec(6, 5, 2, 10);
   auto mask = lsa::field::uniform_vector<Fp32>(10, rng);
-  auto shares = codec.encode(std::span<const rep>(mask), rng);
+  const auto shares = encode_shares(codec, mask, rng);
   std::vector<std::size_t> owners = {0, 1, 2, 3, 4};  // exactly U
-  std::vector<std::vector<rep>> sub;
-  for (auto o : owners) sub.push_back(shares[o]);
-  EXPECT_THROW((void)codec.decode_aggregate_verified(owners, sub),
+  const auto rows = shares.row_ptrs();
+  EXPECT_THROW((void)codec.decode_aggregate_verified_rows(
+                   owners, std::span<const rep* const>(rows.data(), 5)),
                lsa::ProtocolError);
 }
 

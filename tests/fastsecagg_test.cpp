@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/random_field.h"
 #include "net/ledger.h"
@@ -111,11 +112,12 @@ TEST(FastSecAgg, AnyTSharesOfAModelLookUniform) {
   constexpr int kBuckets = 16;
   std::vector<std::uint64_t> counts(kBuckets, 0);
   std::uint64_t total = 0;
+  lsa::field::FlatMatrix<F> shares(n, codec.segment_len());
   for (int trial = 0; trial < 400; ++trial) {
-    auto shares = codec.encode(std::span<const rep>(model), rng);
+    codec.encode_into(std::span<const rep>(model), rng, shares);
     // Inspect shares of users 2 and 6 (an arbitrary T-subset).
     for (const std::size_t j : {std::size_t{2}, std::size_t{6}}) {
-      for (const rep v : shares[j]) {
+      for (const rep v : shares.row(j)) {
         counts[static_cast<std::size_t>(v) % kBuckets]++;
         ++total;
       }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/goldilocks.h"
 #include "field/random_field.h"
@@ -91,15 +92,17 @@ TYPED_TEST(FieldGenericProtocol, VerifiedDecodeDetectsTamperingEverywhere) {
   lsa::coding::MaskCodec<F> codec(10, 6, 2, 32);
   lsa::common::Xoshiro256ss rng(27);
   const auto mask = lsa::field::uniform_vector<F>(32, rng);
-  auto shares = codec.encode(std::span<const rep>(mask), rng);
+  lsa::field::FlatMatrix<F> shares(10, codec.segment_len());
+  codec.encode_into(std::span<const rep>(mask), rng, shares);
 
-  std::vector<std::size_t> owners{0, 1, 2, 3, 4, 5, 6};  // U + 1 responses
-  std::vector<std::vector<rep>> agg;
-  for (const auto j : owners) agg.push_back(shares[j]);
-  EXPECT_EQ(codec.decode_aggregate_verified(owners, agg), mask);
+  // U + 1 responses: owners 0..6 are the first 7 share rows.
+  std::vector<std::size_t> owners{0, 1, 2, 3, 4, 5, 6};
+  const auto rows = shares.row_ptrs();
+  const std::span<const rep* const> responses(rows.data(), owners.size());
+  EXPECT_EQ(codec.decode_aggregate_verified_rows(owners, responses), mask);
 
-  agg[3][0] = F::add(agg[3][0], F::one);
-  EXPECT_THROW((void)codec.decode_aggregate_verified(owners, agg),
+  shares(3, 0) = F::add(shares(3, 0), F::one);
+  EXPECT_THROW((void)codec.decode_aggregate_verified_rows(owners, responses),
                lsa::CodingError);
 }
 

@@ -1,10 +1,11 @@
-// Parity of the flat-arena chunked/parallel encode-decode engine with the
-// legacy per-user serial path: encode_all / decode_aggregate must be
-// bit-identical across {legacy nested, flat serial, flat parallel} x
-// {Fp32, Fp61, Goldilocks} x decode strategies, including dropout patterns
-// at the U boundary (exactly U survivors / responders). Also pins down the
-// protocol level: LightSecAgg rounds with and without a thread pool return
-// identical aggregates.
+// Parity of the chunked/parallel encode-decode engine with the per-user
+// serial path: encode_all must match one encode_into per user, and the
+// decode entry points (flat arena, row views, verified) must be
+// bit-identical serial vs pooled across {Fp32, Fp61, Goldilocks} x decode
+// strategies and equal the textbook oracle (decode_oracle.h), including
+// dropout patterns at the U boundary (exactly U survivors / responders).
+// Also pins down the protocol level: LightSecAgg rounds with and without a
+// thread pool return identical aggregates.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -23,6 +24,8 @@
 #include "protocol/secagg_plus.h"
 #include "sys/exec_policy.h"
 #include "sys/thread_pool.h"
+
+#include "decode_oracle.h"
 
 namespace {
 
@@ -44,9 +47,8 @@ lsa::crypto::Prg user_prg(std::size_t i) {
   return lsa::crypto::Prg(lsa::crypto::seed_from_u64(0xc0dec + i));
 }
 
-TYPED_TEST(CodecParity, EncodeAllMatchesLegacyPerUserEncode) {
+TYPED_TEST(CodecParity, EncodeAllMatchesPerUserEncode) {
   using F = TypeParam;
-  using rep = typename F::rep;
   lsa::common::Xoshiro256ss rng(11);
   lsa::coding::MaskCodec<F> codec(kN, kU, kT, kD);
 
@@ -55,11 +57,13 @@ TYPED_TEST(CodecParity, EncodeAllMatchesLegacyPerUserEncode) {
     lsa::field::fill_uniform<F>(masks.row(i), rng);
   }
 
-  // Legacy: nested per-user encode, fresh PRG per user.
-  std::vector<std::vector<std::vector<rep>>> legacy(kN);
+  // Per user: one encode_into into its own N-row matrix, fresh PRG per
+  // user.
+  std::vector<FlatMatrix<F>> per_user;
   for (std::size_t i = 0; i < kN; ++i) {
     auto prg = user_prg<F>(i);
-    legacy[i] = codec.encode(masks.row(i), prg);
+    per_user.emplace_back(kN, codec.segment_len());
+    codec.encode_into(masks.row(i), prg, per_user.back());
   }
 
   // Flat serial and flat parallel, same per-user PRGs.
@@ -75,8 +79,7 @@ TYPED_TEST(CodecParity, EncodeAllMatchesLegacyPerUserEncode) {
   EXPECT_TRUE(serial == parallel);
   for (std::size_t i = 0; i < kN; ++i) {
     for (std::size_t j = 0; j < kN; ++j) {
-      const auto row = serial.row(j * kN + i);
-      ASSERT_EQ(std::vector<rep>(row.begin(), row.end()), legacy[i][j])
+      ASSERT_EQ(serial.row_copy(j * kN + i), per_user[i].row_copy(j))
           << "owner=" << i << " holder=" << j;
     }
   }
@@ -127,18 +130,21 @@ TYPED_TEST(CodecParity, DecodeParityAtExactlyUBoundary) {
   std::vector<std::size_t> responders(fx.survivors.begin(),
                                       fx.survivors.begin() + kU);
   FlatMatrix<F> flat(kU, fx.codec.segment_len());
-  std::vector<std::vector<rep>> nested;
   for (std::size_t r = 0; r < kU; ++r) {
-    auto share = fx.agg_share(responders[r]);
+    const auto share = fx.agg_share(responders[r]);
     std::copy(share.begin(), share.end(), flat.row(r).begin());
-    nested.push_back(std::move(share));
   }
-
-  const auto legacy = fx.codec.decode_aggregate(responders, nested);
-  EXPECT_EQ(legacy, fx.expected);
 
   const auto flat_serial = fx.codec.decode_aggregate(responders, flat);
   EXPECT_EQ(flat_serial, fx.expected);
+
+  // Row views in reverse presentation order decode to the same bits.
+  const auto rows = flat.row_ptrs();
+  const std::vector<std::size_t> rev_owners(responders.rbegin(),
+                                            responders.rend());
+  const std::vector<const rep*> rev_rows(rows.rbegin(), rows.rend());
+  EXPECT_EQ(fx.codec.decode_aggregate_rows(rev_owners, rev_rows),
+            fx.expected);
 
   lsa::sys::ThreadPool pool(4);
   for (const std::size_t chunk : {3ul, 4096ul}) {
@@ -162,10 +168,15 @@ TYPED_TEST(CodecParity, AllStrategiesAgreeUnderParallelPolicy) {
     std::copy(share.begin(), share.end(), flat.row(r).begin());
   }
 
+  const auto rows = flat.row_ptrs();
+  EXPECT_EQ(lsa::test::oracle_codec_decode<F>(
+                fx.codec, responders, std::span<const rep* const>(rows)),
+            fx.expected);
+
   lsa::sys::ThreadPool pool(3);
   lsa::sys::ExecPolicy par{&pool, 16};
   using DS = lsa::coding::DecodeStrategy;
-  for (const auto strategy : {DS::kLagrange, DS::kBarycentric, DS::kNtt}) {
+  for (const auto strategy : {DS::kBarycentric, DS::kBatchedNtt, DS::kAuto}) {
     const auto serial =
         fx.codec.decode_aggregate(responders, flat, {}, strategy);
     const auto parallel =
@@ -177,22 +188,17 @@ TYPED_TEST(CodecParity, AllStrategiesAgreeUnderParallelPolicy) {
 
 TYPED_TEST(CodecParity, VerifiedDecodeParityWithRedundantResponder) {
   using F = TypeParam;
-  using rep = typename F::rep;
   RoundFixture<F> fx(41, kU + 1);  // U + 1 survivors: minimum redundancy
 
   const auto& responders = fx.survivors;  // all U+1 respond
   FlatMatrix<F> flat(kU + 1, fx.codec.segment_len());
-  std::vector<std::vector<rep>> nested;
   for (std::size_t r = 0; r < kU + 1; ++r) {
-    auto share = fx.agg_share(responders[r]);
+    const auto share = fx.agg_share(responders[r]);
     std::copy(share.begin(), share.end(), flat.row(r).begin());
-    nested.push_back(std::move(share));
   }
 
   lsa::sys::ThreadPool pool(4);
   lsa::sys::ExecPolicy par{&pool, 64};
-  const auto legacy = fx.codec.decode_aggregate_verified(responders, nested);
-  EXPECT_EQ(legacy, fx.expected);
   EXPECT_EQ(fx.codec.decode_aggregate_verified(responders, flat), fx.expected);
   EXPECT_EQ(fx.codec.decode_aggregate_verified(responders, flat, par),
             fx.expected);

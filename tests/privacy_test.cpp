@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/random_field.h"
 #include "protocol/lightsecagg.h"
@@ -110,10 +111,11 @@ TEST(Privacy, EncodedMaskSharesAtTColludersAreUniform) {
 
   std::vector<rep> observed;
   observed.reserve(6000);
+  lsa::field::FlatMatrix<Fp32> shares(n, codec.segment_len());
   for (int trial = 0; trial < 3000; ++trial) {
-    auto shares = codec.encode(std::span<const rep>(mask), rng);
-    observed.push_back(shares[0][0]);  // colluder 1's view
-    observed.push_back(shares[3][0]);  // colluder 2's view
+    codec.encode_into(std::span<const rep>(mask), rng, shares);
+    observed.push_back(shares(0, 0));  // colluder 1's view
+    observed.push_back(shares(3, 0));  // colluder 2's view
   }
   EXPECT_LT(uniformity_stat(observed), 45.0);
 }

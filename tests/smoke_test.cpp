@@ -6,6 +6,7 @@
 #include "crypto/key_agreement.h"
 #include "crypto/prg.h"
 #include "crypto/shamir.h"
+#include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "quant/quantizer.h"
 #include "quant/staleness.h"
@@ -23,13 +24,13 @@ TEST(Smoke, MaskCodecRoundTrip) {
   lsa::common::Xoshiro256ss rng(42);
   lsa::coding::MaskCodec<Fp32> codec(/*N=*/5, /*U=*/4, /*T=*/2, /*d=*/10);
   auto mask = lsa::field::uniform_vector<Fp32>(10, rng);
-  auto shares = codec.encode(std::span<const Fp32::rep>(mask), rng);
-  ASSERT_EQ(shares.size(), 5u);
+  lsa::field::FlatMatrix<Fp32> shares(5, codec.segment_len());
+  codec.encode_into(std::span<const Fp32::rep>(mask), rng, shares);
   // Single-user "aggregate": decoding the shares must return the mask.
   std::vector<std::size_t> owners = {0, 1, 2, 3};
-  std::vector<std::vector<Fp32::rep>> agg = {shares[0], shares[1], shares[2],
-                                             shares[3]};
-  auto decoded = codec.decode_aggregate(owners, agg);
+  const auto rows = shares.row_ptrs();
+  auto decoded = codec.decode_aggregate_rows(
+      owners, std::span<const Fp32::rep* const>(rows.data(), 4));
   EXPECT_EQ(decoded, mask);
 }
 
