@@ -204,7 +204,7 @@ void BM_MaskEncode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(d));
 }
-BENCHMARK(BM_MaskEncode)->Arg(20)->Arg(50)->Arg(100);
+BENCHMARK(BM_MaskEncode)->Arg(20)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_MaskDecodeAggregate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -228,7 +228,7 @@ void BM_MaskDecodeAggregate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(d));
 }
-BENCHMARK(BM_MaskDecodeAggregate)->Arg(20)->Arg(50)->Arg(100);
+BENCHMARK(BM_MaskDecodeAggregate)->Arg(20)->Arg(50)->Arg(100)->Arg(200);
 
 // ---------------------------------------------------------------------------
 // Flat-arena engine vs the seed's nested-vector serial path.

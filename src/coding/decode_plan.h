@@ -9,8 +9,8 @@
 //
 //   kBarycentric — barycentric weights (shared denominators M'(x_j)),
 //                  O(U^2 + U(U-T)) scalar setup, then a cache-blocked
-//                  (U-T) x U x seg_len field GEMM (the fused
-//                  axpy_accumulate kernel of field/field_vec.h).
+//                  (U-T) x U x seg_len field GEMM (field::gemm_rows in
+//                  field/field_vec.h).
 //   kBatchedNtt  — fast interpolation + multipoint evaluation over
 //                  subproduct trees, the paper's Table 5 complexity class.
 //                  Everything that does not depend on the coordinate is
@@ -316,10 +316,11 @@ class BatchedDecodePlan {
   // ------------------------------------------------------------- GEMM path
 
   /// out[k*seg + l] = sum_j W(k, j) * shares[j][l] — a (U-T) x U x seg
-  /// field GEMM. Column blocks fan out over the policy; within a block each
-  /// output row runs the fused axpy_accumulate kernel (split-word lazy
-  /// accumulation on 32-bit fields, 3-limb lazy accumulation on 64-bit
-  /// fields).
+  /// field GEMM. Column blocks fan out over the policy; each block is one
+  /// field::gemm_rows product (the register-tiled split-word kernel on
+  /// 32-bit fields where the SIMD level has one, else one fused
+  /// axpy_accumulate row per beta: split-word lazy accumulation on 32-bit
+  /// fields, 3-limb lazy accumulation on 64-bit fields).
   [[nodiscard]] std::vector<rep> run_barycentric(
       std::span<const rep* const> shares, std::size_t seg_len,
       const lsa::sys::ExecPolicy& pol) const {
@@ -335,11 +336,14 @@ class BatchedDecodePlan {
           for (std::size_t j = 0; j < shares.size(); ++j) {
             shifted[j] = shares[j] + begin;
           }
+          std::vector<rep*> dst(nb);
           for (std::size_t k = 0; k < nb; ++k) {
-            std::span<rep> dst(out.data() + k * seg_len + begin, end - begin);
-            lsa::field::axpy_accumulate_blocked<F>(dst, b.w.row(k), shifted,
-                                                   chunk);
+            dst[k] = out.data() + k * seg_len + begin;
           }
+          lsa::field::gemm_rows<F>(std::span<rep* const>(dst),
+                                   b.w.row_ptr(0), shares.size(),
+                                   std::span<const rep* const>(shifted),
+                                   end - begin, chunk);
         },
         chunk);
     return out;

@@ -1,9 +1,8 @@
 // Lagrange interpolation weights over F_q.
 //
-// Shared by Shamir reconstruction (evaluate at x = 0) and the LightSecAgg
-// mask codec (its encoding matrix W[k][j] = l_k(alpha_j)). Given sample
-// points xs and a target x0, lagrange_weights_at returns w such that for
-// any polynomial f of degree < xs.size():
+// Used by Shamir reconstruction (evaluate at x = 0). Given sample points
+// xs and a target x0, lagrange_weights_at returns w such that for any
+// polynomial f of degree < xs.size():
 //     f(x0) = sum_j w[j] * f(xs[j]).
 #pragma once
 

@@ -16,7 +16,14 @@
 // polynomial, an invertible relation. It is T-private: the bottom T rows
 // evaluated at any T share points factor as diag · Cauchy · diag with all
 // factors invertible (tests/coding_test.cpp checks both properties
-// exhaustively for small parameters).
+// exhaustively for small parameters, and the encode oracle test checks W
+// and every share against textbook Lagrange interpolation).
+//
+// Construction cost. W comes from barycentric_weights
+// (coding/decode_plan.h): one O(U^2) pass for the shared denominators
+// M'(beta_k), then O(U) per share point, so O(U^2 + N*U) in all. A
+// session builds one codec per device plus the server's, so this is most
+// of a session's set-up at N = 200.
 //
 // One-shot decoding. Because all users share W, aggregated shares
 // sum_{i in U1} f_i(alpha_j) are evaluations of the aggregate polynomial
@@ -28,7 +35,13 @@
 // and the fused blocked kernels of field/field_vec.h:
 //
 //   * encode_into writes one user's N shares into caller-chosen rows of a
-//     shared arena (disjoint rows -> safe to run one user per pool lane);
+//     shared arena (disjoint rows -> safe to run one user per pool lane).
+//     The N x U x seg_len product runs through field::gemm_rows: on 32-bit
+//     fields with an AVX-512 or AVX2 table, a register-tiled split-word
+//     kernel holds a tile of share rows x one lane block in registers
+//     across all U segments, so each segment row is read once per tile
+//     rather than once per share; other levels and 64-bit fields run one
+//     fused axpy_accumulate row per share;
 //   * encode_all batches a whole round: arena row j*N + i holds [~z_i]_j,
 //     so holder j's shares form one contiguous row block for the
 //     aggregation pass;
@@ -66,7 +79,6 @@
 
 #include "coding/decode_plan.h"
 #include "coding/error_correction.h"
-#include "coding/lagrange.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
@@ -106,13 +118,10 @@ class MaskCodec {
 
     // Encoding matrix W[k][j] = l_k(alpha_j), stored with one row per
     // share index j (i.e. column-major in W) so encoding share j streams
-    // one contiguous coefficient row.
-    w_cols_.reset(n_, u_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      const auto col = lagrange_weights_at<F>(std::span<const rep>(beta_),
-                                              alpha_[j]);
-      std::copy(col.begin(), col.end(), w_cols_.row(j).begin());
-    }
+    // one contiguous coefficient row. The barycentric form shares the
+    // M'(beta_k) denominators across all N shares: O(U^2 + N*U).
+    w_cols_ = barycentric_weights<F>(std::span<const rep>(beta_),
+                                     std::span<const rep>(alpha_));
   }
 
   [[nodiscard]] std::size_t num_users() const { return n_; }
@@ -445,7 +454,8 @@ class MaskCodec {
     }
   }
 
-  /// Share j <- sum_k W[k][j] * segments.row(k), via the fused axpy kernel.
+  /// Share j <- sum_k W[k][j] * segments.row(k): one N x U x seg_len
+  /// product through the multi-row GEMM kernel.
   void encode_segments_into(const Matrix& segments, Matrix& out,
                             std::size_t base, std::size_t stride,
                             std::size_t chunk) const {
@@ -454,14 +464,15 @@ class MaskCodec {
     lsa::require<lsa::CodingError>(
         base + (n_ - 1) * stride < out.rows(),
         "encode: arena too small for N share rows");
-    std::vector<const rep*> seg_rows(u_);
-    for (std::size_t k = 0; k < u_; ++k) seg_rows[k] = segments.row_ptr(k);
+    const auto seg_rows = segments.row_ptrs();
+    std::vector<rep*> dst_rows(n_);
     for (std::size_t j = 0; j < n_; ++j) {
-      auto dst = out.row(base + j * stride);
-      std::fill(dst.begin(), dst.end(), F::zero);
-      lsa::field::axpy_accumulate_blocked<F>(
-          dst, w_cols_.row(j), std::span<const rep* const>(seg_rows), chunk);
+      dst_rows[j] = out.row_ptr(base + j * stride);
     }
+    lsa::field::gemm_rows<F>(std::span<rep* const>(dst_rows),
+                             w_cols_.row_ptr(0), u_,
+                             std::span<const rep* const>(seg_rows), seg_len_,
+                             chunk);
   }
 
   /// One cached plan. key_xs is the SORTED survivor point set with its

@@ -8,7 +8,8 @@
 // accumulation* kernels the flat-arena encode/decode engine is built on:
 //   add_accumulate_blocked   acc += sum_k rows[k]
 //   axpy_accumulate_blocked  acc += sum_k coeffs[k] * rows[k]
-// Both process the coordinate range in cache-sized blocks (the destination
+//   gemm_rows                dst[r] = sum_k coeffs[r][k] * rows[k]
+// They process the coordinate range in cache-sized blocks (the destination
 // block stays L1-resident while the source rows stream through), and for
 // 32-bit fields they use split-word lazy accumulation: each coefficient w
 // splits as w_hi * 2^16 + w_lo, the partial products w_lo * x < 2^48 and
@@ -217,9 +218,6 @@ namespace detail {
 /// Width of the split-word lazy accumulators: 2048 entries * 2 lanes *
 /// 8 B = 32 KiB of stack per call.
 inline constexpr std::size_t kLazyWidth = 2048;
-/// Terms accumulated before a fold: each partial product is < 2^48, and
-/// 2^15 * 2^48 = 2^63 keeps the u64 lanes clear of overflow.
-inline constexpr std::size_t kMaxLazyTerms = std::size_t{1} << 15;
 /// Width of the 3-limb lazy accumulators for 64-bit fields: 1024 entries *
 /// 3 limbs * 8 B = 24 KiB of stack per call.
 inline constexpr std::size_t kLazy192Width = 1024;
@@ -387,7 +385,7 @@ void axpy_accumulate_blocked(std::span<typename F::rep> acc,
       };
       std::size_t pending = 0;
       for (std::size_t k = 0; k < rows.size(); ++k) {
-        if (pending == detail::kMaxLazyTerms) {
+        if (pending == simd::kMaxLazyTerms) {
           fold();
           std::fill_n(lo, b, std::uint64_t{0});
           std::fill_n(hi, b, std::uint64_t{0});
@@ -461,6 +459,36 @@ void axpy_accumulate_blocked(std::span<typename F::rep> acc,
         }
       }
     }
+  }
+}
+
+/// dst_rows[r][l] = sum_k coeffs[r * coeff_stride + k] * src_rows[k][l]
+/// for every l < n: the multi-row product behind the mask codec's encode
+/// and barycentric decode. Output rows are written, not accumulated; every
+/// row must have n readable (dst: writable) elements. 32-bit fields run
+/// the dispatch table's register-tiled gemm_split where the level has one;
+/// other levels and 64-bit fields run axpy_accumulate_blocked once per
+/// output row. Both are exact, so the results are bit-identical.
+template <class F>
+void gemm_rows(std::span<typename F::rep* const> dst_rows,
+               const typename F::rep* coeffs, std::size_t coeff_stride,
+               std::span<const typename F::rep* const> src_rows,
+               std::size_t n, std::size_t chunk = kDefaultChunkReps) {
+  using rep = typename F::rep;
+  if constexpr (simd::kIsSimdU32Field<F>) {
+    const auto* vk = simd::u32_active();
+    if (vk != nullptr && vk->gemm_split != nullptr) {
+      vk->gemm_split(dst_rows.data(), coeffs, coeff_stride, src_rows.data(),
+                     dst_rows.size(), src_rows.size(), n, F::modulus);
+      return;
+    }
+  }
+  for (std::size_t r = 0; r < dst_rows.size(); ++r) {
+    std::span<rep> dst(dst_rows[r], n);
+    std::fill(dst.begin(), dst.end(), F::zero);
+    axpy_accumulate_blocked<F>(
+        dst, std::span<const rep>(coeffs + r * coeff_stride, src_rows.size()),
+        src_rows, chunk);
   }
 }
 

@@ -64,6 +64,11 @@ enum class Level : std::uint8_t {
 // parameter is documented as a raw integer. Each table entry is
 // bit-identical to the corresponding scalar loop.
 
+/// Terms a split-word lazy accumulator takes before it must fold: each
+/// partial product is < 2^16 * 2^32 = 2^48, and 2^15 * 2^48 = 2^63 keeps
+/// the u64 lanes clear of overflow.
+inline constexpr std::size_t kMaxLazyTerms = std::size_t{1} << 15;
+
 /// Kernels generic over any 32-bit prime modulus q (canonical reps < q).
 struct U32Kernels {
   /// acc[i] = (acc[i] + x[i]) mod q — PrimeField::add elementwise.
@@ -81,6 +86,19 @@ struct U32Kernels {
   void (*axpy_split)(std::uint64_t* lo, std::uint64_t* hi,
                      const std::uint32_t* src, std::uint32_t wlo,
                      std::uint32_t whi, std::size_t n);
+  /// dst[r][i] = sum_k coeffs[r * coeff_stride + k] * src[k][i] mod q for
+  /// r < rows, k < terms, i < n: the multi-row product behind the mask
+  /// codec's encode and barycentric decode. Output rows are written, not
+  /// accumulated. A tile of output rows x one lane block keeps split-word
+  /// accumulators in registers across all terms (each input splits as
+  /// x = xhi * 2^16 + xlo, so both partial products stay < 2^48) and folds
+  /// each output element once per kMaxLazyTerms terms. Reads exactly n
+  /// elements of every src row. Null on levels without a tiled body,
+  /// which keep the per-row axpy_split path.
+  void (*gemm_split)(std::uint32_t* const* dst, const std::uint32_t* coeffs,
+                     std::size_t coeff_stride,
+                     const std::uint32_t* const* src, std::size_t rows,
+                     std::size_t terms, std::size_t n, std::uint32_t q);
 };
 
 /// Kernels generic over any 64-bit modulus q < 2^63 (so sums of two

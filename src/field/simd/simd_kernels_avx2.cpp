@@ -17,6 +17,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -56,6 +57,23 @@ inline void s_lazy192(u64& lo, u64& mi, u64& hi, u64 a, u64 b) {
   const u64 phi = static_cast<u64>(pr >> 64);
   const u64 c1 = __builtin_add_overflow(lo, plo, &lo) ? 1u : 0u;
   hi += __builtin_add_overflow(mi, phi + c1, &mi) ? 1u : 0u;
+}
+/// floor((2^64 - 1) / q): the Barrett constant of s_reduce64.
+inline u64 barrett_magic(u32 q) { return ~u64{0} / q; }
+/// x mod q for any u64 x: qhat = floor(x * magic / 2^64) lies in
+/// [floor(x/q) - 1, floor(x/q)], so one conditional subtraction
+/// canonicalizes.
+inline u64 s_reduce64(u64 x, u64 q, u64 magic) {
+  const u64 qhat = static_cast<u64>((static_cast<u128>(x) * magic) >> 64);
+  u64 r = x - qhat * q;
+  if (r >= q) r -= q;
+  return r;
+}
+/// (hi * 2^16 + lo) mod q for split-word accumulators (hi, lo < 2^63) —
+/// the fold of field_vec.h's axpy_accumulate_blocked.
+inline u32 s_fold_split(u64 lo, u64 hi, u64 q, u64 magic) {
+  const u64 h = s_reduce64(hi, q, magic);  // < 2^32
+  return static_cast<u32>(s_reduce64((h << 16) + lo, q, magic));
 }
 
 // ------------------------------------------------------------ vector bits
@@ -184,6 +202,110 @@ void u32_axpy_split(u64* lo, u64* hi, const u32* src, u32 wlo, u32 whi,
     const u64 x = src[i];
     lo[i] += static_cast<u64>(wlo) * x;
     hi[i] += static_cast<u64>(whi) * x;
+  }
+}
+
+/// Output rows per GEMM tile: 2 rows x 4 accumulators take 8 of the 16
+/// ymm registers; the split input, a coefficient and the 16-bit mask take
+/// 6 more (3 rows would spill).
+constexpr std::size_t kGemmRows = 2;
+
+/// One tile of gemm_split: R output rows x the 8 lanes at column col (the
+/// first nl of them live; Full means nl == 8). Same lane split as the
+/// AVX-512 body: even lanes in the low halves of the u64 lanes, odd lanes
+/// after a 32-bit shift, each cut into 16-bit pieces.
+template <std::size_t R, bool Full>
+void gemm_tile(u32* const* dst, const u32* coeffs, std::size_t cs,
+               const u32* const* src, std::size_t terms, std::size_t col,
+               std::size_t nl, u32 q, u64 magic) {
+  const __m256i m16 = _mm256_set1_epi64x(0xFFFF);
+  const __m256i live =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nl)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  // One lazy window per kMaxLazyTerms terms; the first window always runs,
+  // so terms == 0 writes zeros.
+  for (std::size_t k0 = 0; k0 == 0 || k0 < terms; k0 += kMaxLazyTerms) {
+    const std::size_t k1 = std::min(terms, k0 + kMaxLazyTerms);
+    __m256i lo_e[R], lo_o[R], hi_e[R], hi_o[R];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      lo_e[r] = lo_o[r] = hi_e[r] = hi_o[r] = _mm256_setzero_si256();
+    }
+    for (std::size_t k = k0; k < k1; ++k) {
+      const u32* s = src[k] + col;
+      __m256i x;
+      if constexpr (Full) {
+        x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
+      } else {
+        x = _mm256_maskload_epi32(reinterpret_cast<const int*>(s), live);
+      }
+      const __m256i xlo_e = _mm256_and_si256(x, m16);
+      const __m256i xhi_e = _mm256_srli_epi32(x, 16);
+      const __m256i xlo_o = _mm256_and_si256(_mm256_srli_epi64(x, 32), m16);
+      const __m256i xhi_o = _mm256_srli_epi64(x, 48);
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256i w =
+            _mm256_set1_epi32(static_cast<int>(coeffs[r * cs + k]));
+        lo_e[r] = _mm256_add_epi64(lo_e[r], _mm256_mul_epu32(xlo_e, w));
+        hi_e[r] = _mm256_add_epi64(hi_e[r], _mm256_mul_epu32(xhi_e, w));
+        lo_o[r] = _mm256_add_epi64(lo_o[r], _mm256_mul_epu32(xlo_o, w));
+        hi_o[r] = _mm256_add_epi64(hi_o[r], _mm256_mul_epu32(xhi_o, w));
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      // Interleave even/odd lanes back into column order: the unpacks give
+      // lanes {0,1,4,5} and {2,3,6,7}, the 128-bit permutes reorder them.
+      alignas(32) u64 lo[8];
+      alignas(32) u64 hi[8];
+      const __m256i la = _mm256_unpacklo_epi64(lo_e[r], lo_o[r]);
+      const __m256i lb = _mm256_unpackhi_epi64(lo_e[r], lo_o[r]);
+      const __m256i ha = _mm256_unpacklo_epi64(hi_e[r], hi_o[r]);
+      const __m256i hb = _mm256_unpackhi_epi64(hi_e[r], hi_o[r]);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lo),
+                         _mm256_permute2x128_si256(la, lb, 0x20));
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lo + 4),
+                         _mm256_permute2x128_si256(la, lb, 0x31));
+      _mm256_store_si256(reinterpret_cast<__m256i*>(hi),
+                         _mm256_permute2x128_si256(ha, hb, 0x20));
+      _mm256_store_si256(reinterpret_cast<__m256i*>(hi + 4),
+                         _mm256_permute2x128_si256(ha, hb, 0x31));
+      u32* d = dst[r] + col;
+      for (std::size_t i = 0; i < nl; ++i) {
+        const u32 v = s_fold_split(lo[i], hi[i], q, magic);
+        d[i] = k0 == 0 ? v : s_add32(d[i], v, q);
+      }
+    }
+  }
+}
+
+template <bool Full>
+void gemm_block(u32* const* dst, const u32* coeffs, std::size_t cs,
+                const u32* const* src, std::size_t rows, std::size_t terms,
+                std::size_t col, std::size_t nl, u32 q, u64 magic) {
+  std::size_t r0 = 0;
+  for (; r0 + kGemmRows <= rows; r0 += kGemmRows) {
+    gemm_tile<kGemmRows, Full>(dst + r0, coeffs + r0 * cs, cs, src, terms,
+                               col, nl, q, magic);
+  }
+  if (r0 < rows) {
+    gemm_tile<1, Full>(dst + r0, coeffs + r0 * cs, cs, src, terms, col, nl,
+                       q, magic);
+  }
+}
+
+void u32_gemm_split(u32* const* dst, const u32* coeffs, std::size_t cs,
+                    const u32* const* src, std::size_t rows,
+                    std::size_t terms, std::size_t n, u32 q) {
+  const u64 magic = barrett_magic(q);
+  std::size_t col = 0;
+  for (; col + 8 <= n; col += 8) {
+    gemm_block<true>(dst, coeffs, cs, src, rows, terms, col, 8, q, magic);
+  }
+  if (col < n) {
+    gemm_block<false>(dst, coeffs, cs, src, rows, terms, col, n - col, q,
+                      magic);
   }
 }
 
@@ -509,6 +631,7 @@ const U32Kernels kU32Avx2 = {
     &u32_sub_mod,
     &u32_accum_widen,
     &u32_axpy_split,
+    &u32_gemm_split,
 };
 
 const U64Kernels kU64Avx2 = {

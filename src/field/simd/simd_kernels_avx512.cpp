@@ -11,6 +11,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -49,6 +50,23 @@ inline void s_lazy192(u64& lo, u64& mi, u64& hi, u64 a, u64 b) {
   const u64 phi = static_cast<u64>(pr >> 64);
   const u64 c1 = __builtin_add_overflow(lo, plo, &lo) ? 1u : 0u;
   hi += __builtin_add_overflow(mi, phi + c1, &mi) ? 1u : 0u;
+}
+/// floor((2^64 - 1) / q): the Barrett constant of s_reduce64.
+inline u64 barrett_magic(u32 q) { return ~u64{0} / q; }
+/// x mod q for any u64 x: qhat = floor(x * magic / 2^64) lies in
+/// [floor(x/q) - 1, floor(x/q)], so one conditional subtraction
+/// canonicalizes.
+inline u64 s_reduce64(u64 x, u64 q, u64 magic) {
+  const u64 qhat = static_cast<u64>((static_cast<u128>(x) * magic) >> 64);
+  u64 r = x - qhat * q;
+  if (r >= q) r -= q;
+  return r;
+}
+/// (hi * 2^16 + lo) mod q for split-word accumulators (hi, lo < 2^63) —
+/// the fold of field_vec.h's axpy_accumulate_blocked.
+inline u32 s_fold_split(u64 lo, u64 hi, u64 q, u64 magic) {
+  const u64 h = s_reduce64(hi, q, magic);  // < 2^32
+  return static_cast<u32>(s_reduce64((h << 16) + lo, q, magic));
 }
 
 // ------------------------------------------------------------ vector bits
@@ -135,6 +153,116 @@ void u32_axpy_split(u64* lo, u64* hi, const u32* src, u32 wlo, u32 whi,
     const u64 x = src[i];
     lo[i] += static_cast<u64>(wlo) * x;
     hi[i] += static_cast<u64>(whi) * x;
+  }
+}
+
+/// Output rows per GEMM tile: 4 rows x 4 accumulators take 16 of the 32
+/// zmm registers, leaving room for the split input and a coefficient.
+constexpr std::size_t kGemmRows = 4;
+
+/// One tile of gemm_split: R output rows x the 16 lanes at column col
+/// (the first nl of them live; Full means nl == 16). A zmm of 16 u32
+/// inputs feeds even lanes from the low halves of its u64 lanes and odd
+/// lanes after a 32-bit shift; each half splits into 16-bit pieces so the
+/// products with a full 32-bit coefficient stay < 2^48.
+template <std::size_t R, bool Full>
+void gemm_tile(u32* const* dst, const u32* coeffs, std::size_t cs,
+               const u32* const* src, std::size_t terms, std::size_t col,
+               std::size_t nl, u32 q, u64 magic) {
+  const __m512i m16 = _mm512_set1_epi64(0xFFFF);
+  const __mmask16 live = static_cast<__mmask16>((1u << nl) - 1u);
+  // One lazy window per kMaxLazyTerms terms; the first window always runs,
+  // so terms == 0 writes zeros.
+  for (std::size_t k0 = 0; k0 == 0 || k0 < terms; k0 += kMaxLazyTerms) {
+    const std::size_t k1 = std::min(terms, k0 + kMaxLazyTerms);
+    __m512i lo_e[R], lo_o[R], hi_e[R], hi_o[R];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      lo_e[r] = lo_o[r] = hi_e[r] = hi_o[r] = _mm512_setzero_si512();
+    }
+    for (std::size_t k = k0; k < k1; ++k) {
+      const u32* s = src[k] + col;
+      __m512i x;
+      if constexpr (Full) {
+        x = _mm512_loadu_si512(s);
+      } else {
+        x = _mm512_maskz_loadu_epi32(live, s);
+      }
+      const __m512i xlo_e = _mm512_and_si512(x, m16);
+      const __m512i xhi_e = _mm512_srli_epi32(x, 16);
+      const __m512i xlo_o = _mm512_and_si512(_mm512_srli_epi64(x, 32), m16);
+      const __m512i xhi_o = _mm512_srli_epi64(x, 48);
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m512i w =
+            _mm512_set1_epi32(static_cast<int>(coeffs[r * cs + k]));
+        lo_e[r] = _mm512_add_epi64(lo_e[r], _mm512_mul_epu32(xlo_e, w));
+        hi_e[r] = _mm512_add_epi64(hi_e[r], _mm512_mul_epu32(xhi_e, w));
+        lo_o[r] = _mm512_add_epi64(lo_o[r], _mm512_mul_epu32(xlo_o, w));
+        hi_o[r] = _mm512_add_epi64(hi_o[r], _mm512_mul_epu32(xhi_o, w));
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      alignas(64) u64 lo[16];
+      alignas(64) u64 hi[16];
+      // Interleave even/odd lanes back into column order.
+      const __m512i ie = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+      const __m512i io = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+      _mm512_store_si512(lo, _mm512_permutex2var_epi64(lo_e[r], ie, lo_o[r]));
+      _mm512_store_si512(lo + 8,
+                         _mm512_permutex2var_epi64(lo_e[r], io, lo_o[r]));
+      _mm512_store_si512(hi, _mm512_permutex2var_epi64(hi_e[r], ie, hi_o[r]));
+      _mm512_store_si512(hi + 8,
+                         _mm512_permutex2var_epi64(hi_e[r], io, hi_o[r]));
+      u32* d = dst[r] + col;
+      for (std::size_t i = 0; i < nl; ++i) {
+        const u32 v = s_fold_split(lo[i], hi[i], q, magic);
+        d[i] = k0 == 0 ? v : s_add32(d[i], v, q);
+      }
+    }
+  }
+}
+
+/// Runs the last rows < kGemmRows of a lane block as one partial tile.
+template <std::size_t R, bool Full>
+void gemm_rest(u32* const* dst, const u32* coeffs, std::size_t cs,
+               const u32* const* src, std::size_t rest, std::size_t terms,
+               std::size_t col, std::size_t nl, u32 q, u64 magic) {
+  if constexpr (R > 0) {
+    if (rest == R) {
+      gemm_tile<R, Full>(dst, coeffs, cs, src, terms, col, nl, q, magic);
+    } else {
+      gemm_rest<R - 1, Full>(dst, coeffs, cs, src, rest, terms, col, nl, q,
+                             magic);
+    }
+  }
+}
+
+template <bool Full>
+void gemm_block(u32* const* dst, const u32* coeffs, std::size_t cs,
+                const u32* const* src, std::size_t rows, std::size_t terms,
+                std::size_t col, std::size_t nl, u32 q, u64 magic) {
+  std::size_t r0 = 0;
+  for (; r0 + kGemmRows <= rows; r0 += kGemmRows) {
+    gemm_tile<kGemmRows, Full>(dst + r0, coeffs + r0 * cs, cs, src, terms,
+                               col, nl, q, magic);
+  }
+  gemm_rest<kGemmRows - 1, Full>(dst + r0, coeffs + r0 * cs, cs, src,
+                                 rows - r0, terms, col, nl, q, magic);
+}
+
+void u32_gemm_split(u32* const* dst, const u32* coeffs, std::size_t cs,
+                    const u32* const* src, std::size_t rows,
+                    std::size_t terms, std::size_t n, u32 q) {
+  const u64 magic = barrett_magic(q);
+  std::size_t col = 0;
+  for (; col + 16 <= n; col += 16) {
+    gemm_block<true>(dst, coeffs, cs, src, rows, terms, col, 16, q, magic);
+  }
+  if (col < n) {
+    gemm_block<false>(dst, coeffs, cs, src, rows, terms, col, n - col, q,
+                      magic);
   }
 }
 
@@ -420,6 +548,7 @@ const U32Kernels kU32Avx512 = {
     &u32_sub_mod,
     &u32_accum_widen,
     &u32_axpy_split,
+    &u32_gemm_split,
 };
 
 const U64Kernels kU64Avx512 = {

@@ -252,6 +252,7 @@ const U32Kernels kU32Neon = {
     &u32_sub_mod,
     &u32_accum_widen,
     &u32_axpy_split,
+    nullptr,  // gemm_split: no tiled NEON body; per-row path
 };
 
 const U64Kernels kU64Neon = {

@@ -11,7 +11,9 @@
 #include "common/stats.h"
 #include "field/flat_matrix.h"
 #include "field/fp.h"
+#include "field/goldilocks.h"
 #include "field/random_field.h"
+#include "field/simd/simd_policy.h"
 
 #include "decode_oracle.h"
 
@@ -264,6 +266,87 @@ TEST(MaskCodec, DecodeErrorsAreTyped) {
   owners = {0, 1, 2, 3};
   EXPECT_THROW((void)codec.decode_aggregate(owners, FlatMatrix<Fp32>(4, 2)),
                lsa::ProtocolError);
+}
+
+// Encode output against the textbook Lagrange oracle. W's columns must be
+// the Lagrange basis over the slot points evaluated at each share point,
+// and share j must be the interpolant of every segment column evaluated
+// at alpha_j. N = 13 and 21 leave partial 2- and 4-row tiles, no seg_len
+// is a multiple of 8 or 16 lanes, and the share rows land strided in a
+// wider arena, as encode_all writes them.
+template <class F>
+class MaskCodecEncodeOracle : public ::testing::Test {};
+using EncodeOracleFields =
+    ::testing::Types<Fp32, lsa::field::Fp61, lsa::field::Goldilocks>;
+TYPED_TEST_SUITE(MaskCodecEncodeOracle, EncodeOracleFields);
+
+template <class F>
+void check_encode_against_oracle(std::size_t n, std::size_t u, std::size_t t,
+                                 std::size_t d, std::uint64_t seed) {
+  using R = typename F::rep;
+  lsa::common::Xoshiro256ss rng(seed);
+  const lsa::coding::MaskCodec<F> codec(n, u, t, d);
+  const std::size_t seg = codec.segment_len();
+  const auto mask = lsa::field::uniform_vector<F>(d, rng);
+  FlatMatrix<F> noise(t, seg);
+  for (std::size_t k = 0; k < t; ++k) {
+    lsa::field::fill_uniform<F>(noise.row(k), rng);
+  }
+  // The codec's points: slot k at beta_k = k + 1, share j at
+  // alpha_j = U + 1 + j (coding/mask_codec.h).
+  std::vector<R> betas(u);
+  for (std::size_t k = 0; k < u; ++k) betas[k] = F::from_u64(k + 1);
+  const auto alpha = [&](std::size_t j) { return F::from_u64(u + 1 + j); };
+
+  // encoding_column(j)[k] = l_k(alpha_j): interpolate the unit vector e_k.
+  std::vector<R> unit(u, F::zero);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto col = codec.encoding_column(j);
+    ASSERT_EQ(col.size(), u);
+    for (std::size_t k = 0; k < u; ++k) {
+      unit[k] = F::one;
+      ASSERT_EQ(col[k], lsa::test::oracle_interpolate_at<F>(betas, unit,
+                                                            alpha(j)))
+          << "W column " << j << " slot " << k;
+      unit[k] = F::zero;
+    }
+  }
+
+  // Share rows base + j * stride of a wider arena; the rows between stay
+  // untouched.
+  const std::size_t base = 1, stride = 3;
+  FlatMatrix<F> arena(base + n * stride, seg);
+  codec.encode_with_noise_into(std::span<const R>(mask), noise, arena, base,
+                               stride);
+  std::vector<R> column(u);
+  for (std::size_t l = 0; l < seg; ++l) {
+    for (std::size_t k = 0; k < u - t; ++k) {
+      const std::size_t at = k * seg + l;
+      column[k] = at < d ? mask[at] : F::zero;
+    }
+    for (std::size_t k = 0; k < t; ++k) column[u - t + k] = noise(k, l);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(arena(base + j * stride, l),
+                lsa::test::oracle_interpolate_at<F>(betas, column, alpha(j)))
+          << "share " << j << " coordinate " << l;
+    }
+  }
+  for (std::size_t r = 0; r < arena.rows(); ++r) {
+    if (r >= base && (r - base) % stride == 0) continue;
+    for (const R v : arena.row(r)) ASSERT_EQ(v, F::zero) << "arena row " << r;
+  }
+}
+
+TYPED_TEST(MaskCodecEncodeOracle, SharesAndColumnsMatchLagrange) {
+  using F = TypeParam;
+  for (const auto policy :
+       {lsa::field::simd::SimdPolicy::kAuto,
+        lsa::field::simd::SimdPolicy::kForceScalar}) {
+    lsa::field::simd::ScopedSimdPolicy scoped(policy);
+    check_encode_against_oracle<F>(13, 9, 4, 185, 71);  // seg_len 37
+    check_encode_against_oracle<F>(4, 3, 1, 7, 72);      // seg_len 4
+    check_encode_against_oracle<F>(21, 17, 8, 300, 73);  // seg_len 34
+  }
 }
 
 }  // namespace

@@ -143,6 +143,100 @@ TEST(SimdKernel, U32AccumWidenAndAxpySplit) {
   }
 }
 
+/// Plain per-element reference for gemm_split: every product reduced mod q
+/// in u64, no split words, no lazy accumulation.
+std::vector<std::vector<u32>> gemm_reference(
+    const std::vector<u32>& coeffs, std::size_t cs,
+    const std::vector<std::vector<u32>>& src, std::size_t rows,
+    std::size_t n, u64 q) {
+  std::vector<std::vector<u32>> out(rows, std::vector<u32>(n));
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      u64 acc = 0;
+      for (std::size_t k = 0; k < src.size(); ++k) {
+        acc = (acc + static_cast<u64>(coeffs[r * cs + k]) * src[k][i] % q) % q;
+      }
+      out[r][i] = static_cast<u32>(acc);
+    }
+  }
+  return out;
+}
+
+/// Runs one gemm_split call on exact-size row vectors (a tail that reads or
+/// writes past a row's end shows under ASan) and reports whether every
+/// output equals the reference.
+bool gemm_matches(const simd::U32Kernels& k, std::size_t rows,
+                  std::size_t terms, std::size_t n, u64 q, bool worst_case,
+                  std::uint64_t seed) {
+  lsa::common::Xoshiro256ss rng(seed);
+  const std::size_t cs = terms + 3;  // coefficient rows wider than terms
+  std::vector<u32> coeffs(rows * cs);
+  for (auto& c : coeffs) {
+    c = static_cast<u32>(worst_case ? q - 1 : rng.next_u64() % q);
+  }
+  std::vector<std::vector<u32>> src(terms, std::vector<u32>(n));
+  for (auto& row : src) {
+    for (auto& x : row) {
+      x = static_cast<u32>(worst_case ? q - 1 : rng.next_u64() % q);
+    }
+  }
+  std::vector<std::vector<u32>> dst(rows, std::vector<u32>(n, 0xDEADBEEFu));
+  std::vector<const u32*> src_ptrs(terms);
+  for (std::size_t t = 0; t < terms; ++t) src_ptrs[t] = src[t].data();
+  std::vector<u32*> dst_ptrs(rows);
+  for (std::size_t r = 0; r < rows; ++r) dst_ptrs[r] = dst[r].data();
+  k.gemm_split(dst_ptrs.data(), coeffs.data(), cs, src_ptrs.data(), rows,
+               terms, n, static_cast<u32>(q));
+  return dst == gemm_reference(coeffs, cs, src, rows, n, q);
+}
+
+/// Levels whose u32 table carries the tiled GEMM.
+std::vector<Level> gemm_levels() {
+  std::vector<Level> out;
+  for (Level l : vector_levels()) {
+    const auto* k = simd::u32_kernels(l);
+    if (k != nullptr && k->gemm_split != nullptr) out.push_back(l);
+  }
+  return out;
+}
+
+TEST(SimdKernel, U32GemmSplitMatchesReference) {
+  // Partial row tiles (1..9 rows), every lane tail, K in {0, 1, 2, 140},
+  // at Fp32's modulus and two smaller 32-bit primes; inputs either random
+  // or all at q - 1, the split accumulators' worst case.
+  for (Level level : gemm_levels()) {
+    const auto& k = *simd::u32_kernels(level);
+    for (const u64 q : {u64{Fp32::modulus}, u64{2147483647}, u64{65537}}) {
+      for (std::size_t n : tail_lengths()) {
+        for (std::size_t rows = 1; rows <= 9; ++rows) {
+          for (std::size_t terms : {0, 1, 2, 140}) {
+            for (const bool worst : {true, false}) {
+              ASSERT_TRUE(gemm_matches(k, rows, terms, n, q, worst,
+                                       rows * 1000 + terms + n))
+                  << simd::level_name(level) << " q=" << q << " rows="
+                  << rows << " terms=" << terms << " n=" << n
+                  << (worst ? " all q-1" : " random");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernel, U32GemmSplitFoldsMidProduct) {
+  // kMaxLazyTerms + 1 terms at q - 1 exceed one lazy window, so the
+  // kernel must fold once mid-product and add the second window's fold.
+  for (Level level : gemm_levels()) {
+    const auto& k = *simd::u32_kernels(level);
+    for (std::size_t rows : {1, 5}) {
+      ASSERT_TRUE(gemm_matches(k, rows, simd::kMaxLazyTerms + 1, 19,
+                               Fp32::modulus, /*worst_case=*/true, 7))
+          << simd::level_name(level) << " rows=" << rows;
+    }
+  }
+}
+
 // --------------------------------------------------------------- u64 table
 
 TEST(SimdKernel, U64AddSubModBoundaries) {
@@ -467,6 +561,15 @@ TEST(SimdKernel, DispatchTablesConsistent) {
       EXPECT_NE(k->butterfly_soa, nullptr);
       EXPECT_NE(simd::u32_kernels(l), nullptr);
       EXPECT_NE(simd::u64_kernels(l), nullptr);
+    }
+  }
+  // The x86 levels carry the tiled split-word GEMM; NEON keeps the
+  // per-row path (a null entry).
+  for (Level l : {Level::kAvx2, Level::kAvx512}) {
+    if (simd::level_available(l)) {
+      ASSERT_NE(simd::u32_kernels(l), nullptr) << simd::level_name(l);
+      EXPECT_NE(simd::u32_kernels(l)->gemm_split, nullptr)
+          << simd::level_name(l);
     }
   }
   EXPECT_LE(simd::vector_bytes(simd::detected_level()),
