@@ -9,9 +9,7 @@
 // buffered cohorts (staleness-weighted buffer cycles) in ONE drive, then
 // prints the process-level stats report a fleet dashboard would scrape —
 // per-session rounds/cycles, frame counts, the one-shot decode telemetry
-// (survivor-set plan-cache hits, setup-vs-stream split), and the
-// pipelined-round telemetry (rounds in flight, hidden offline time,
-// stalls) for the depth-2 cohort.
+// (survivor-set plan-cache hits, setup-vs-stream split).
 #include <cstdio>
 #include <vector>
 
@@ -125,13 +123,8 @@ int main() {
 
     std::vector<lsa::server::AggregationServer::RoundWork> works;
     for (std::uint64_t s = 0; s < 2; ++s) {
-      auto pp = p;
-      // Cohort 0 runs depth-2 pipelined: round 1's offline mask encode
-      // proceeds under round 0's fan-in + decode (bit-identical either
-      // way); cohort 1 stays on the depth-1 serial reference.
-      pp.pipeline = s == 0 ? 2 : 1;
       const auto id = server.open_session(
-          lsa::server::SessionConfig{.params = pp, .seed = 40 + s});
+          lsa::server::SessionConfig{.params = p, .seed = 40 + s});
       works.push_back({id, 0, &models, {}});
       works.push_back({id, 1, &models, {1, 5}});  // dropout round
     }
@@ -166,15 +159,6 @@ int main() {
                   s.decode_setup_s * 1e3, s.decode_stream_s * 1e3,
                   lsa::coding::to_string(s.last_decode_used));
     }
-    for (const auto& s : ps.per_session) {
-      if (s.rounds_in_flight < 2) continue;
-      std::printf("     session %llu pipelined: %llu rounds in flight, "
-                  "offline hidden %.3f of %.3f ms, %llu stall(s)\n",
-                  static_cast<unsigned long long>(s.id),
-                  static_cast<unsigned long long>(s.rounds_in_flight),
-                  s.offline_hidden_s * 1e3, s.offline_stage_s * 1e3,
-                  static_cast<unsigned long long>(s.pipeline_stalls));
-    }
     std::printf("process: %llu sync rounds + %llu async cycles, %llu frames "
                 "sent / %llu delivered,\n         decode plans built %llu / "
                 "reused %llu, setup %.3f ms + stream %.3f ms\n",
@@ -185,11 +169,6 @@ int main() {
                 static_cast<unsigned long long>(ps.decode_plan_builds),
                 static_cast<unsigned long long>(ps.decode_plan_reuses),
                 ps.decode_setup_s * 1e3, ps.decode_stream_s * 1e3);
-    std::printf("         pipeline: max %llu rounds in flight, offline "
-                "hidden %.3f ms, %llu stall(s)\n",
-                static_cast<unsigned long long>(ps.max_rounds_in_flight),
-                ps.offline_hidden_s * 1e3,
-                static_cast<unsigned long long>(ps.pipeline_stalls));
     std::printf(
         "Async cycles combine shares minted in DIFFERENT rounds with public "
         "integer\nstaleness weights — the one-shot recovery that makes "

@@ -38,21 +38,6 @@ struct Params {
   /// per round and shares by the wire round field (the epoch, for shares).
   bool persistent_cohort = false;
 
-  /// Pipelined round execution depth for the sharded server's sync
-  /// sessions (paper §6, Fig. 5: the offline mask phase is independent of
-  /// the model, so round r+1's mask generation + encode + share
-  /// distribution can run while round r is still in fan-in/decode).
-  ///   1 = fully sequential rounds — today's tested reference behavior;
-  ///   2 = two rounds in flight: the shard driver overlaps round r's
-  ///       online stage (upload fan-in, recovery, one-shot decode) with
-  ///       round r+1's offline stage on the same pool. Share stores are
-  ///       double-buffered by round parity (see README "Pipelined
-  ///       rounds"); aggregates stay bit-identical to depth 1 under every
-  ///       dropout pattern.
-  /// Only server::Session consumes depths > 1; runtime::Network stays the
-  /// serial reference regardless.
-  std::size_t pipeline = 1;
-
   /// SIMD kernel dispatch for every field op this round touches. kAuto
   /// uses the best ISA the host supports (field/simd/dispatch.h);
   /// kForceScalar pins the branch-free scalar reference kernels — results
@@ -80,10 +65,6 @@ struct Params {
     lsa::require<lsa::ProtocolError>(
         target_survivors <= num_users - dropout,
         "params: need U <= N - D");
-    lsa::require<lsa::ProtocolError>(
-        pipeline >= 1 && pipeline <= 2,
-        "params: pipeline depth must be 1 (sequential) or 2 (the share "
-        "stores are double-buffered by round parity)");
   }
 
   [[nodiscard]] std::size_t num_segments() const {

@@ -91,27 +91,25 @@ struct ShareBank {
   }
 };
 
-/// Two-slot, parity-indexed ring of ShareBanks — the double-buffered
-/// per-round share store behind pipelined round execution
-/// (protocol::Params::pipeline == 2, README "Pipelined rounds"). Slot
-/// `key % 2` holds the bank for `key`; keying a new round onto a slot
-/// retires the slot's previous round (the old map-based store purged at
-/// the same 2-round horizon). The ownership rule that makes concurrent
-/// stages race-free: `prepare()` (the only operation that re-keys a slot
-/// and touches its allocations) runs serially BEFORE a stage pair
-/// launches, so everything inside a concurrent wave — banking arriving
-/// rows, reading another round's slot, dropping a consumed round of the
-/// other parity — only reads slot keys and writes disjoint rows.
+/// Two-slot, parity-indexed ring of ShareBanks — the per-round share and
+/// upload store of the sync machines. Two slots because a peer can bank
+/// round r+1's traffic while round r is still in recovery: over sockets
+/// (server::RemoteSession) a client that reconnects after dropping starts
+/// round r+1 without waiting for round r's result, so its shares reach
+/// peers that still have to answer round r's survivor set, and its upload
+/// reaches the hub before round r is decoded. Slot `key % 2` holds the
+/// bank for `key`; keying a new round onto a slot retires the slot's
+/// previous round, two rounds back.
 template <class F>
 class BankRing {
  public:
   static constexpr std::uint64_t kUnkeyed = ~std::uint64_t{0};
-  /// Rounds simultaneously representable; equals the pipeline-depth cap.
+  /// Rounds simultaneously representable.
   static constexpr std::uint64_t kDepth = 2;
 
   /// Points the parity slot at `key`, clearing its presence bitmap (the
   /// row arena is recycled). Idempotent when the slot is already keyed to
-  /// `key` — a no-op read, which is what every mid-wave caller hits.
+  /// `key`.
   ShareBank<F>& prepare(std::uint64_t key, std::size_t n_rows,
                         std::size_t cols) {
     Slot& s = slots_[key % kDepth];
@@ -133,9 +131,7 @@ class BankRing {
     return s.key == key ? &s.bank : nullptr;
   }
 
-  /// Marks `key` consumed; its slot's allocations stay for reuse. Touches
-  /// only `key`'s parity slot, so it may run concurrently with accesses to
-  /// the other slot.
+  /// Marks `key` consumed; its slot's allocations stay for reuse.
   void drop(std::uint64_t key) {
     Slot& s = slots_[key % kDepth];
     if (s.key == key) s.key = kUnkeyed;
@@ -175,44 +171,24 @@ class UserDevice final : public Party {
         codec_(params.num_users, params.target_survivors, params.privacy,
                params.model_dim),
         master_seed_(master_seed),
-        transport_(transport) {}
+        transport_(transport),
+        mask_(params.model_dim) {}
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
   /// Rounds simultaneously representable in the parity-ring share store —
   /// shares two rounds back are retired when their ring slot re-keys, so a
-  /// user that crashed mid-recovery never hoards stale shares. Equals
-  /// BankRing::kDepth and caps Params::pipeline.
+  /// user that crashed mid-recovery never hoards stale shares.
   static constexpr std::uint64_t kShareRetentionRounds = BankRing<Fp>::kDepth;
 
-  /// Serial pre-stage hook for the pipelined driver: keys the share-store
-  /// slot for `round` (the epoch's slot in persistent-cohort mode),
-  /// retiring the slot's previous round. Idempotent — once keyed, the
-  /// concurrent offline/online stages of a wave only read slot keys and
-  /// write disjoint bank rows (see BankRing), so the driver calls this for
-  /// round r+1 BEFORE launching offline(r+1) alongside online(r).
-  void prepare_round(std::uint64_t round) {
-    store_.prepare(share_key(round), params_.num_users,
-                   codec_.segment_len());
-  }
-
-  /// Phase 1 + 2: generate and share the encoded mask, upload the masked
-  /// model. One whole serial round-start — the depth-1 reference path. The
-  /// pipelined server drives the two halves (start_round_offline /
-  /// upload_masked) as separate stages instead.
+  /// Phase 1 + 2 in one pass: checks the model length (nothing is sent for
+  /// a wrong one), draws the round mask into the reused mask buffer,
+  /// encodes and distributes its shares, then adds the model into the
+  /// buffer and uploads the masked model. Sends only — never pumps.
   void start_round(std::uint64_t round, std::span<const rep> model) {
-    start_round_offline(round);
-    upload_masked(round, model);
-  }
-
-  /// OfflineStage: everything model-independent (paper §6, Fig. 5 —
-  /// pipelinable with training and, here, with the previous round's
-  /// fan-in/decode). Generates the round mask, encodes and distributes its
-  /// shares, and stashes the mask in the round's parity slot for the
-  /// matching upload_masked(). Sends only — never pumps — so it can run
-  /// while the previous round's online stage drains mailboxes.
-  void start_round_offline(std::uint64_t round) {
-    prepare_round(round);
+    lsa::require<lsa::ProtocolError>(model.size() == params_.model_dim,
+                                     "user: wrong model dimension");
+    const std::span<rep> mask(mask_);
     if (params_.persistent_cohort) {
       // Steady-state cohort (params.persistent_cohort): one epoch mask,
       // encoded and distributed once per epoch; every later round of the
@@ -226,40 +202,24 @@ class UserDevice final : public Party {
               master_seed_ ^ (0xe90c4ull + id_ * 0x9e3779b97f4a7c15ull)),
           epoch_);
       lsa::crypto::Prg prg(seed);
-      auto& mask = stash_mask(round);
-      mask = lsa::field::uniform_vector<Fp>(params_.model_dim, prg);
+      lsa::field::fill_uniform<Fp>(mask, prg);
       if (!epoch_setup_done_) {
-        distribute_shares(epoch_, std::span<const rep>(mask), prg);
+        distribute_shares(epoch_, mask, prg);
         epoch_setup_done_ = true;
       }
-      return;
+    } else {
+      auto seed = lsa::crypto::derive_subseed(
+          lsa::crypto::seed_from_u64(
+              master_seed_ ^ (0xde51ceull + id_ * 0x9e3779b97f4a7c15ull)),
+          round);
+      lsa::crypto::Prg prg(seed);
+      lsa::field::fill_uniform<Fp>(mask, prg);
+      distribute_shares(round, mask, prg);
     }
-    auto seed = lsa::crypto::derive_subseed(
-        lsa::crypto::seed_from_u64(master_seed_ ^
-                                   (0xde51ceull + id_ * 0x9e3779b97f4a7c15ull)),
-        round);
-    lsa::crypto::Prg prg(seed);
-    auto& mask = stash_mask(round);
-    mask = lsa::field::uniform_vector<Fp>(params_.model_dim, prg);
-    distribute_shares(round, std::span<const rep>(mask), prg);
-  }
-
-  /// OnlineStage entry: masks the (model-dependent) update with the mask
-  /// stashed by start_round_offline(round) and uploads it. The stash lives
-  /// in the round's parity slot, so rounds r and r+1 upload/prepare
-  /// concurrently without touching each other's mask.
-  void upload_masked(std::uint64_t round, std::span<const rep> model) {
-    lsa::require<lsa::ProtocolError>(model.size() == params_.model_dim,
-                                     "user: wrong model dimension");
-    const auto slot = round % kShareRetentionRounds;
-    lsa::require<lsa::ProtocolError>(
-        pending_mask_round_[slot] == round,
-        "user: masked upload without a pending offline mask for this round");
-    const auto masked = lsa::field::add<Fp>(
-        model, std::span<const rep>(pending_mask_[slot]));
+    lsa::field::add_inplace<Fp>(mask, model);
     transport_.send_row(MsgType::kMaskedModel, id_,
                         static_cast<std::uint32_t>(params_.num_users), round,
-                        std::span<const rep>(masked));
+                        std::span<const rep>(mask_));
   }
 
   /// Cohort membership changed: forget the old epoch's banked shares and
@@ -269,7 +229,6 @@ class UserDevice final : public Party {
     ++epoch_;
     epoch_setup_done_ = false;
     store_.clear();
-    pending_mask_round_.fill(BankRing<Fp>::kUnkeyed);
   }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Offline encode + share fan-outs performed: one per round normally,
@@ -369,9 +328,7 @@ class UserDevice final : public Party {
                             round, std::span<const rep>(acc));
         // Shares for this round are consumed — except in persistent
         // mode, where the epoch bank serves every round until the
-        // membership changes (advance_epoch clears it). drop() touches
-        // only this round's parity slot, so the next round's offline
-        // stage may be banking into the other slot concurrently.
+        // membership changes (advance_epoch clears it).
         if (!params_.persistent_cohort) store_.drop(round);
         break;
       }
@@ -383,20 +340,10 @@ class UserDevice final : public Party {
     }
   }
 
-  /// The arrival-side bank for a wire `round` tag. prepare() is idempotent:
-  /// in serial drives it lazily keys the slot on first touch; under the
-  /// pipelined driver the slot was pre-keyed (prepare_round) so this is a
-  /// read-only lookup even while stages overlap.
+  /// The bank for a wire `round` tag, keyed on first touch — by our own
+  /// row at round start or by the first peer share to arrive.
   ShareBank<Fp>& bank_for(std::uint64_t round) {
     return store_.prepare(round, params_.num_users, codec_.segment_len());
-  }
-
-  /// Claims the parity mask stash for `round` (overwriting the round two
-  /// back, whose upload has long happened).
-  std::vector<rep>& stash_mask(std::uint64_t round) {
-    const auto slot = round % kShareRetentionRounds;
-    pending_mask_round_[slot] = round;
-    return pending_mask_[slot];
   }
 
   std::uint32_t id_;
@@ -410,11 +357,9 @@ class UserDevice final : public Party {
   /// two rounds in flight max, older slots retire on re-key.
   BankRing<Fp> store_;
   lsa::field::FlatMatrix<Fp> enc_;  ///< encode arena, reused per round
-  /// Mask generated by the offline stage, parity-slotted per round,
-  /// consumed by the matching upload_masked.
-  std::array<std::vector<rep>, kShareRetentionRounds> pending_mask_;
-  std::array<std::uint64_t, kShareRetentionRounds> pending_mask_round_{
-      BankRing<Fp>::kUnkeyed, BankRing<Fp>::kUnkeyed};
+  /// The round mask, then the masked model sent from it; reused per round
+  /// so a start allocates no model-sized buffer.
+  std::vector<rep> mask_;
   std::optional<std::vector<rep>> last_result_;
   std::uint64_t epoch_ = 0;          ///< persistent-cohort epoch counter
   bool epoch_setup_done_ = false;    ///< offline setup done for epoch_
@@ -580,9 +525,8 @@ class AggregationServer final : public Party {
   std::vector<std::size_t> last_corrupted_;
   /// masked_.find(r)->rows.row(i) = user i's masked model for round r.
   /// Parity ring: uploads for round r+1 may bank into the other slot while
-  /// round r is still mid-recovery (two rounds in flight under pipelining;
-  /// the server machine itself is only ever touched by one online stage
-  /// and its own mailbox lane, both serial per session).
+  /// round r is still mid-recovery (a socket peer banking ahead, see
+  /// BankRing).
   BankRing<Fp> masked_;
   /// agg_shares_.find(r)->rows.row(j) = responder j's aggregated share.
   BankRing<Fp> agg_shares_;

@@ -26,20 +26,8 @@
 //     executes one task per shard on the sys::ThreadPool, each shard
 //     pumping its sessions' queued steps to completion serially while the
 //     shards proceed concurrently — sync and async cohorts interleave in
-//     one process, one drive;
-//   * with protocol::Params::pipeline == 2 a sync session's round splits
-//     into an OFFLINE stage (mask generation + flat-arena encode +
-//     encoded-share distribution — model-independent, paper §6 Fig. 5)
-//     and an ONLINE stage (masked upload fan-in, recovery, one-shot
-//     decode), and the shard driver pumps stage-granular waves: round r's
-//     online stage runs concurrently with round r+1's offline stage (and
-//     with other sessions' stages), so steady-state round latency drops
-//     from T_offline + T_online toward max(T_offline, T_online). Share
-//     stores are double-buffered by round parity (runtime::BankRing);
-//     each wave's slot re-keying happens serially before the stages
-//     launch, which is what keeps the concurrent stages race-free (README
-//     "Pipelined rounds"). Depth 1 keeps today's whole-round steps and is
-//     byte-for-byte the tested reference path;
+//     one process, one drive. Only the shard task touches a session's
+//     queue, between steps; a step's own fan-out never does;
 //   * within a session, the phases fan out over the session's ExecPolicy:
 //     user start_round / arrival submit_update (encode + zero-copy share
 //     fan-out) runs one user per lane — genuinely concurrent MPSC sends —
@@ -61,19 +49,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
-#include "common/timer.h"
 #include "protocol/params.h"
 #include "quant/staleness.h"
 #include "runtime/arrival_scheduler.h"
@@ -117,18 +101,6 @@ struct SessionStats {
   /// devices. In persistent-cohort mode a stable cohort shows exactly N
   /// (one per device per epoch); in per-round mode it grows every round.
   std::uint64_t offline_encodes = 0;
-  /// Pipeline telemetry (Params::pipeline == 2; depth-1 sessions report
-  /// 1/0/0). Max rounds simultaneously in flight (2 in steady state),
-  /// offline-stage wall time hidden behind a concurrent online stage, and
-  /// waves where an online stage ran with no offline work to overlap
-  /// (pipeline bubbles: the prologue-less tail and drained queues).
-  std::uint64_t rounds_in_flight = 0;
-  double offline_hidden_s = 0.0;
-  /// Total offline-stage wall time (pipelined stages only; the depth-1
-  /// round path does not time its offline phase separately). The hidden/
-  /// total quotient is the overlap ratio bench_pipeline gates on.
-  double offline_stage_s = 0.0;
-  std::uint64_t pipeline_stalls = 0;
 };
 
 /// One cohort as seen by the shard driver: queued steps (whole rounds for
@@ -230,14 +202,6 @@ struct SessionConfig {
   /// headroom, so a single-threaded drive never blocks on backpressure.
   std::size_t queue_capacity = 0;
   bool byzantine_tolerant = false;
-  /// Bench/test instrumentation: simulated wide-area latency injected once
-  /// per stage execution (a sleep at stage start), modeling the share-
-  /// distribution and fan-in round-trips a single-host harness never
-  /// exhibits. Depth-1 rounds pay offline + online sequentially; depth-2
-  /// overlaps them — the mechanism bench_pipeline measures. 0 = off (the
-  /// default; tests and production paths never sleep).
-  double offline_stage_delay_s = 0.0;
-  double online_stage_delay_s = 0.0;
 };
 
 /// One synchronous cohort: the state machines, their router, and the
@@ -281,8 +245,6 @@ class Session final : public SessionBase {
   /// One full round, same phase structure and same failure semantics as
   /// runtime::Network::run_round (crash-after-upload users are "delayed,
   /// not dropped"). Bit-identical to the Network result at equal seed.
-  /// This is the depth-1 reference path; the pipelined driver runs the
-  /// same protocol as two stages (run_offline_stage / run_online_stage).
   [[nodiscard]] std::vector<rep> run_round(
       std::uint64_t round, const std::vector<std::vector<rep>>& models,
       const std::vector<std::size_t>& crash_after_upload) {
@@ -290,17 +252,21 @@ class Session final : public SessionBase {
     const std::size_t n = cfg_.params.num_users;
     lsa::require<lsa::ProtocolError>(models.size() == n,
                                      "session: wrong number of models");
-    const auto& pol = cfg_.params.exec;
-    max_in_flight_ = std::max<std::uint64_t>(max_in_flight_, 1);
     // Offline + upload: one user per lane; their share fan-outs are
     // concurrent zero-copy sends into the per-receiver mailboxes.
-    stage_delay(cfg_.offline_stage_delay_s);
-    pol.run(n, [&](std::size_t i) {
-      users_[i]->start_round(round,
-                             std::span<const rep>(models[i]));
+    cfg_.params.exec.run(n, [&](std::size_t i) {
+      users_[i]->start_round(round, std::span<const rep>(models[i]));
     });
-    stage_delay(cfg_.online_stage_delay_s);
-    return online_tail(round, crash_after_upload);
+    // Crash lands after the first pump — "crash after upload"; frames the
+    // crashed user already enqueued still deliver (delayed, not dropped).
+    pump();
+    for (const auto i : crash_after_upload) router_.crash(i);
+    server_->begin_recovery(round);
+    pump();  // survivor set out, aggregated shares back
+    auto result = server_->finish_round(round);
+    pump();  // result broadcast
+    note_step(server_->codec().last_decode_stats());
+    return result;
   }
 
   void pump() {
@@ -308,104 +274,6 @@ class Session final : public SessionBase {
                               [&](std::size_t r) -> lsa::runtime::Party& {
                                 return party(r);
                               });
-  }
-
-  // --------------------------------------- pipelined stage interface
-  //
-  // Driver protocol (AggregationServer::drive, Params::pipeline == 2),
-  // per wave and per session, with everything outside the two run_*_stage
-  // calls executed serially by the shard task:
-  //
-  //   1. serial:     if has_offline_work(): prepare_offline()
-  //   2. concurrent: run_online_stage() for the queue front (if staged)
-  //                  ∥ run_offline_stage() for the prepared round
-  //   3. serial:     retire_online(); note_wave(online_ran, offline_ran)
-  //
-  // The serial prepare step re-keys every device's parity share-store
-  // slot (runtime::BankRing) for the prepared round BEFORE concurrency
-  // starts; inside the wave all parties only read slot keys and write
-  // disjoint rows, so the stage pair is data-race-free. The queue itself
-  // is only mutated in the serial steps — run_online_stage works on the
-  // front *in place* and run_offline_stage reads nothing but its
-  // pre-latched round.
-
-  /// Depth 2 requested: the driver pumps this session stage-granularly.
-  [[nodiscard]] bool pipelined() const { return cfg_.params.pipeline >= 2; }
-
-  /// A queued round whose offline stage hasn't launched, with a free
-  /// parity slot to stage it in (at most two rounds in flight).
-  [[nodiscard]] bool has_offline_work() const {
-    return staged_ < queue_.size() &&
-           staged_ < lsa::runtime::BankRing<Fp>::kDepth;
-  }
-  /// The queue front's offline stage has run; its online stage may go.
-  [[nodiscard]] bool has_online_work() const { return staged_ > 0; }
-
-  /// Serial pre-wave step: latches the next unstaged round and keys every
-  /// device's share-store slot for it. After this, concurrently pumped
-  /// deliveries of that round's shares and the offline stage's own-row
-  /// banking are rekey-free lookups.
-  void prepare_offline() {
-    pending_offline_round_ = queue_.at(staged_).round;
-    for (auto& u : users_) u->prepare_round(pending_offline_round_);
-    ++staged_;
-    max_in_flight_ = std::max<std::uint64_t>(max_in_flight_, staged_);
-  }
-
-  /// OfflineStage of the round latched by prepare_offline(): mask
-  /// generation + flat-arena encode + encoded-share distribution. Sends
-  /// only — never pumps — so it overlaps a concurrent online stage's
-  /// mailbox drains.
-  void run_offline_stage() {
-    const lsa::field::simd::ScopedSimdPolicy simd_guard(cfg_.params.simd);
-    lsa::common::Stopwatch sw;
-    stage_delay(cfg_.offline_stage_delay_s);
-    const std::uint64_t round = pending_offline_round_;
-    cfg_.params.exec.run(cfg_.params.num_users, [&](std::size_t i) {
-      users_[i]->start_round_offline(round);
-    });
-    last_offline_s_ = sw.elapsed_sec();
-    offline_stage_s_ += last_offline_s_;
-  }
-
-  /// OnlineStage of the queue front: masked-upload fan-out, fan-in,
-  /// recovery, one-shot decode, result broadcast. Owns every router pump
-  /// in the wave; a crashed-in-this-round user's concurrent next-round
-  /// offline sends are dropped at the source once the crash lands, and any
-  /// that slipped through are discarded by the round r+1 membership
-  /// snapshot (its upload can no longer arrive), so aggregates stay
-  /// bit-identical to the depth-1 order either way.
-  void run_online_stage() {
-    const lsa::field::simd::ScopedSimdPolicy simd_guard(cfg_.params.simd);
-    lsa::common::Stopwatch sw;
-    QueuedRound& work = queue_.front();
-    const std::size_t n = cfg_.params.num_users;
-    lsa::require<lsa::ProtocolError>(work.models->size() == n,
-                                     "session: wrong number of models");
-    stage_delay(cfg_.online_stage_delay_s);
-    cfg_.params.exec.run(n, [&](std::size_t i) {
-      users_[i]->upload_masked(work.round,
-                               std::span<const rep>((*work.models)[i]));
-    });
-    auto result = online_tail(work.round, work.crash_after_upload);
-    if (work.result != nullptr) *work.result = std::move(result);
-    last_online_s_ = sw.elapsed_sec();
-  }
-
-  /// Serial post-wave step: pops the round run_online_stage completed.
-  void retire_online() {
-    queue_.pop_front();
-    --staged_;
-  }
-
-  /// Serial post-wave telemetry: overlapped waves hide min(T_off, T_on)
-  /// of offline wall time; online-only waves are pipeline bubbles.
-  void note_wave(bool online_ran, bool offline_ran) {
-    if (online_ran && offline_ran) {
-      offline_hidden_s_ += std::min(last_offline_s_, last_online_s_);
-    } else if (online_ran) {
-      ++pipeline_stalls_;
-    }
   }
 
   // ------------------------------------------------- SessionBase interface
@@ -430,10 +298,7 @@ class Session final : public SessionBase {
     return SessionKind::kSync;
   }
   [[nodiscard]] std::size_t pending() const override { return queue_.size(); }
-  void clear_pending() override {
-    queue_.clear();
-    staged_ = 0;  // staged offline work dies with its abandoned rounds
-  }
+  void clear_pending() override { queue_.clear(); }
 
   void step() override {
     QueuedRound work = std::move(queue_.front());
@@ -447,10 +312,6 @@ class Session final : public SessionBase {
     SessionStats out;
     fill_common_stats(out, router_);
     for (const auto& u : users_) out.offline_encodes += u->offline_encodes();
-    out.rounds_in_flight = max_in_flight_;
-    out.offline_hidden_s = offline_hidden_s_;
-    out.offline_stage_s = offline_stage_s_;
-    out.pipeline_stalls = pipeline_stalls_;
     return out;
   }
 
@@ -461,42 +322,11 @@ class Session final : public SessionBase {
                : *users_[r];
   }
 
-  /// Fan-in + recovery + decode + broadcast: the phase tail shared by the
-  /// depth-1 reference round and the pipelined online stage. Crash lands
-  /// after the first pump — "crash after upload"; frames the crashed user
-  /// already enqueued still deliver (delayed, not dropped).
-  [[nodiscard]] std::vector<rep> online_tail(
-      std::uint64_t round, const std::vector<std::size_t>& crash_after_upload) {
-    pump();
-    for (const auto i : crash_after_upload) router_.crash(i);
-    server_->begin_recovery(round);
-    pump();  // survivor set out, aggregated shares back
-    auto result = server_->finish_round(round);
-    pump();  // result broadcast
-    note_step(server_->codec().last_decode_stats());
-    return result;
-  }
-
-  static void stage_delay(double seconds) {
-    if (seconds <= 0.0) return;
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
-
   SessionConfig cfg_;
   lsa::transport::ConcurrentRouter router_;
   std::unique_ptr<lsa::runtime::AggregationServer> server_;
   std::vector<std::unique_ptr<lsa::runtime::UserDevice>> users_;
   std::deque<QueuedRound> queue_;
-  /// Queue-front rounds whose offline stage ran (0..2); mutated only in
-  /// the driver's serial pre/post-wave steps.
-  std::size_t staged_ = 0;
-  std::uint64_t pending_offline_round_ = 0;
-  double last_offline_s_ = 0.0;   ///< written by the offline stage task
-  double last_online_s_ = 0.0;    ///< written by the online stage task
-  double offline_stage_s_ = 0.0;  ///< total offline-stage wall time
-  double offline_hidden_s_ = 0.0;
-  std::uint64_t pipeline_stalls_ = 0;
-  std::uint64_t max_in_flight_ = 0;
 };
 
 struct AsyncSessionConfig {
@@ -791,28 +621,15 @@ class AggregationServer {
   }
 
   /// Pumps every session's queued steps to completion, one shard per pool
-  /// task: sync sessions step whole rounds, async sessions step buffer
-  /// cycles. A shard whose sessions include a pipelined one (Params::
-  /// pipeline == 2) switches to the stage-granular wave loop below; a
-  /// shard without any runs the exact legacy serial loop — the tested
-  /// depth-1 reference. A failing session abandons its remaining queue;
-  /// the first failure is rethrown after every shard has drained.
+  /// task: each shard steps its sessions serially — whole rounds for sync
+  /// sessions, buffer cycles for async ones. A failing session abandons
+  /// its remaining queue; the first failure is rethrown after every shard
+  /// has drained.
   void drive() {
     std::vector<std::exception_ptr> errors(num_shards_);
     auto run_shard = [&](std::size_t s) {
-      std::vector<SessionBase*> shard;
-      bool pipelined = false;
       for (auto& [id, sess] : sessions_) {
         if (sess->shard_of(num_shards_) != s) continue;
-        shard.push_back(sess.get());
-        auto* sync = dynamic_cast<Session*>(sess.get());
-        if (sync != nullptr && sync->pipelined()) pipelined = true;
-      }
-      if (pipelined) {
-        drive_shard_waves(shard, errors[s]);
-        return;
-      }
-      for (auto* sess : shard) {
         while (!sess->done()) {
           try {
             sess->step();
@@ -855,13 +672,6 @@ class AggregationServer {
     std::uint64_t offline_encodes = 0;
     double decode_setup_s = 0.0;
     double decode_stream_s = 0.0;
-    /// Pipeline telemetry across sessions: the deepest in-flight round
-    /// count any session reached, total offline wall time hidden behind
-    /// concurrent online stages, and total online-only (bubble) waves.
-    std::uint64_t max_rounds_in_flight = 0;
-    double offline_hidden_s = 0.0;
-    double offline_stage_s = 0.0;
-    std::uint64_t pipeline_stalls = 0;
     std::vector<SessionStats> per_session;  ///< ordered by session id
   };
 
@@ -880,116 +690,11 @@ class AggregationServer {
       out.offline_encodes += s.offline_encodes;
       out.decode_setup_s += s.decode_setup_s;
       out.decode_stream_s += s.decode_stream_s;
-      out.max_rounds_in_flight =
-          std::max(out.max_rounds_in_flight, s.rounds_in_flight);
-      out.offline_hidden_s += s.offline_hidden_s;
-      out.offline_stage_s += s.offline_stage_s;
-      out.pipeline_stalls += s.pipeline_stalls;
     }
     return out;
   }
 
  private:
-  /// The stage-granular shard loop: each wave gathers one ready stage per
-  /// session — a pipelined sync session contributes its queue front's
-  /// ONLINE stage and/or the next round's OFFLINE stage, every other
-  /// session contributes one whole step — and runs them concurrently on
-  /// the pool (nested-safe: the sessions' own ExecPolicy fans out
-  /// underneath). All queue mutation, slot re-keying (prepare_offline) and
-  /// telemetry run serially between waves, which is the pipelined
-  /// ownership rule that keeps the concurrent stages race-free. So one
-  /// shard interleaves session A's decode with session B's — or A's own
-  /// next-round — encode, and the steady-state wave of a single session is
-  /// [online(r) ∥ offline(r+1)]: latency max(T_on, T_off) + ε instead of
-  /// T_on + T_off.
-  void drive_shard_waves(const std::vector<SessionBase*>& shard,
-                         std::exception_ptr& error) {
-    struct WaveEntry {
-      SessionBase* sess = nullptr;
-      Session* sync = nullptr;  ///< non-null for pipelined stage entries
-      bool online = false;      ///< pipelined: online stage in this wave
-      bool offline = false;     ///< pipelined: offline stage in this wave
-    };
-    std::vector<WaveEntry> entries;
-    std::vector<std::function<void()>> tasks;
-    std::vector<std::exception_ptr> task_errors;
-    for (;;) {
-      entries.clear();
-      tasks.clear();
-      // Serial pre-wave: collect ready work and key next-round slots.
-      for (auto* sess : shard) {
-        auto* sync = dynamic_cast<Session*>(sess);
-        if (sync != nullptr && sync->pipelined()) {
-          WaveEntry e{sess, sync, sync->has_online_work(), false};
-          if (sync->has_offline_work()) {
-            sync->prepare_offline();
-            e.offline = true;
-          }
-          if (!e.online && !e.offline) continue;
-          if (e.online) tasks.push_back([sync] { sync->run_online_stage(); });
-          if (e.offline) {
-            tasks.push_back([sync] { sync->run_offline_stage(); });
-          }
-          entries.push_back(e);
-          continue;
-        }
-        if (sess->done()) continue;
-        entries.push_back(WaveEntry{sess, nullptr, false, false});
-        tasks.push_back([sess] { sess->step(); });
-      }
-      if (tasks.empty()) return;
-      task_errors.assign(tasks.size(), nullptr);
-      auto run_task = [&](std::size_t t) {
-        try {
-          tasks[t]();
-        } catch (...) {
-          task_errors[t] = std::current_exception();
-        }
-      };
-      if (pool_ != nullptr && tasks.size() > 1) {
-        pool_->parallel_for(tasks.size(), run_task, /*grain=*/1);
-      } else {
-        for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
-      }
-      // Serial post-wave: retire completed rounds, count steps, fold
-      // failures (a failed session abandons its queue and its staged
-      // offline work — the legacy error contract).
-      std::size_t t = 0;
-      for (const auto& e : entries) {
-        std::exception_ptr first;
-        const std::size_t n_tasks =
-            e.sync != nullptr
-                ? static_cast<std::size_t>(e.online) +
-                      static_cast<std::size_t>(e.offline)
-                : 1;
-        for (std::size_t k = 0; k < n_tasks; ++k) {
-          if (task_errors[t + k] && !first) first = task_errors[t + k];
-        }
-        const bool online_ok =
-            e.sync == nullptr || !e.online || !task_errors[t];
-        t += n_tasks;
-        if (e.sync != nullptr) {
-          if (e.online && online_ok) {
-            e.sync->retire_online();
-            // relaxed: progress gauge; results are published by the join.
-            rounds_completed_.fetch_add(1, std::memory_order_relaxed);
-          }
-          e.sync->note_wave(e.online && online_ok, e.offline);
-        } else if (!first) {
-          auto& counter = e.sess->kind() == SessionKind::kAsync
-                              ? cycles_completed_
-                              : rounds_completed_;
-          // relaxed: progress gauge; results are published by the join.
-          counter.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (first) {
-          if (!error) error = first;
-          e.sess->clear_pending();
-        }
-      }
-    }
-  }
-
   std::uint64_t adopt(std::unique_ptr<SessionBase> sess) {
     const std::uint64_t id = next_id_++;
     sess->id_ = id;

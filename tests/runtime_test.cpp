@@ -185,6 +185,45 @@ TEST(NetworkRound, TooManyCrashesFailLoudly) {
   EXPECT_THROW((void)net.run_round(0, models, {0, 1}), lsa::ProtocolError);
 }
 
+TEST(NetworkRound, WrongModelLengthSendsNothing) {
+  // A start with a model of the wrong length fails before any encoded
+  // share leaves the device: peers never bank shares for an upload that
+  // cannot follow.
+  Network net(net_params(5, 1, 4, 12), 3);
+  const std::vector<rep> short_model(11, 1);
+  EXPECT_THROW(net.user(0).start_round(0, short_model), lsa::ProtocolError);
+  EXPECT_EQ(net.router().frames_sent(), 0u);
+}
+
+TEST(NetworkRound, NextRoundBankedAheadOfRecovery) {
+  // Every device starts round 1 before round 0 is recovered, as a socket
+  // peer banking ahead does (server::RemoteSession). The device share
+  // stores and the server's upload store then hold two live rounds, one
+  // per BankRing slot, and each round still recovers its exact sum.
+  constexpr std::size_t kN = 5;
+  Network net(net_params(kN, 1, 4, 12), 17);
+  const std::vector<std::vector<std::vector<rep>>> models = {
+      random_models(kN, 12, 40), random_models(kN, 12, 41)};
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      net.user(i).start_round(r, models[r][i]);
+    }
+  }
+  net.pump();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(net.user(i).stored_shares(), 2 * kN) << "user " << i;
+  }
+  const std::vector<std::uint32_t> all = {0, 1, 2, 3, 4};
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(net.server().arrived(r), all) << "round " << r;
+    net.server().begin_recovery(r);
+    net.pump();  // survivor set out, aggregated shares back
+    EXPECT_EQ(net.server().finish_round(r), sum_of(models[r], all))
+        << "round " << r;
+    net.pump();  // result broadcast
+  }
+}
+
 TEST(NetworkRound, MultipleRoundsWithFreshMasksAndRejoins) {
   Network net(net_params(5, 1, 4, 12), 11);
   for (std::uint64_t round = 0; round < 4; ++round) {

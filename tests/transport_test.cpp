@@ -678,18 +678,15 @@ TEST(Session, PersistentCohortChurnSoakHundredRounds) {
   EXPECT_GE(st.decode_plan_reuses, 1u);
 }
 
-// ------------------------------------------------------- pipelined rounds
+// --------------------------------------------------------- batched rounds
 //
-// Params::pipeline == 2 splits a sync round into an offline stage (mask
-// gen + encode + share distribution) and an online stage (upload fan-in,
-// recovery, decode); the shard driver overlaps round r's online stage
-// with round r+1's offline stage. The contract under test: aggregates are
-// BIT-IDENTICAL to the depth-1 serial reference (and to runtime::Network)
-// under every dropout pattern, and the pipeline telemetry is honest.
+// Several rounds of one sync session queued and executed by a single
+// drive: the shard steps them whole, in order. The contract under test:
+// every aggregate is BIT-IDENTICAL to runtime::Network under every
+// dropout pattern, and the session counters account for every round.
 
-/// Queues `rounds.size()` rounds of one sync session on a 1-shard server
-/// and drives them in a single batch (the pipelined path when
-/// params.pipeline == 2, the legacy serial loop otherwise).
+/// Queues `model_sets.size()` rounds of one sync session on a 1-shard
+/// server and drives them in a single batch.
 std::vector<std::vector<rep>> drive_batched_rounds(
     lsa::sys::ThreadPool& pool, const lsa::protocol::Params& p,
     std::uint64_t seed,
@@ -711,76 +708,49 @@ std::vector<std::vector<rep>> drive_batched_rounds(
   return results;
 }
 
-TEST(PipelinedSession, DepthTwoBitIdenticalAcrossDropoutsNoRevive) {
-  // Four queued rounds with crashes accumulating to D = 2 and no revive:
-  // round 1 kills user 1 mid-pipeline (its round-2 offline stage races
-  // the crash), round 2 kills user 4, round 3 runs at the U boundary with
-  // exactly U = 5 live users. Depth 2 must match depth 1 must match the
-  // serial Network, bit for bit, every round.
-  const auto p = session_params(7, 2, 5, 33);
-  constexpr std::size_t kRounds = 4;
-  const std::vector<std::vector<std::size_t>> crashes = {{}, {1}, {4}, {}};
-  std::vector<std::vector<std::vector<rep>>> model_sets;
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    model_sets.push_back(random_models(7, 33, 7000 + r));
-  }
-
-  lsa::runtime::Network net(p, /*seed=*/31);
-  std::vector<std::vector<rep>> expected;
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    expected.push_back(net.run_round(r, model_sets[r], crashes[r]));
-  }
-
+TEST(BatchedRounds, BitIdenticalToNetworkAcrossDropoutsNoRevive) {
+  // Crashes accumulate without revive until the last round runs at the U
+  // boundary with exactly U live users:
+  //   * N = 7, U = 5: round 1 kills user 1, round 2 kills user 4;
+  //   * N = 6, U = 4: crashes at both ends, rounds 0 and 2.
+  // The batch must match the serial Network bit for bit, every round.
+  struct Case {
+    lsa::protocol::Params params;
+    std::uint64_t seed;
+    std::uint64_t model_seed;
+    std::vector<std::vector<std::size_t>> crashes;
+  };
+  const std::vector<Case> cases = {
+      {session_params(7, 2, 5, 33), 31, 7000, {{}, {1}, {4}, {}}},
+      {session_params(6, 1, 4, 24), 8, 8100, {{2}, {}, {5}}},
+  };
   lsa::sys::ThreadPool pool(4);
-  for (const std::size_t depth : {1u, 2u}) {
-    SCOPED_TRACE("pipeline depth " + std::to_string(depth));
-    auto pp = p;
-    pp.pipeline = depth;
+  for (const auto& c : cases) {
+    SCOPED_TRACE("N = " + std::to_string(c.params.num_users));
+    const std::size_t rounds = c.crashes.size();
+    std::vector<std::vector<std::vector<rep>>> model_sets;
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      model_sets.push_back(random_models(c.params.num_users,
+                                         c.params.model_dim,
+                                         c.model_seed + r));
+    }
+    lsa::runtime::Network net(c.params, c.seed);
     lsa::server::SessionStats st;
-    const auto results =
-        drive_batched_rounds(pool, pp, /*seed=*/31, model_sets, crashes, &st);
-    ASSERT_EQ(results.size(), kRounds);
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      EXPECT_EQ(results[r], expected[r]) << "round " << r;
+    const auto results = drive_batched_rounds(pool, c.params, c.seed,
+                                              model_sets, c.crashes, &st);
+    ASSERT_EQ(results.size(), rounds);
+    for (std::size_t r = 0; r < rounds; ++r) {
+      EXPECT_EQ(results[r], net.run_round(r, model_sets[r], c.crashes[r]))
+          << "round " << r;
     }
-    EXPECT_EQ(st.steps, kRounds);
-    if (depth == 2) {
-      EXPECT_EQ(st.rounds_in_flight, 2u);
-      // Exactly one online-only wave: the drained-queue tail.
-      EXPECT_EQ(st.pipeline_stalls, 1u);
-      EXPECT_GT(st.offline_hidden_s, 0.0);
-    } else {
-      EXPECT_EQ(st.rounds_in_flight, 1u);
-      EXPECT_EQ(st.pipeline_stalls, 0u);
-      EXPECT_EQ(st.offline_hidden_s, 0.0);
-    }
+    EXPECT_EQ(st.steps, rounds);
   }
 }
 
-TEST(PipelinedSession, DepthTwoBitIdenticalWithCrashesAtBothEnds) {
-  const auto p = session_params(6, 1, 4, 24);
-  constexpr std::size_t kRounds = 3;
-  const std::vector<std::vector<std::size_t>> crashes = {{2}, {}, {5}};
-  std::vector<std::vector<std::vector<rep>>> model_sets;
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    model_sets.push_back(random_models(6, 24, 8100 + r));
-  }
-  lsa::runtime::Network net(p, /*seed=*/8);
-  lsa::sys::ThreadPool pool(4);
-  auto pp = p;
-  pp.pipeline = 2;
-  const auto results =
-      drive_batched_rounds(pool, pp, /*seed=*/8, model_sets, crashes);
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    EXPECT_EQ(results[r], net.run_round(r, model_sets[r], crashes[r]))
-        << "round " << r;
-  }
-}
-
-TEST(PipelinedSession, ReviveBetweenDrivesRejoinsTheCohort) {
-  // Crash mid-pipeline in the first batch, revive between drives, run a
-  // second batch: the revived user is back in every aggregate, matching a
-  // Network reference replaying the same crash/revive schedule.
+TEST(BatchedRounds, ReviveBetweenDrivesRejoinsTheCohort) {
+  // Crash in the first batch, revive between drives, run a second batch:
+  // the revived user is back in every aggregate, matching a Network
+  // reference replaying the same crash/revive schedule.
   const auto p = session_params(6, 1, 4, 16);
   std::vector<std::vector<std::vector<rep>>> model_sets;
   for (std::uint64_t r = 0; r < 4; ++r) {
@@ -798,7 +768,6 @@ TEST(PipelinedSession, ReviveBetweenDrivesRejoinsTheCohort) {
   lsa::sys::ThreadPool pool(4);
   lsa::server::AggregationServer server(&pool, /*num_shards=*/1);
   auto pp = p;
-  pp.pipeline = 2;
   pp.exec.pool = &pool;
   const auto id = server.open_session(
       lsa::server::SessionConfig{.params = pp, .seed = 55});
@@ -815,51 +784,10 @@ TEST(PipelinedSession, ReviveBetweenDrivesRejoinsTheCohort) {
   EXPECT_EQ(second[0], model_sum(model_sets[2]));  // all 6 back in
 }
 
-TEST(PipelinedSession, StageDelaysOverlapAndTelemetryIsHonest) {
-  // With symmetric per-stage delays the steady-state waves must hide
-  // offline time behind online time: hidden >= (rounds - 1) * delay.
-  const auto p = session_params(6, 1, 4, 16);
-  constexpr std::size_t kRounds = 4;
-  constexpr double kDelay = 0.003;
-  std::vector<std::vector<std::vector<rep>>> model_sets;
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    model_sets.push_back(random_models(6, 16, 8300 + r));
-  }
-
-  lsa::sys::ThreadPool pool(4);
-  lsa::server::AggregationServer server(&pool, /*num_shards=*/1);
-  auto pp = p;
-  pp.pipeline = 2;
-  pp.exec.pool = &pool;
-  const auto id = server.open_session(lsa::server::SessionConfig{
-      .params = pp,
-      .seed = 2,
-      .offline_stage_delay_s = kDelay,
-      .online_stage_delay_s = kDelay});
-  std::vector<lsa::server::AggregationServer::RoundWork> works;
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    works.push_back({id, r, &model_sets[r], {}});
-  }
-  const auto results = server.run_rounds(works);
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    EXPECT_EQ(results[r], model_sum(model_sets[r])) << "round " << r;
-  }
-  const auto st = server.session(id).stats();
-  EXPECT_EQ(st.rounds_in_flight, 2u);
-  EXPECT_EQ(st.pipeline_stalls, 1u);  // the tail wave
-  EXPECT_GE(st.offline_hidden_s, (kRounds - 1) * kDelay);
-  // Process rollup carries the same telemetry.
-  const auto ps = server.stats();
-  EXPECT_EQ(ps.max_rounds_in_flight, 2u);
-  EXPECT_EQ(ps.pipeline_stalls, 1u);
-  EXPECT_GE(ps.offline_hidden_s, (kRounds - 1) * kDelay);
-}
-
-TEST(PipelinedSession, PersistentCohortEpochsKeepExactCounters) {
-  // Pipelining composes with the persistent-cohort fast path: a stable
-  // 6-round depth-2 cohort still pays exactly one offline encode per user
-  // and one plan build, and stays bit-identical to the depth-1 persistent
-  // session over the same models.
+TEST(BatchedRounds, PersistentCohortEpochsKeepExactCounters) {
+  // A stable 6-round persistent cohort driven as one batch pays exactly
+  // one offline encode per user and one plan build, and every aggregate
+  // is the exact model sum.
   const auto p = session_params(7, 2, 5, 33);
   constexpr std::size_t kRounds = 6;
   std::vector<std::vector<std::vector<rep>>> model_sets;
@@ -869,34 +797,24 @@ TEST(PipelinedSession, PersistentCohortEpochsKeepExactCounters) {
   }
 
   lsa::sys::ThreadPool pool(4);
-  lsa::server::SessionStats st1, st2;
-  const auto depth1 = drive_batched_rounds(pool, p, /*seed=*/6, model_sets,
-                                           crashes, &st1,
-                                           /*persistent=*/true);
-  auto pp = p;
-  pp.pipeline = 2;
-  const auto depth2 = drive_batched_rounds(pool, pp, /*seed=*/6, model_sets,
-                                           crashes, &st2,
-                                           /*persistent=*/true);
+  lsa::server::SessionStats st;
+  const auto results = drive_batched_rounds(pool, p, /*seed=*/6, model_sets,
+                                            crashes, &st,
+                                            /*persistent=*/true);
   for (std::size_t r = 0; r < kRounds; ++r) {
-    EXPECT_EQ(depth2[r], depth1[r]) << "round " << r;
-    EXPECT_EQ(depth2[r], model_sum(model_sets[r])) << "round " << r;
+    EXPECT_EQ(results[r], model_sum(model_sets[r])) << "round " << r;
   }
-  for (const auto* st : {&st1, &st2}) {
-    EXPECT_EQ(st->steps, kRounds);
-    EXPECT_EQ(st->offline_encodes, 7u);  // once per user, NOT per round
-    EXPECT_EQ(st->decode_plan_builds, 1u);
-    EXPECT_EQ(st->decode_plan_reuses, kRounds - 1);
-    EXPECT_EQ(st->decode_plan_patches, 0u);
-  }
-  EXPECT_EQ(st2.rounds_in_flight, 2u);
+  EXPECT_EQ(st.steps, kRounds);
+  EXPECT_EQ(st.offline_encodes, 7u);  // once per user, NOT per round
+  EXPECT_EQ(st.decode_plan_builds, 1u);
+  EXPECT_EQ(st.decode_plan_reuses, kRounds - 1);
+  EXPECT_EQ(st.decode_plan_patches, 0u);
 }
 
-TEST(AggregationServer, MixedShardPipelinedLegacyAndAsyncInOneDrive) {
-  // One shard holding a depth-2 session, a depth-1 session and an async
-  // buffered session: the wave driver must interleave all three — the
-  // pipelined session stage-granularly, the others one whole step per
-  // wave — with every sync aggregate matching its Network reference.
+TEST(AggregationServer, MixedShardSyncAndAsyncInOneDrive) {
+  // One shard holding two sync sessions and an async buffered session:
+  // the shard task steps all three in one drive, with every sync
+  // aggregate matching its Network reference.
   lsa::sys::ThreadPool pool(4);
   lsa::server::AggregationServer server(&pool, /*num_shards=*/1);
 
@@ -918,7 +836,6 @@ TEST(AggregationServer, MixedShardPipelinedLegacyAndAsyncInOneDrive) {
   }
 
   auto ppa = pa;
-  ppa.pipeline = 2;
   ppa.exec.pool = &pool;
   auto ppb = pb;
   ppb.exec.pool = &pool;
@@ -951,11 +868,11 @@ TEST(AggregationServer, MixedShardPipelinedLegacyAndAsyncInOneDrive) {
   EXPECT_EQ(server.cycles_completed(), 2u);
 }
 
-TEST(PipelinedSession, UnrecoverableRoundAbandonsQueueOthersProceed) {
-  // Round 1 of the pipelined session loses too many responders (crash 2
-  // of 6 with U = 5): the drive rethrows, the failing session abandons
-  // its remaining queue INCLUDING its staged offline work, and a healthy
-  // depth-2 session in the same shard still completes every round.
+TEST(BatchedRounds, UnrecoverableRoundAbandonsQueueOthersProceed) {
+  // Round 1 of one session loses too many responders (crash 2 of 6 with
+  // U = 5): the drive rethrows, the failing session abandons its
+  // remaining queue after one completed round, and a healthy session in
+  // the same shard still completes every round.
   const auto p = session_params(6, 1, 5, 12);
   std::vector<std::vector<std::vector<rep>>> models_bad, models_ok;
   for (std::uint64_t r = 0; r < 3; ++r) {
@@ -966,7 +883,6 @@ TEST(PipelinedSession, UnrecoverableRoundAbandonsQueueOthersProceed) {
   lsa::sys::ThreadPool pool(4);
   lsa::server::AggregationServer server(&pool, /*num_shards=*/1);
   auto pp = p;
-  pp.pipeline = 2;
   pp.exec.pool = &pool;
   const auto id_bad = server.open_session(
       lsa::server::SessionConfig{.params = pp, .seed = 91});
@@ -982,6 +898,9 @@ TEST(PipelinedSession, UnrecoverableRoundAbandonsQueueOthersProceed) {
   EXPECT_THROW((void)server.run_rounds(works), lsa::ProtocolError);
   EXPECT_EQ(server.session(id_bad).pending(), 0u);  // queue abandoned
   EXPECT_EQ(server.session(id_ok).pending(), 0u);   // ran to completion
+  EXPECT_EQ(server.session(id_bad).stats().steps, 1u);
+  EXPECT_EQ(server.session(id_ok).stats().steps, 3u);
+  EXPECT_EQ(server.rounds_completed(), 4u);
   // The healthy session's rounds all completed and are correct: replay
   // the same workload standalone for the expected bits.
   lsa::runtime::Network ref(p, /*seed=*/92);
@@ -989,10 +908,9 @@ TEST(PipelinedSession, UnrecoverableRoundAbandonsQueueOthersProceed) {
   for (std::size_t r = 0; r < 3; ++r) {
     exp_ok.push_back(ref.run_round(r, models_ok[r], {}));
   }
-  lsa::server::SessionStats st;
   const auto again = drive_batched_rounds(
-      pool, pp, /*seed=*/92, models_ok,
-      std::vector<std::vector<std::size_t>>(3), &st);
+      pool, p, /*seed=*/92, models_ok,
+      std::vector<std::vector<std::size_t>>(3));
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_EQ(again[r], exp_ok[r]) << "round " << r;
   }

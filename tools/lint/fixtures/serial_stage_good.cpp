@@ -1,5 +1,5 @@
-// Known-good fixture: serialized members mutated only from allowlisted
-// serial steps; class-scope default initializers are exempt. serial-stage
+// Known-good fixture: the step queue is mutated only from allowlisted
+// serial calls; class-scope default initializers are exempt. serial-stage
 // must stay silent here.
 #include <cstddef>
 #include <deque>
@@ -8,19 +8,15 @@ namespace fx {
 class SyncSession {
  public:
   void enqueue_round(int work) { queue_.push_back(work); }
-  void prepare_offline() { ++staged_; }
-  void retire_online() {
-    queue_.pop_front();
-    --staged_;
+  void enqueue_scheduled_cycles(std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) ++next_scheduled_cycle_;
   }
-  void clear_pending() {
-    queue_.clear();
-    staged_ = 0;
-  }
+  void step() { queue_.pop_front(); }
+  void clear_pending() { queue_.clear(); }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
   std::deque<int> queue_;
-  std::size_t staged_ = 0;  // class-scope initializer: exempt
+  std::size_t next_scheduled_cycle_ = 0;  // class-scope initializer: exempt
 };
 }  // namespace fx

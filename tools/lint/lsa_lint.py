@@ -39,11 +39,10 @@ Rules
                         is a sanctioned single-copy site or a bug. Escape:
                         `// copy-ok: <which sanctioned copy this is>`;
                         fixed-size header peeks (literal size <= 16) pass.
-  serial-stage          src/server/aggregation_server.h: session queue and
-                        telemetry members may only be mutated from the
-                        functions the pipelined driver runs serially
-                        (the stage-interface contract the data-race
-                        freedom argument rests on).
+  serial-stage          src/server/aggregation_server.h: a session's step
+                        queue may only be mutated from the functions the
+                        shard driver runs serially, between steps — a
+                        step's ExecPolicy fan-out must never touch it.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -461,21 +460,13 @@ def rule_memcpy_payload(text, code, comments, relpath) -> list[Finding]:
     return out
 
 
-# The pipelined driver's data-race-freedom argument: these members are only
-# touched by the steps the shard task runs serially (between, not during,
-# the concurrent stage pair). Growing the stage interface means growing
-# this map — deliberately, in the same review.
+# The shard driver's ownership rule: a session's step queue is only touched
+# by the calls the shard task makes serially (enqueue before a drive, pop
+# and abandon between steps), never from inside a step, whose ExecPolicy
+# fan-out runs on pool lanes. Adding a queue mutator means growing this
+# map — deliberately, in the same review.
 SERIAL_STAGE_ALLOW: dict[str, set[str]] = {
-    "queue_": {"enqueue_round", "enqueue_cycle", "clear_pending",
-               "retire_online", "step"},
-    "staged_": {"prepare_offline", "retire_online", "clear_pending"},
-    "pending_offline_round_": {"prepare_offline"},
-    "max_in_flight_": {"run_round", "prepare_offline"},
-    "last_offline_s_": {"run_offline_stage"},
-    "offline_stage_s_": {"run_offline_stage"},
-    "last_online_s_": {"run_online_stage"},
-    "offline_hidden_s_": {"note_wave"},
-    "pipeline_stalls_": {"note_wave"},
+    "queue_": {"enqueue_round", "enqueue_cycle", "clear_pending", "step"},
     "next_scheduled_cycle_": {"enqueue_scheduled_cycles"},
 }
 
@@ -506,9 +497,9 @@ def rule_serial_stage(text, code, comments, relpath) -> list[Finding]:
                 out.append(Finding(
                     "serial-stage", relpath, line_of(m.start(), starts),
                     f"`{member}` mutated in `{scope}()`, which is not in "
-                    f"its serial-step allowlist {sorted(allowed)} — the "
-                    "pipelined driver's race-freedom argument only covers "
-                    "the serial steps"))
+                    f"its serial-step allowlist {sorted(allowed)} — only "
+                    "the shard driver's serial calls may touch the queue; "
+                    "a step's ExecPolicy fan-out must not"))
     return out
 
 
