@@ -138,16 +138,32 @@ void BM_ChaCha20Block(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaCha20Block);
 
+// The mask PRG at the workloads' d (MNIST 7,850, FEMNIST 1,206,590): the
+// multi-block keystream and the vector sampler vs the scalar block loop
+// and sampler (selected ISA in the simd_isa context key).
+template <bool ForceScalar>
 void BM_PrgExpandFieldElems(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<rep32> v(n);
+  const lsa::field::simd::ScopedSimdPolicy guard(
+      ForceScalar ? lsa::field::simd::SimdPolicy::kForceScalar
+                  : lsa::field::simd::SimdPolicy::kAuto);
   for (auto _ : state) {
     lsa::crypto::Prg prg(lsa::crypto::seed_from_u64(7));
-    auto v = lsa::field::uniform_vector<Fp32>(n, prg);
+    lsa::field::fill_uniform<Fp32>(std::span<rep32>(v), prg);
     benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_PrgExpandFieldElems)->Arg(1 << 14)->Arg(1 << 18);
+void BM_PrgExpandFieldElems_Scalar(benchmark::State& state) {
+  BM_PrgExpandFieldElems<true>(state);
+}
+void BM_PrgExpandFieldElems_Dispatched(benchmark::State& state) {
+  BM_PrgExpandFieldElems<false>(state);
+}
+BENCHMARK(BM_PrgExpandFieldElems_Scalar)->Arg(7850)->Arg(1206590);
+BENCHMARK(BM_PrgExpandFieldElems_Dispatched)->Arg(7850)->Arg(1206590);
 
 void BM_DhKeyAgreement(benchmark::State& state) {
   const auto kp = lsa::crypto::generate_keypair(lsa::crypto::seed_from_u64(1));

@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "common/error.h"
+#include "field/simd/dispatch.h"
+
 namespace lsa::crypto {
 
 namespace {
@@ -32,17 +35,26 @@ void store_le32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+/// The RFC 8439 input state: constants, key, block counter, nonce.
+void init_state(const ChaChaKey& key, std::uint32_t counter,
+                const ChaChaNonce& nonce, std::uint32_t state[16]) {
+  // "expand 32-byte k" constants.
+  state[0] = 0x61707865u;
+  state[1] = 0x3320646eu;
+  state[2] = 0x79622d32u;
+  state[3] = 0x6b206574u;
+  for (int i = 0; i < 8; ++i) state[4 + i] = load_le32(key.data() + 4 * i);
+  state[12] = counter;
+  for (int i = 0; i < 3; ++i) state[13 + i] = load_le32(nonce.data() + 4 * i);
+}
+
 }  // namespace
 
 void chacha20_block(const ChaChaKey& key, std::uint32_t counter,
                     const ChaChaNonce& nonce,
                     std::span<std::uint8_t, 64> out) {
-  // "expand 32-byte k" constants.
-  std::uint32_t state[16] = {0x61707865u, 0x3320646eu, 0x79622d32u,
-                             0x6b206574u};
-  for (int i = 0; i < 8; ++i) state[4 + i] = load_le32(key.data() + 4 * i);
-  state[12] = counter;
-  for (int i = 0; i < 3; ++i) state[13 + i] = load_le32(nonce.data() + 4 * i);
+  std::uint32_t state[16];
+  init_state(key, counter, nonce, state);
 
   std::uint32_t w[16];
   std::memcpy(w, state, sizeof(w));
@@ -63,15 +75,34 @@ void chacha20_block(const ChaChaKey& key, std::uint32_t counter,
   }
 }
 
+void chacha20_blocks(const ChaChaKey& key, const ChaChaNonce& nonce,
+                     std::uint32_t counter, std::span<std::uint8_t> out) {
+  if (out.size() % 64 != 0) {
+    throw lsa::ConfigError("chacha20_blocks: need whole 64-byte blocks");
+  }
+  const std::size_t nblocks = out.size() / 64;
+  const auto* k = lsa::field::simd::u32_active();
+  if (k != nullptr && k->chacha20_blocks != nullptr) {
+    std::uint32_t state[16];
+    init_state(key, counter, nonce, state);
+    k->chacha20_blocks(state, out.data(), nblocks);
+    return;
+  }
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    chacha20_block(key, counter++, nonce,
+                   std::span<std::uint8_t, 64>(out.data() + 64 * b, 64));
+  }
+}
+
 void chacha20_stream(const ChaChaKey& key, const ChaChaNonce& nonce,
                      std::uint32_t counter, std::span<std::uint8_t> out) {
-  std::array<std::uint8_t, 64> block;
-  std::size_t off = 0;
-  while (off < out.size()) {
-    chacha20_block(key, counter++, nonce, block);
-    const std::size_t n = std::min<std::size_t>(64, out.size() - off);
-    std::memcpy(out.data() + off, block.data(), n);
-    off += n;
+  const std::size_t whole = out.size() / 64 * 64;
+  chacha20_blocks(key, nonce, counter, out.first(whole));
+  if (whole < out.size()) {
+    std::array<std::uint8_t, 64> block;
+    chacha20_blocks(key, nonce,
+                    counter + static_cast<std::uint32_t>(whole / 64), block);
+    std::memcpy(out.data() + whole, block.data(), out.size() - whole);
   }
 }
 

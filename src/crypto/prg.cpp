@@ -1,5 +1,6 @@
 #include "crypto/prg.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace lsa::crypto {
@@ -37,11 +38,30 @@ Prg::Prg(const Seed& seed, std::uint64_t stream_id) {
 }
 
 std::uint64_t Prg::next_u64() {
-  if (pos_ + 8 > buf_.size()) refill();
+  // Skip a block tail shorter than one draw (only a fill_bytes of a length
+  // that is not a multiple of 8 leaves one).
+  if ((pos_ & 63) > 56) pos_ = (pos_ | 63) + 1;
+  if (pos_ == buf_.size()) refill();
   std::uint64_t v;
   std::memcpy(&v, buf_.data() + pos_, 8);
   pos_ += 8;
   return v;
+}
+
+void Prg::fill_u64(std::span<std::uint64_t> out) {
+  std::size_t i = 0;
+  while (i < out.size()) {
+    if ((pos_ & 7) != 0) {
+      // Draws off the 8-byte grid until the next block boundary.
+      out[i++] = next_u64();
+      continue;
+    }
+    if (pos_ == buf_.size()) refill();
+    const std::size_t n = std::min((buf_.size() - pos_) / 8, out.size() - i);
+    std::memcpy(out.data() + i, buf_.data() + pos_, 8 * n);
+    pos_ += 8 * n;
+    i += n;
+  }
 }
 
 void Prg::fill_bytes(std::span<std::uint8_t> out) {
@@ -56,7 +76,8 @@ void Prg::fill_bytes(std::span<std::uint8_t> out) {
 }
 
 void Prg::refill() {
-  chacha20_block(key_, counter_++, nonce_, buf_);
+  chacha20_blocks(key_, nonce_, counter_, buf_);
+  counter_ += static_cast<std::uint32_t>(kBatchBlocks);
   pos_ = 0;
 }
 

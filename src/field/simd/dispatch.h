@@ -1,8 +1,10 @@
 // Runtime-dispatched SIMD kernel tables for the field substrate.
 //
 // The hot loops of this library — Shoup / lazy-192 axpy GEMM panels,
-// split-word lazy accumulation, elementwise mask add/sub, NTT butterflies —
-// are generic scalar templates in field/field_vec.h and coding/ntt.h. This
+// split-word lazy accumulation, elementwise mask add/sub, NTT butterflies,
+// the mask PRG's ChaCha20 keystream and field sampler — are generic scalar
+// code in field/field_vec.h, coding/ntt.h, crypto/chacha20.cpp and
+// field/random_field.h. This
 // layer provides hand-vectorized implementations (AVX2, AVX-512, NEON) of
 // those exact kernels, selected ONCE at startup by a CPUID/feature probe
 // and reached through per-field function-pointer tables. The scalar
@@ -69,7 +71,9 @@ enum class Level : std::uint8_t {
 /// the u64 lanes clear of overflow.
 inline constexpr std::size_t kMaxLazyTerms = std::size_t{1} << 15;
 
-/// Kernels generic over any 32-bit prime modulus q (canonical reps < q).
+/// Kernels on 32-bit lanes: the modular ones are generic over any 32-bit
+/// prime modulus q (canonical reps < q); chacha20_blocks and sample_pm32
+/// are the mask PRG's keystream and its field sampler.
 struct U32Kernels {
   /// acc[i] = (acc[i] + x[i]) mod q — PrimeField::add elementwise.
   void (*add_mod)(std::uint32_t* acc, const std::uint32_t* x, std::size_t n,
@@ -99,6 +103,20 @@ struct U32Kernels {
                      std::size_t coeff_stride,
                      const std::uint32_t* const* src, std::size_t rows,
                      std::size_t terms, std::size_t n, std::uint32_t q);
+  /// Writes nblocks ChaCha20 keystream blocks of 64 bytes each to out:
+  /// block b is the RFC 8439 block function of the 16-word input `state`
+  /// with its counter word state[12] advanced by b (mod 2^32). Stores whole
+  /// blocks into out (64 * nblocks bytes, any alignment). Null on levels
+  /// without a multi-block body, which loop crypto::chacha20_block.
+  void (*chacha20_blocks)(const std::uint32_t* state, std::uint8_t* out,
+                          std::size_t nblocks);
+  /// The rejection sampler of field/random_field.h for a pseudo-Mersenne
+  /// q = 2^32 - c, c < 2^16: writes each draw below floor((2^64 - 1) / q) * q,
+  /// in order, as draw mod q to out (room for n) and returns how many it
+  /// wrote. Vector groups holding a rejected draw take the scalar loop.
+  /// Null on levels without a body, which keep the scalar loop.
+  std::size_t (*sample_pm32)(std::uint32_t* out, const std::uint64_t* draws,
+                             std::size_t n, std::uint32_t q);
 };
 
 /// Kernels generic over any 64-bit modulus q < 2^63 (so sums of two

@@ -309,6 +309,154 @@ void u32_gemm_split(u32* const* dst, const u32* coeffs, std::size_t cs,
   }
 }
 
+// ---------------------------------------------------- ChaCha20 keystream
+//
+// Goll and Gueron's layout at 8 lanes: vector w holds state word w of 8
+// blocks, one block per lane, each lane with its own counter. AVX2 has no
+// rotate: the 16- and 8-bit rotates are byte shuffles, 12 and 7 are shift
+// pairs. Two 8 x 8 word transposes on store (words 0..7, then 8..15) give
+// each block's two 32-byte halves.
+
+template <int K>
+inline __m256i rotl32(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi32(x, K), _mm256_srli_epi32(x, 32 - K));
+}
+
+inline void chacha_qr(__m256i& a, __m256i& b, __m256i& c, __m256i& d,
+                      __m256i rot16, __m256i rot8) {
+  a = _mm256_add_epi32(a, b);
+  d = _mm256_shuffle_epi8(_mm256_xor_si256(d, a), rot16);
+  c = _mm256_add_epi32(c, d);
+  b = rotl32<12>(_mm256_xor_si256(b, c));
+  a = _mm256_add_epi32(a, b);
+  d = _mm256_shuffle_epi8(_mm256_xor_si256(d, a), rot8);
+  c = _mm256_add_epi32(c, d);
+  b = rotl32<7>(_mm256_xor_si256(b, c));
+}
+
+/// x[w] holds word w of blocks 0..7; stores those 8 words of block b at
+/// out + 64 b. After the 32- and 64-bit unpacks, 128-bit lane k of lo[j]
+/// (hi[j]) holds words 0..3 (4..7) of block 4k + j.
+inline void store_transposed8(const __m256i* x, std::uint8_t* out) {
+  const __m256i a0 = _mm256_unpacklo_epi32(x[0], x[1]);
+  const __m256i a1 = _mm256_unpackhi_epi32(x[0], x[1]);
+  const __m256i a2 = _mm256_unpacklo_epi32(x[2], x[3]);
+  const __m256i a3 = _mm256_unpackhi_epi32(x[2], x[3]);
+  const __m256i a4 = _mm256_unpacklo_epi32(x[4], x[5]);
+  const __m256i a5 = _mm256_unpackhi_epi32(x[4], x[5]);
+  const __m256i a6 = _mm256_unpacklo_epi32(x[6], x[7]);
+  const __m256i a7 = _mm256_unpackhi_epi32(x[6], x[7]);
+  const __m256i lo[4] = {
+      _mm256_unpacklo_epi64(a0, a2), _mm256_unpackhi_epi64(a0, a2),
+      _mm256_unpacklo_epi64(a1, a3), _mm256_unpackhi_epi64(a1, a3)};
+  const __m256i hi[4] = {
+      _mm256_unpacklo_epi64(a4, a6), _mm256_unpackhi_epi64(a4, a6),
+      _mm256_unpacklo_epi64(a5, a7), _mm256_unpackhi_epi64(a5, a7)};
+  for (int j = 0; j < 4; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 64 * j),
+                        _mm256_permute2x128_si256(lo[j], hi[j], 0x20));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 64 * (4 + j)),
+                        _mm256_permute2x128_si256(lo[j], hi[j], 0x31));
+  }
+}
+
+/// 8 blocks at counters state[12] + 0..7 (mod 2^32) into out[0, 512).
+void chacha_batch8(const u32* state, std::uint8_t* out) {
+  const __m256i rot16 = _mm256_setr_epi8(
+      2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+      2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
+  const __m256i rot8 = _mm256_setr_epi8(
+      3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+      3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14);
+  __m256i in[16];
+  for (int w = 0; w < 16; ++w) {
+    in[w] = _mm256_set1_epi32(static_cast<int>(state[w]));
+  }
+  in[12] = _mm256_add_epi32(in[12], _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256i x[16];
+  for (int w = 0; w < 16; ++w) x[w] = in[w];
+  for (int round = 0; round < 10; ++round) {
+    chacha_qr(x[0], x[4], x[8], x[12], rot16, rot8);
+    chacha_qr(x[1], x[5], x[9], x[13], rot16, rot8);
+    chacha_qr(x[2], x[6], x[10], x[14], rot16, rot8);
+    chacha_qr(x[3], x[7], x[11], x[15], rot16, rot8);
+    chacha_qr(x[0], x[5], x[10], x[15], rot16, rot8);
+    chacha_qr(x[1], x[6], x[11], x[12], rot16, rot8);
+    chacha_qr(x[2], x[7], x[8], x[13], rot16, rot8);
+    chacha_qr(x[3], x[4], x[9], x[14], rot16, rot8);
+  }
+  for (int w = 0; w < 16; ++w) x[w] = _mm256_add_epi32(x[w], in[w]);
+  store_transposed8(x, out);
+  store_transposed8(x + 8, out + 32);
+}
+
+void u32_chacha20_blocks(const u32* state, std::uint8_t* out,
+                         std::size_t nblocks) {
+  u32 st[16];
+  std::copy(state, state + 16, st);
+  for (; nblocks >= 8; nblocks -= 8, out += 512, st[12] += 8) {
+    chacha_batch8(st, out);
+  }
+  if (nblocks > 0) {
+    // A batch always stores 8 blocks: a short one goes through a local
+    // buffer so nothing lands past out.
+    alignas(32) std::uint8_t tail[512];
+    chacha_batch8(st, tail);
+    std::copy(tail, tail + 64 * nblocks, out);
+  }
+}
+
+// ----------------------------------------------------- uniform sampler
+
+/// v mod q for q = 2^32 - c, c < 2^16: 2^32 = c (mod q), so two folds of
+/// the high word bring v below 2^32 + c^2 < 2q, and one conditional
+/// subtraction finishes.
+inline u32 s_reduce_pm(u64 v, u64 c, u64 q) {
+  v = (v >> 32) * c + (v & 0xFFFFFFFFu);
+  v = (v >> 32) * c + (v & 0xFFFFFFFFu);
+  return static_cast<u32>(v >= q ? v - q : v);
+}
+
+std::size_t u32_sample_pm32(u32* out, const u64* draws, std::size_t n,
+                            u32 q) {
+  const u64 c = (u64{1} << 32) - q;
+  const u64 limit = (~u64{0} / q) * q;
+  const __m256i vc = _mm256_set1_epi64x(static_cast<long long>(c));
+  const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
+  const __m256i vqm1 = _mm256_set1_epi64x(static_cast<long long>(q - 1));
+  const __m256i vlimit = _mm256_set1_epi64x(static_cast<long long>(limit));
+  const __m256i m32 = _mm256_set1_epi64x(0xFFFFFFFFll);
+  const __m256i low_words = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(draws + i));
+    if (_mm256_movemask_pd(_mm256_castsi256_pd(lt_epu64(v, vlimit))) != 0xF) {
+      // A rejected draw in the group: the scalar loop keeps the order.
+      for (std::size_t k = i; k < i + 4; ++k) {
+        if (draws[k] < limit) out[j++] = s_reduce_pm(draws[k], c, q);
+      }
+      continue;
+    }
+    __m256i x = _mm256_add_epi64(
+        _mm256_mul_epu32(_mm256_srli_epi64(v, 32), vc), _mm256_and_si256(v, m32));
+    x = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 32), vc),
+                         _mm256_and_si256(x, m32));
+    // x < 2^33: the signed compare is exact.
+    x = _mm256_sub_epi64(
+        x, _mm256_and_si256(vq, _mm256_cmpgt_epi64(x, vqm1)));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(out + j),
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(x, low_words)));
+    j += 4;
+  }
+  for (; i < n; ++i) {
+    if (draws[i] < limit) out[j++] = s_reduce_pm(draws[i], c, q);
+  }
+  return j;
+}
+
 // ------------------------------------------------------------ u64 kernels
 
 void u64_add_mod(u64* acc, const u64* x, std::size_t n, u64 q) {
@@ -632,6 +780,8 @@ const U32Kernels kU32Avx2 = {
     &u32_accum_widen,
     &u32_axpy_split,
     &u32_gemm_split,
+    &u32_chacha20_blocks,
+    &u32_sample_pm32,
 };
 
 const U64Kernels kU64Avx2 = {

@@ -266,6 +266,144 @@ void u32_gemm_split(u32* const* dst, const u32* coeffs, std::size_t cs,
   }
 }
 
+// ---------------------------------------------------- ChaCha20 keystream
+//
+// Goll and Gueron's layout: vector w holds state word w of 16 blocks, one
+// block per lane, each lane with its own counter. The rounds run on whole
+// vectors (native 32-bit rotates), and a 16 x 16 word transpose on store
+// turns the lanes back into 16 contiguous 64-byte blocks.
+
+// gcc 12 reports the _mm512_undefined_epi32() passthrough inside the
+// rotate, unpack and lane-shuffle intrinsics as used uninitialized.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+inline void chacha_qr(__m512i& a, __m512i& b, __m512i& c, __m512i& d) {
+  a = _mm512_add_epi32(a, b);
+  d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);
+  c = _mm512_add_epi32(c, d);
+  b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);
+  a = _mm512_add_epi32(a, b);
+  d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);
+  c = _mm512_add_epi32(c, d);
+  b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
+}
+
+/// 16 blocks at counters state[12] + 0..15 (mod 2^32) into out[0, 1024).
+void chacha_batch16(const u32* state, std::uint8_t* out) {
+  __m512i in[16];
+  for (int w = 0; w < 16; ++w) {
+    in[w] = _mm512_set1_epi32(static_cast<int>(state[w]));
+  }
+  in[12] = _mm512_add_epi32(
+      in[12], _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                14, 15));
+  __m512i x[16];
+  for (int w = 0; w < 16; ++w) x[w] = in[w];
+  for (int round = 0; round < 10; ++round) {
+    chacha_qr(x[0], x[4], x[8], x[12]);
+    chacha_qr(x[1], x[5], x[9], x[13]);
+    chacha_qr(x[2], x[6], x[10], x[14]);
+    chacha_qr(x[3], x[7], x[11], x[15]);
+    chacha_qr(x[0], x[5], x[10], x[15]);
+    chacha_qr(x[1], x[6], x[11], x[12]);
+    chacha_qr(x[2], x[7], x[8], x[13]);
+    chacha_qr(x[3], x[4], x[9], x[14]);
+  }
+  for (int w = 0; w < 16; ++w) x[w] = _mm512_add_epi32(x[w], in[w]);
+  // Transpose each group of four words g: after the 32- and 64-bit
+  // unpacks, 128-bit lane k of t[g][j] holds words 4g..4g+3 of block
+  // 4k + j; the two i32x4 shuffles then gather lane k of t[0..3][j].
+  __m512i t[4][4];
+  for (int g = 0; g < 4; ++g) {
+    const __m512i a0 = _mm512_unpacklo_epi32(x[4 * g], x[4 * g + 1]);
+    const __m512i a1 = _mm512_unpackhi_epi32(x[4 * g], x[4 * g + 1]);
+    const __m512i a2 = _mm512_unpacklo_epi32(x[4 * g + 2], x[4 * g + 3]);
+    const __m512i a3 = _mm512_unpackhi_epi32(x[4 * g + 2], x[4 * g + 3]);
+    t[g][0] = _mm512_unpacklo_epi64(a0, a2);
+    t[g][1] = _mm512_unpackhi_epi64(a0, a2);
+    t[g][2] = _mm512_unpacklo_epi64(a1, a3);
+    t[g][3] = _mm512_unpackhi_epi64(a1, a3);
+  }
+  for (int j = 0; j < 4; ++j) {
+    const __m512i lo01 = _mm512_shuffle_i32x4(t[0][j], t[1][j], 0x44);
+    const __m512i hi01 = _mm512_shuffle_i32x4(t[0][j], t[1][j], 0xEE);
+    const __m512i lo23 = _mm512_shuffle_i32x4(t[2][j], t[3][j], 0x44);
+    const __m512i hi23 = _mm512_shuffle_i32x4(t[2][j], t[3][j], 0xEE);
+    _mm512_storeu_si512(out + 64 * j, _mm512_shuffle_i32x4(lo01, lo23, 0x88));
+    _mm512_storeu_si512(out + 64 * (4 + j),
+                        _mm512_shuffle_i32x4(lo01, lo23, 0xDD));
+    _mm512_storeu_si512(out + 64 * (8 + j),
+                        _mm512_shuffle_i32x4(hi01, hi23, 0x88));
+    _mm512_storeu_si512(out + 64 * (12 + j),
+                        _mm512_shuffle_i32x4(hi01, hi23, 0xDD));
+  }
+}
+
+void u32_chacha20_blocks(const u32* state, std::uint8_t* out,
+                         std::size_t nblocks) {
+  u32 st[16];
+  std::copy(state, state + 16, st);
+  for (; nblocks >= 16; nblocks -= 16, out += 1024, st[12] += 16) {
+    chacha_batch16(st, out);
+  }
+  if (nblocks > 0) {
+    // A batch always stores 16 blocks: a short one goes through a local
+    // buffer so nothing lands past out.
+    alignas(64) std::uint8_t tail[1024];
+    chacha_batch16(st, tail);
+    std::copy(tail, tail + 64 * nblocks, out);
+  }
+}
+
+#pragma GCC diagnostic pop
+
+// ----------------------------------------------------- uniform sampler
+
+/// v mod q for q = 2^32 - c, c < 2^16: 2^32 = c (mod q), so two folds of
+/// the high word bring v below 2^32 + c^2 < 2q, and one conditional
+/// subtraction finishes.
+inline u32 s_reduce_pm(u64 v, u64 c, u64 q) {
+  v = (v >> 32) * c + (v & 0xFFFFFFFFu);
+  v = (v >> 32) * c + (v & 0xFFFFFFFFu);
+  return static_cast<u32>(v >= q ? v - q : v);
+}
+
+std::size_t u32_sample_pm32(u32* out, const u64* draws, std::size_t n,
+                            u32 q) {
+  const u64 c = (u64{1} << 32) - q;
+  const u64 limit = (~u64{0} / q) * q;
+  const __m512i vc = _mm512_set1_epi64(static_cast<long long>(c));
+  const __m512i vq = _mm512_set1_epi64(static_cast<long long>(q));
+  const __m512i vlimit = _mm512_set1_epi64(static_cast<long long>(limit));
+  const __m512i m32 = _mm512_set1_epi64(0xFFFFFFFFll);
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i v = _mm512_loadu_si512(draws + i);
+    if (_mm512_cmplt_epu64_mask(v, vlimit) != 0xFF) {
+      // A rejected draw in the group: the scalar loop keeps the order.
+      for (std::size_t k = i; k < i + 8; ++k) {
+        if (draws[k] < limit) out[j++] = s_reduce_pm(draws[k], c, q);
+      }
+      continue;
+    }
+    __m512i x = _mm512_add_epi64(
+        _mm512_mul_epu32(_mm512_srli_epi64(v, 32), vc), _mm512_and_si512(v, m32));
+    x = _mm512_add_epi64(_mm512_mul_epu32(_mm512_srli_epi64(x, 32), vc),
+                         _mm512_and_si512(x, m32));
+    // x - q wraps above x exactly when x < q.
+    x = _mm512_min_epu64(x, _mm512_sub_epi64(x, vq));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j),
+                        _mm512_cvtepi64_epi32(x));
+    j += 8;
+  }
+  for (; i < n; ++i) {
+    if (draws[i] < limit) out[j++] = s_reduce_pm(draws[i], c, q);
+  }
+  return j;
+}
+
 // ------------------------------------------------------------ u64 kernels
 
 void u64_add_mod(u64* acc, const u64* x, std::size_t n, u64 q) {
@@ -549,6 +687,8 @@ const U32Kernels kU32Avx512 = {
     &u32_accum_widen,
     &u32_axpy_split,
     &u32_gemm_split,
+    &u32_chacha20_blocks,
+    &u32_sample_pm32,
 };
 
 const U64Kernels kU64Avx512 = {

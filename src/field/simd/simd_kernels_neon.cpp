@@ -253,6 +253,8 @@ const U32Kernels kU32Neon = {
     &u32_accum_widen,
     &u32_axpy_split,
     nullptr,  // gemm_split: no tiled NEON body; per-row path
+    nullptr,  // chacha20_blocks: no NEON body; scalar block loop
+    nullptr,  // sample_pm32: no NEON body; scalar sampler
 };
 
 const U64Kernels kU64Neon = {

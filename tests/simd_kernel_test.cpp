@@ -237,6 +237,75 @@ TEST(SimdKernel, U32GemmSplitFoldsMidProduct) {
   }
 }
 
+TEST(SimdKernel, U32SamplePm32MatchesScalarSampler) {
+  // The scalar sampler of field/random_field.h: accepted draws in order.
+  const auto reference = [](const std::vector<u64>& draws, u64 q) {
+    const u64 limit = (~u64{0} / q) * q;
+    std::vector<u32> out;
+    for (const u64 v : draws) {
+      if (v < limit) out.push_back(static_cast<u32>(v % q));
+    }
+    return out;
+  };
+  lsa::common::Xoshiro256ss rng(32);
+  // Fp32 (c = 5), the largest covered c (2^16 - 1), and c = 1.
+  for (const u64 q : {u64{Fp32::modulus}, (u64{1} << 32) - 0xFFFF,
+                      (u64{1} << 32) - 1}) {
+    const u64 limit = (~u64{0} / q) * q;
+    // Fold and rejection edges: multiples of q, the 2^32 word boundary,
+    // the largest accepted draws and the rejected ones above them.
+    const std::vector<u64> edges = {0,
+                                    1,
+                                    q - 1,
+                                    q,
+                                    q + 1,
+                                    2 * q - 1,
+                                    2 * q,
+                                    (u64{1} << 32) - 1,
+                                    u64{1} << 32,
+                                    (u64{1} << 32) + 0xFFFF,
+                                    0xFFFFFFFF00000000ull,
+                                    limit - q - 1,
+                                    limit - q,
+                                    limit - 1,
+                                    limit,
+                                    limit + 1,
+                                    ~u64{0}};
+    for (Level level : vector_levels()) {
+      const auto* k = simd::u32_kernels(level);
+      ASSERT_NE(k, nullptr);
+      if (k->sample_pm32 == nullptr) continue;  // NEON: scalar sampler
+      for (std::size_t n : tail_lengths()) {
+        for (int pattern = 0; pattern < 4; ++pattern) {
+          std::vector<u64> draws(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            switch (pattern) {
+              case 0:  // random: every group accepted
+                draws[i] = rng.next_u64() % limit;
+                break;
+              case 1:  // edges: accepted and rejected draws mixed
+                draws[i] = edges[(i * 5 + n) % edges.size()];
+                break;
+              case 2:  // one rejected draw at a position moving with n
+                draws[i] = i == n / 3 ? limit : rng.next_u64() % limit;
+                break;
+              default:  // everything rejected
+                draws[i] = limit + rng.next_u64() % (~u64{0} - limit + 1);
+            }
+          }
+          const auto want = reference(draws, q);
+          std::vector<u32> got(n);
+          const std::size_t wrote =
+              k->sample_pm32(got.data(), draws.data(), n, static_cast<u32>(q));
+          got.resize(wrote);
+          ASSERT_EQ(got, want) << simd::level_name(level) << " q=" << q
+                               << " n=" << n << " pattern=" << pattern;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- u64 table
 
 TEST(SimdKernel, U64AddSubModBoundaries) {
@@ -563,13 +632,16 @@ TEST(SimdKernel, DispatchTablesConsistent) {
       EXPECT_NE(simd::u64_kernels(l), nullptr);
     }
   }
-  // The x86 levels carry the tiled split-word GEMM; NEON keeps the
-  // per-row path (a null entry).
+  // The x86 levels carry the tiled split-word GEMM, the multi-block
+  // keystream and the vector sampler; NEON keeps the scalar paths (null
+  // entries).
   for (Level l : {Level::kAvx2, Level::kAvx512}) {
     if (simd::level_available(l)) {
-      ASSERT_NE(simd::u32_kernels(l), nullptr) << simd::level_name(l);
-      EXPECT_NE(simd::u32_kernels(l)->gemm_split, nullptr)
-          << simd::level_name(l);
+      const auto* k = simd::u32_kernels(l);
+      ASSERT_NE(k, nullptr) << simd::level_name(l);
+      EXPECT_NE(k->gemm_split, nullptr) << simd::level_name(l);
+      EXPECT_NE(k->chacha20_blocks, nullptr) << simd::level_name(l);
+      EXPECT_NE(k->sample_pm32, nullptr) << simd::level_name(l);
     }
   }
   EXPECT_LE(simd::vector_bytes(simd::detected_level()),
