@@ -24,6 +24,7 @@
 #include "field/simd/dispatch.h"
 #include "field/simd/simd_policy.h"
 #include "quant/quantizer.h"
+#include "runtime/wire.h"
 #include "sys/exec_policy.h"
 #include "sys/thread_pool.h"
 
@@ -164,6 +165,35 @@ void BM_PrgExpandFieldElems_Dispatched(benchmark::State& state) {
 }
 BENCHMARK(BM_PrgExpandFieldElems_Scalar)->Arg(7850)->Arg(1206590);
 BENCHMARK(BM_PrgExpandFieldElems_Dispatched)->Arg(7850)->Arg(1206590);
+
+// The wire CRC at the workloads' payload sizes (mnist-n200-p10 share,
+// tcp-mnist-n4 share, femnist-n50-p30-persistent share, FEMNIST upload):
+// the carry-less-multiply fold vs slice-by-8. The payload starts at byte 28
+// of its buffer, as it does in a frame.
+template <bool ForceScalar>
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> frame(lsa::runtime::kHeaderBytes + n);
+  lsa::common::Xoshiro256ss rng(28);
+  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::span<const std::uint8_t> payload(
+      frame.data() + lsa::runtime::kHeaderBytes, n);
+  const lsa::field::simd::ScopedSimdPolicy guard(
+      ForceScalar ? lsa::field::simd::SimdPolicy::kForceScalar
+                  : lsa::field::simd::SimdPolicy::kAuto);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lsa::runtime::crc32(payload));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+void BM_Crc32_Scalar(benchmark::State& state) { BM_Crc32<true>(state); }
+void BM_Crc32_Dispatched(benchmark::State& state) { BM_Crc32<false>(state); }
+BENCHMARK(BM_Crc32_Scalar)->Arg(788)->Arg(15700)->Arg(482636)->Arg(4826360);
+BENCHMARK(BM_Crc32_Dispatched)
+    ->Arg(788)
+    ->Arg(15700)
+    ->Arg(482636)
+    ->Arg(4826360);
 
 void BM_DhKeyAgreement(benchmark::State& state) {
   const auto kp = lsa::crypto::generate_keypair(lsa::crypto::seed_from_u64(1));

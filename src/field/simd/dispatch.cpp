@@ -38,6 +38,27 @@ bool hardware_supports(Level level) {
   return false;
 }
 
+/// The carry-less multiply bits the crc32_fold bodies need, probed once.
+/// Neither level implies them: AVX2 does not imply PCLMULQDQ, and
+/// AVX-512F/DQ hosts such as Skylake-SP and Cascade Lake lack VPCLMULQDQ.
+/// A missing bit demotes only the CRC body, never the level.
+struct ClmulBits {
+  bool pclmul = false;
+  bool vpclmulqdq = false;
+};
+
+[[maybe_unused]] ClmulBits clmul_bits() {
+  static const ClmulBits bits = [] {
+    ClmulBits b;
+#if defined(__x86_64__) || defined(_M_X64)
+    b.pclmul = __builtin_cpu_supports("pclmul") != 0;
+    b.vpclmulqdq = b.pclmul && __builtin_cpu_supports("vpclmulqdq") != 0;
+#endif
+    return b;
+  }();
+  return bits;
+}
+
 /// LSA_SIMD=scalar|neon|avx2|avx512 caps the probe (an unknown or
 /// unavailable value degrades to the best level at or below the cap).
 Level env_cap() {
@@ -111,12 +132,32 @@ const U32Kernels* u32_kernels(Level level) {
   if (!hardware_supports(level)) return nullptr;
   switch (level) {
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(LSA_HAVE_AVX2)
-    case Level::kAvx2:
-      return &detail::kU32Avx2;
+    case Level::kAvx2: {
+      static const U32Kernels table = [] {
+        U32Kernels t = detail::kU32Avx2;
+        if (!clmul_bits().pclmul) t.crc32_fold = nullptr;
+        return t;
+      }();
+      return &table;
+    }
 #endif
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(LSA_HAVE_AVX512)
-    case Level::kAvx512:
-      return &detail::kU32Avx512;
+    case Level::kAvx512: {
+      // The next body down: 512-bit, else the AVX2 unit's 128-bit one,
+      // else slice-by-8.
+      static const U32Kernels table = [] {
+        U32Kernels t = detail::kU32Avx512;
+        const ClmulBits bits = clmul_bits();
+        if (!bits.vpclmulqdq) t.crc32_fold = nullptr;
+#if defined(LSA_HAVE_AVX2)
+        if (t.crc32_fold == nullptr && bits.pclmul) {
+          t.crc32_fold = detail::kU32Avx2.crc32_fold;
+        }
+#endif
+        return t;
+      }();
+      return &table;
+    }
 #endif
 #if defined(__aarch64__)
     case Level::kNeon:

@@ -2,9 +2,9 @@
 //
 // The hot loops of this library — Shoup / lazy-192 axpy GEMM panels,
 // split-word lazy accumulation, elementwise mask add/sub, NTT butterflies,
-// the mask PRG's ChaCha20 keystream and field sampler — are generic scalar
-// code in field/field_vec.h, coding/ntt.h, crypto/chacha20.cpp and
-// field/random_field.h. This
+// the mask PRG's ChaCha20 keystream and field sampler, the wire frames'
+// CRC-32 — are generic scalar code in field/field_vec.h, coding/ntt.h,
+// crypto/chacha20.cpp, field/random_field.h and runtime/wire.h. This
 // layer provides hand-vectorized implementations (AVX2, AVX-512, NEON) of
 // those exact kernels, selected ONCE at startup by a CPUID/feature probe
 // and reached through per-field function-pointer tables. The scalar
@@ -21,7 +21,10 @@
 //   * per-thread:   SimdPolicy::kForceScalar (field/simd/simd_policy.h),
 //                   threaded through protocol::Params, wins over both.
 // A null table pointer means "run the scalar template" — unknown moduli,
-// unprobed ISAs and forced-scalar all take that path.
+// unprobed ISAs and forced-scalar all take that path. A null entry in a
+// table means the same for that one kernel. The CRC fold entry is further
+// gated on its own feature bits (pclmul, vpclmulqdq) without demoting the
+// level: see U32Kernels::crc32_fold.
 #pragma once
 
 #include <concepts>
@@ -73,7 +76,8 @@ inline constexpr std::size_t kMaxLazyTerms = std::size_t{1} << 15;
 
 /// Kernels on 32-bit lanes: the modular ones are generic over any 32-bit
 /// prime modulus q (canonical reps < q); chacha20_blocks and sample_pm32
-/// are the mask PRG's keystream and its field sampler.
+/// are the mask PRG's keystream and its field sampler; crc32_fold is the
+/// wire frames' checksum.
 struct U32Kernels {
   /// acc[i] = (acc[i] + x[i]) mod q — PrimeField::add elementwise.
   void (*add_mod)(std::uint32_t* acc, const std::uint32_t* x, std::size_t n,
@@ -117,6 +121,17 @@ struct U32Kernels {
   /// Null on levels without a body, which keep the scalar loop.
   std::size_t (*sample_pm32)(std::uint32_t* out, const std::uint64_t* draws,
                              std::size_t n, std::uint32_t q);
+  /// Folds n bytes at p (n >= 64 and a multiple of 16, any alignment) into
+  /// the raw CRC-32 state (IEEE polynomial, reflected, before the final
+  /// inversion) and returns the new raw state: equal to running the
+  /// bitwise CRC update over those bytes. Carry-less-multiply folding:
+  /// four 128-bit PCLMULQDQ lanes (64 bytes per step) on AVX2, four
+  /// 512-bit VPCLMULQDQ lanes (256 bytes per step) on AVX-512. Neither
+  /// level implies its multiply, so each body is gated on its own probed
+  /// bit: an AVX-512 host without vpclmulqdq gets the 128-bit body, a host
+  /// without pclmul gets null. Null runs slice-by-8 (NEON, scalar).
+  std::uint32_t (*crc32_fold)(std::uint32_t state, const std::uint8_t* p,
+                              std::size_t n);
 };
 
 /// Kernels generic over any 64-bit modulus q < 2^63 (so sums of two

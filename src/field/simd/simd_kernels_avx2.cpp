@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "field/goldilocks.h"
+#include "field/simd/crc32_fold_x86.h"
 #include "field/simd/kernels_internal.h"
 
 namespace lsa::field::simd::detail {
@@ -457,6 +458,40 @@ std::size_t u32_sample_pm32(u32* out, const u64* draws, std::size_t n,
   return j;
 }
 
+// ------------------------------------------------------ CRC-32 folding
+// Built only when the unit also has -mpclmul; the dispatcher hands this
+// body out only on hosts whose probe found the pclmul bit. It is the one
+// 128-bit body: AVX-512 hosts without VPCLMULQDQ run it too.
+
+#if defined(__PCLMUL__)
+
+u32 u32_crc32_fold(u32 state, const std::uint8_t* p, std::size_t n) {
+  const __m128i k512 = crc_fold_pair<512>();
+  const __m128i k128 = crc_fold_pair<128>();
+  __m128i x0 = _mm_xor_si128(crc_load128(p),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x1 = crc_load128(p + 16);
+  __m128i x2 = crc_load128(p + 32);
+  __m128i x3 = crc_load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = _mm_xor_si128(crc_clmul_fold(x0, k512), crc_load128(p));
+    x1 = _mm_xor_si128(crc_clmul_fold(x1, k512), crc_load128(p + 16));
+    x2 = _mm_xor_si128(crc_clmul_fold(x2, k512), crc_load128(p + 32));
+    x3 = _mm_xor_si128(crc_clmul_fold(x3, k512), crc_load128(p + 48));
+  }
+  x0 = _mm_xor_si128(crc_clmul_fold(x0, k128), x1);
+  x0 = _mm_xor_si128(crc_clmul_fold(x0, k128), x2);
+  x0 = _mm_xor_si128(crc_clmul_fold(x0, k128), x3);
+  for (; n >= 16; p += 16, n -= 16) {
+    x0 = _mm_xor_si128(crc_clmul_fold(x0, k128), crc_load128(p));
+  }
+  return crc32_reduce128(x0);
+}
+
+#endif  // __PCLMUL__
+
 // ------------------------------------------------------------ u64 kernels
 
 void u64_add_mod(u64* acc, const u64* x, std::size_t n, u64 q) {
@@ -782,6 +817,11 @@ const U32Kernels kU32Avx2 = {
     &u32_gemm_split,
     &u32_chacha20_blocks,
     &u32_sample_pm32,
+#if defined(__PCLMUL__)
+    &u32_crc32_fold,
+#else
+    nullptr,  // crc32_fold: compiler lacks -mpclmul; slice-by-8
+#endif
 };
 
 const U64Kernels kU64Avx2 = {

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "field/goldilocks.h"
+#include "field/simd/crc32_fold_x86.h"
 #include "field/simd/kernels_internal.h"
 
 namespace lsa::field::simd::detail {
@@ -404,6 +405,83 @@ std::size_t u32_sample_pm32(u32* out, const u64* draws, std::size_t n,
   return j;
 }
 
+// ------------------------------------------------------ CRC-32 folding
+// Built only when the unit also has -mvpclmulqdq and -mpclmul; the
+// dispatcher hands this body out only on hosts whose probe found both bits
+// (AVX-512F/DQ does not imply them: Skylake-SP and Cascade Lake lack
+// VPCLMULQDQ). It needs AVX-512F for the 512-bit lanes and PCLMULQDQ with
+// SSE4.1 for the 128-bit tail and the final reduction, nothing else.
+
+#if defined(__VPCLMULQDQ__) && defined(__PCLMUL__)
+
+/// crc_fold_pair<D> in every 128-bit lane.
+template <unsigned D>
+inline __m512i crc_fold_pair4() {
+  constexpr auto lo = static_cast<long long>(kCrc32Fold<D + 32>);
+  constexpr auto hi = static_cast<long long>(kCrc32Fold<D - 32>);
+  return _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo);
+}
+
+/// Folds each 128-bit lane of x by its lane of k and xors in y.
+inline __m512i clmul_fold_xor(__m512i x, __m512i k, __m512i y) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), y,
+                                   0x96);  // a ^ b ^ c
+}
+
+u32 u32_crc32_fold(u32 state, const std::uint8_t* p, std::size_t n) {
+  const __m512i k512 = crc_fold_pair4<512>();
+  __m512i x0 = _mm512_xor_si512(
+      _mm512_loadu_si512(p),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(state))));
+  if (n >= 256) {
+    // Four 512-bit lanes, 256 bytes per step, then fold them into x0.
+    const __m512i k2048 = crc_fold_pair4<2048>();
+    __m512i x1 = _mm512_loadu_si512(p + 64);
+    __m512i x2 = _mm512_loadu_si512(p + 128);
+    __m512i x3 = _mm512_loadu_si512(p + 192);
+    p += 256;
+    n -= 256;
+    for (; n >= 256; p += 256, n -= 256) {
+      x0 = clmul_fold_xor(x0, k2048, _mm512_loadu_si512(p));
+      x1 = clmul_fold_xor(x1, k2048, _mm512_loadu_si512(p + 64));
+      x2 = clmul_fold_xor(x2, k2048, _mm512_loadu_si512(p + 128));
+      x3 = clmul_fold_xor(x3, k2048, _mm512_loadu_si512(p + 192));
+    }
+    x0 = clmul_fold_xor(x0, k512, x1);
+    x0 = clmul_fold_xor(x0, k512, x2);
+    x0 = clmul_fold_xor(x0, k512, x3);
+  } else {
+    p += 64;
+    n -= 64;
+  }
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = clmul_fold_xor(x0, k512, _mm512_loadu_si512(p));
+  }
+  // Lane i of x0 sits (3 - i) * 128 bits before the end of the folded data:
+  // fold lanes 0..2 that far (lane 3's zero multipliers clear it, and it
+  // comes back unfolded through the xor operand), then xor the four lanes.
+  const __m512i klanes = _mm512_set_epi64(
+      0, 0, static_cast<long long>(kCrc32Fold<96>),
+      static_cast<long long>(kCrc32Fold<160>),
+      static_cast<long long>(kCrc32Fold<224>),
+      static_cast<long long>(kCrc32Fold<288>),
+      static_cast<long long>(kCrc32Fold<352>),
+      static_cast<long long>(kCrc32Fold<416>));
+  alignas(64) __m128i lanes[4];
+  _mm512_store_si512(lanes, clmul_fold_xor(x0, klanes,
+                                           _mm512_maskz_mov_epi64(0xC0, x0)));
+  __m128i x = _mm_xor_si128(_mm_xor_si128(lanes[0], lanes[1]),
+                            _mm_xor_si128(lanes[2], lanes[3]));
+  const __m128i k128 = crc_fold_pair<128>();
+  for (; n >= 16; p += 16, n -= 16) {
+    x = _mm_xor_si128(crc_clmul_fold(x, k128), crc_load128(p));
+  }
+  return crc32_reduce128(x);
+}
+
+#endif  // __VPCLMULQDQ__ && __PCLMUL__
+
 // ------------------------------------------------------------ u64 kernels
 
 void u64_add_mod(u64* acc, const u64* x, std::size_t n, u64 q) {
@@ -689,6 +767,11 @@ const U32Kernels kU32Avx512 = {
     &u32_gemm_split,
     &u32_chacha20_blocks,
     &u32_sample_pm32,
+#if defined(__VPCLMULQDQ__) && defined(__PCLMUL__)
+    &u32_crc32_fold,
+#else
+    nullptr,  // crc32_fold: compiler lacks -mvpclmulqdq; see dispatch.cpp
+#endif
 };
 
 const U64Kernels kU64Avx512 = {

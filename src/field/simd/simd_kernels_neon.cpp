@@ -255,6 +255,7 @@ const U32Kernels kU32Neon = {
     nullptr,  // gemm_split: no tiled NEON body; per-row path
     nullptr,  // chacha20_blocks: no NEON body; scalar block loop
     nullptr,  // sample_pm32: no NEON body; scalar sampler
+    nullptr,  // crc32_fold: no PMULL body; slice-by-8
 };
 
 const U64Kernels kU64Neon = {

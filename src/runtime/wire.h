@@ -16,9 +16,13 @@
 //
 // The CRC lets the runtime reject corrupted frames (tested by fault
 // injection in tests/runtime_test.cpp and tests/fuzz_wire_test.cpp). The
-// production crc32 is table-driven slice-by-8 (~8 bytes per table round
-// instead of 1 bit); crc32_reference keeps the bitwise definition as the
-// tested ground truth.
+// production crc32 folds payloads of kCrc32FoldMinBytes and up with
+// carry-less multiplies through the SIMD dispatch (U32Kernels::crc32_fold:
+// PCLMULQDQ on AVX2, VPCLMULQDQ on AVX-512) and runs table-driven
+// slice-by-8 over short payloads, the last < 16 bytes and every level
+// without a fold body. Both compute the same IEEE CRC-32, so the wire
+// format does not depend on the host; crc32_reference keeps the bitwise
+// definition as the tested ground truth.
 #pragma once
 
 #include <array>
@@ -28,6 +32,7 @@
 
 #include "common/error.h"
 #include "field/fp.h"
+#include "field/simd/dispatch.h"
 
 namespace lsa::runtime {
 
@@ -86,16 +91,12 @@ consteval std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
 
 inline constexpr auto kCrcTables = make_crc_tables();
 
-}  // namespace detail
-
-/// CRC-32, slice-by-8: consumes 8 bytes per iteration via 8 parallel table
-/// lookups. Bit-identical to crc32_reference on every input
-/// (tests/fuzz_wire_test.cpp fuzzes parity on random + boundary inputs).
-[[nodiscard]] inline std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  const auto& t = detail::kCrcTables;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
+/// Slice-by-8 update of a raw (pre-inversion) CRC state: 8 bytes per
+/// iteration via 8 parallel table lookups, then one byte at a time.
+[[nodiscard]] inline std::uint32_t crc32_slice8(std::uint32_t crc,
+                                                const std::uint8_t* p,
+                                                std::size_t n) {
+  const auto& t = kCrcTables;
   while (n >= 8) {
     std::uint32_t lo;
     std::uint32_t hi;
@@ -111,7 +112,37 @@ inline constexpr auto kCrcTables = make_crc_tables();
   while (n-- > 0) {
     crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFFu];
   }
-  return ~crc;
+  return crc;
+}
+
+}  // namespace detail
+
+/// Payload length from which crc32 folds: the shortest input crc32_fold
+/// takes, and already a win there (64 bytes: 9 ns folded against 28 ns
+/// slice-by-8 on an AVX-512 host, either body). Shorter payloads, such as
+/// 16-byte survivor bitmaps and hello/welcome frames, run slice-by-8.
+inline constexpr std::size_t kCrc32FoldMinBytes = 64;
+
+/// CRC-32 of data. From kCrc32FoldMinBytes up, the longest multiple-of-16
+/// prefix goes through the active level's U32Kernels::crc32_fold and
+/// slice-by-8 finishes the last < 16 bytes; shorter payloads, NEON, scalar
+/// builds, LSA_SIMD=scalar and SimdPolicy::kForceScalar run slice-by-8
+/// throughout. Bit-identical to crc32_reference on every input either way
+/// (tests/simd_kernel_test.cpp and tests/fuzz_wire_test.cpp).
+[[nodiscard]] inline std::uint32_t crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (n >= kCrc32FoldMinBytes) {
+    const auto* k = lsa::field::simd::u32_active();
+    if (k != nullptr && k->crc32_fold != nullptr) {
+      const std::size_t folded = n & ~std::size_t{15};
+      crc = k->crc32_fold(crc, p, folded);
+      p += folded;
+      n -= folded;
+    }
+  }
+  return ~detail::crc32_slice8(crc, p, n);
 }
 
 inline constexpr std::size_t kHeaderBytes = 2 + 2 + 4 + 4 + 8 + 4 + 4;
@@ -174,15 +205,21 @@ struct WireHeader {
   return h;
 }
 
-/// Canonicality scan of a payload view: branchless
-/// accumulate (auto-vectorizes), one require at the end off the throw path.
+/// Canonicality scan of a payload view: a branchless OR of v >= q kept in
+/// the rep's own 32-bit width, which auto-vectorizes with twice the lanes
+/// of a compare widened to 64 bits and accepts exactly the same values (a
+/// bool accumulator does not vectorize); one require at the end off the
+/// throw path.
 inline void check_canonical_payload(
     std::span<const lsa::field::Fp32::rep> payload) {
-  bool canonical = true;
-  for (const auto v : payload) {
-    canonical &= lsa::field::Fp32::is_canonical(v);
+  using rep = lsa::field::Fp32::rep;
+  constexpr auto q = static_cast<rep>(lsa::field::Fp32::modulus);
+  static_assert(q == lsa::field::Fp32::modulus, "Fp32 modulus fits its rep");
+  rep non_canonical = 0;
+  for (const rep v : payload) {
+    non_canonical |= static_cast<rep>(v >= q);
   }
-  lsa::require<lsa::ProtocolError>(canonical,
+  lsa::require<lsa::ProtocolError>(non_canonical == 0,
                                    "wire: non-canonical field element");
 }
 

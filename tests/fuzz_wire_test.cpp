@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "field/random_field.h"
+#include "field/simd/simd_policy.h"
 #include "protocol/lightsecagg.h"
 #include "quant/staleness.h"
 #include "runtime/machines.h"
@@ -22,6 +23,9 @@ using lsa::field::Fp32;
 using rep = Fp32::rep;
 
 TEST(Crc32, SliceBy8MatchesBitwiseReferenceOnBoundaryInputs) {
+  // Pinned to slice-by-8 so the scalar body stays covered on SIMD hosts.
+  const lsa::field::simd::ScopedSimdPolicy scalar(
+      lsa::field::simd::SimdPolicy::kForceScalar);
   // Known answer: CRC32("123456789") = 0xCBF43926.
   const char* check = "123456789";
   const std::span<const std::uint8_t> check_span(
@@ -40,6 +44,8 @@ TEST(Crc32, SliceBy8MatchesBitwiseReferenceOnBoundaryInputs) {
 }
 
 TEST(Crc32, SliceBy8MatchesBitwiseReferenceOnRandomInputs) {
+  const lsa::field::simd::ScopedSimdPolicy scalar(
+      lsa::field::simd::SimdPolicy::kForceScalar);
   lsa::common::Xoshiro256ss rng(77);
   for (int trial = 0; trial < 500; ++trial) {
     const std::size_t len = rng.next_below(513);
@@ -70,61 +76,87 @@ TEST(FuzzPooledFrames, RandomBytesNeverAccepted) {
 
 TEST(FuzzPooledFrames, TruncationBitFlipsAndBadLengthsRejected) {
   lsa::transport::BufferPool pool;
-  const std::vector<rep> payload = {10, 20, 30, 40, 50};
-  const auto frame =
-      lsa::transport::build_frame(pool, MsgType::kMaskedModel, 3, 9, 77,
-                                  std::span<const rep>(payload));
-  const auto bytes = frame.bytes();
-  const std::vector<std::uint8_t> good(bytes.begin(), bytes.end());
-
-  // Sanity: the untampered frame parses.
-  EXPECT_NO_THROW((void)lsa::transport::parse_frame(frame));
-
-  // Truncation at every boundary.
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{5}, kHeaderBytes - 1, kHeaderBytes,
-        good.size() - 4, good.size() - 1}) {
-    const auto cut = lsa::transport::frame_from_bytes(
-        pool, std::span<const std::uint8_t>(good.data(), keep));
-    EXPECT_THROW((void)lsa::transport::parse_frame(cut), lsa::ProtocolError)
-        << "kept " << keep;
+  // 5 elements (20 bytes) run slice-by-8 only. 197 elements (788 bytes, the
+  // mnist-n200-p10 share) and 1,100 elements (4,400 bytes: several 256-byte
+  // fold steps plus a tail) reach the carry-less-multiply fold wherever the
+  // level has one, so corruption must be caught through the folded prefix.
+  lsa::common::Xoshiro256ss rng(71);
+  std::vector<std::vector<rep>> payloads = {{10, 20, 30, 40, 50}};
+  for (const std::size_t elems : {std::size_t{197}, std::size_t{1100}}) {
+    std::vector<rep> p(elems);
+    for (auto& v : p) v = static_cast<rep>(rng.next_below(Fp32::modulus));
+    payloads.push_back(std::move(p));
   }
+  for (const auto& payload : payloads) {
+    SCOPED_TRACE(testing::Message() << payload.size() << " elements");
+    const auto frame =
+        lsa::transport::build_frame(pool, MsgType::kMaskedModel, 3, 9, 77,
+                                    std::span<const rep>(payload));
+    const auto bytes = frame.bytes();
+    const std::vector<std::uint8_t> good(bytes.begin(), bytes.end());
 
-  // Payload bit flips (CRC) — every byte, two bit positions.
-  for (std::size_t pos = kHeaderBytes; pos < good.size(); ++pos) {
-    for (const std::uint8_t bit : {0x01, 0x80}) {
-      auto mutated = good;
-      mutated[pos] ^= bit;
-      const auto f = lsa::transport::frame_from_bytes(pool, mutated);
-      EXPECT_THROW((void)lsa::transport::parse_frame(f), lsa::ProtocolError)
-          << "payload byte " << pos << " bit " << int(bit);
+    // Sanity: the untampered frame parses.
+    EXPECT_NO_THROW((void)lsa::transport::parse_frame(frame));
+
+    // Truncation at every boundary.
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{5}, kHeaderBytes - 1, kHeaderBytes,
+          good.size() - 4, good.size() - 1}) {
+      const auto cut = lsa::transport::frame_from_bytes(
+          pool, std::span<const std::uint8_t>(good.data(), keep));
+      EXPECT_THROW((void)lsa::transport::parse_frame(cut), lsa::ProtocolError)
+          << "kept " << keep;
     }
-  }
 
-  // Length-field tampering (offset 20).
-  for (const int delta : {1, 2, 255}) {
+    // Payload bit flips (CRC) — every byte, two bit positions.
+    for (std::size_t pos = kHeaderBytes; pos < good.size(); ++pos) {
+      for (const std::uint8_t bit : {0x01, 0x80}) {
+        auto mutated = good;
+        mutated[pos] ^= bit;
+        const auto f = lsa::transport::frame_from_bytes(pool, mutated);
+        EXPECT_THROW((void)lsa::transport::parse_frame(f), lsa::ProtocolError)
+            << "payload byte " << pos << " bit " << int(bit);
+      }
+    }
+
+    // Length-field tampering (offset 20).
+    for (const int delta : {1, 2, 255}) {
+      auto mutated = good;
+      mutated[20] = static_cast<std::uint8_t>(mutated[20] + delta);
+      const auto f = lsa::transport::frame_from_bytes(pool, mutated);
+      EXPECT_THROW((void)lsa::transport::parse_frame(f), lsa::ProtocolError);
+    }
+
+    // CRC-field tampering.
     auto mutated = good;
-    mutated[20] = static_cast<std::uint8_t>(mutated[20] + delta);
+    mutated[24] ^= 0x01;
     const auto f = lsa::transport::frame_from_bytes(pool, mutated);
     EXPECT_THROW((void)lsa::transport::parse_frame(f), lsa::ProtocolError);
+
+    // One element set to q - 1, q or 0xFFFFFFFF at the first, a middle and
+    // the last element, CRC fixed up to match: the canonicality scan alone
+    // decides, and it accepts exactly the reps below q = 2^32 - 5.
+    const auto q = static_cast<rep>(Fp32::modulus);
+    for (const std::size_t elem :
+         {std::size_t{0}, payload.size() / 2, payload.size() - 1}) {
+      for (const rep value : {rep{q - 1}, q, rep{0xFFFFFFFFu}}) {
+        auto edited = good;
+        std::memcpy(edited.data() + kHeaderBytes + 4 * elem, &value, 4);
+        const std::uint32_t fixed_crc = crc32(std::span<const std::uint8_t>(
+            edited.data() + kHeaderBytes, edited.size() - kHeaderBytes));
+        std::memcpy(edited.data() + 24, &fixed_crc, 4);
+        const auto f2 = lsa::transport::frame_from_bytes(pool, edited);
+        if (value < q) {
+          EXPECT_NO_THROW((void)lsa::transport::parse_frame(f2))
+              << "element " << elem << " value " << value;
+        } else {
+          EXPECT_THROW((void)lsa::transport::parse_frame(f2),
+                       lsa::ProtocolError)
+              << "element " << elem << " value " << value;
+        }
+      }
+    }
   }
-
-  // CRC-field tampering.
-  auto mutated = good;
-  mutated[24] ^= 0x01;
-  const auto f = lsa::transport::frame_from_bytes(pool, mutated);
-  EXPECT_THROW((void)lsa::transport::parse_frame(f), lsa::ProtocolError);
-
-  // Non-canonical payload element, CRC fixed up to match: the canonicality
-  // scan must still reject it.
-  auto noncanon = good;
-  const std::uint32_t bad = 0xFFFFFFFFu;  // >= q = 2^32 - 5
-  std::memcpy(noncanon.data() + kHeaderBytes, &bad, 4);
-  const std::uint32_t fixed_crc = crc32(std::span<const std::uint8_t>(
-      noncanon.data() + kHeaderBytes, noncanon.size() - kHeaderBytes));
-  std::memcpy(noncanon.data() + 24, &fixed_crc, 4);
-  const auto f2 = lsa::transport::frame_from_bytes(pool, noncanon);
-  EXPECT_THROW((void)lsa::transport::parse_frame(f2), lsa::ProtocolError);
 }
 
 TEST(FuzzPooledFrames, AsyncFrameTypesRoundTripAndRejectCorruption) {

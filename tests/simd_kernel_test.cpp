@@ -5,7 +5,10 @@
 // limbs, and at every tail remainder shorter than one vector register.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,6 +16,7 @@
 #include "field/goldilocks.h"
 #include "field/random_field.h"
 #include "field/simd/dispatch.h"
+#include "runtime/wire.h"
 
 namespace {
 
@@ -302,6 +306,136 @@ TEST(SimdKernel, U32SamplePm32MatchesScalarSampler) {
                                << " n=" << n << " pattern=" << pattern;
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------------------ CRC-32 fold
+
+/// Wire payload sizes of the bench/e2e workloads: an mnist-n200-p10 share,
+/// a tcp-mnist-n4 share, an MNIST upload or result, a
+/// femnist-n50-p30-persistent share, a tcp-femnist-n4 share and a FEMNIST
+/// upload or result.
+constexpr std::size_t kWirePayloadSizes[] = {788,    15700,   31400,
+                                             482636, 2413180, 4826360};
+
+/// Start offsets: aligned, odd, and byte 28 of a frame (where a payload
+/// starts: 4-byte aligned, not 16-byte aligned).
+constexpr std::size_t kCrcOffsets[] = {0, 1, 3, 7, 28};
+
+/// `content` copied to byte `offset` of a buffer that ends exactly where
+/// the content does, so ASan flags any read past data + size.
+std::vector<std::uint8_t> at_offset(std::span<const std::uint8_t> content,
+                                    std::size_t offset) {
+  std::vector<std::uint8_t> buf(offset + content.size(), 0xA5);
+  std::copy(content.begin(), content.end(), buf.begin() + offset);
+  return buf;
+}
+
+/// 0x00, 0xFF and random fills of n bytes.
+std::vector<std::vector<std::uint8_t>> crc_fills(std::size_t n, u64 seed) {
+  lsa::common::Xoshiro256ss rng(seed);
+  std::vector<std::uint8_t> random(n);
+  for (auto& b : random) b = static_cast<std::uint8_t>(rng.next_u64());
+  return {std::vector<std::uint8_t>(n, 0x00),
+          std::vector<std::uint8_t>(n, 0xFF), std::move(random)};
+}
+
+/// Every crc32_fold body this host can run, called straight from its level's
+/// table (an AVX-512 host without VPCLMULQDQ lists the 128-bit body twice).
+std::vector<std::pair<Level, const simd::U32Kernels*>> crc_fold_tables() {
+  std::vector<std::pair<Level, const simd::U32Kernels*>> out;
+  for (Level level : vector_levels()) {
+    const auto* k = simd::u32_kernels(level);
+    if (k != nullptr && k->crc32_fold != nullptr) out.emplace_back(level, k);
+  }
+  return out;
+}
+
+TEST(SimdKernel, Crc32FoldBodiesMatchReference) {
+  using lsa::runtime::crc32_reference;
+  constexpr std::size_t kMaxLen = 2100;  // crosses the 16/64/256-byte steps
+  const auto tables = crc_fold_tables();
+  lsa::common::Xoshiro256ss rng(2009);
+  for (const auto& content : crc_fills(kMaxLen, 41)) {
+    const std::span<const std::uint8_t> all(content);
+    for (std::size_t n = 64; n <= kMaxLen; n += 16) {
+      const u32 want = crc32_reference(all.first(n));
+      // A random raw state: the state after a random 4-byte prefix.
+      std::vector<std::uint8_t> joined(4);
+      for (auto& b : joined) b = static_cast<std::uint8_t>(rng.next_u64());
+      const u32 state = ~crc32_reference(joined);
+      joined.insert(joined.end(), content.begin(), content.begin() + n);
+      const u32 want_joined = crc32_reference(joined);
+      for (const std::size_t offset : kCrcOffsets) {
+        const auto buf = at_offset(all.first(n), offset);
+        const std::uint8_t* p = buf.data() + offset;
+        for (const auto& [level, k] : tables) {
+          ASSERT_EQ(~k->crc32_fold(0xFFFFFFFFu, p, n), want)
+              << simd::level_name(level) << " n=" << n << " offset=" << offset;
+          ASSERT_EQ(~k->crc32_fold(state, p, n), want_joined)
+              << simd::level_name(level) << " n=" << n << " offset=" << offset
+              << " state=" << state;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernel, Crc32DispatchedAndForcedScalarMatchReference) {
+  using lsa::runtime::crc32;
+  using lsa::runtime::crc32_reference;
+  const auto forced_scalar = [](std::span<const std::uint8_t> data) {
+    const simd::ScopedSimdPolicy scalar(simd::SimdPolicy::kForceScalar);
+    return crc32(data);
+  };
+  const char* check = "123456789";
+  const std::span<const std::uint8_t> check_span(
+      reinterpret_cast<const std::uint8_t*>(check), 9);
+  EXPECT_EQ(crc32(check_span), 0xCBF43926u);
+  EXPECT_EQ(forced_scalar(check_span), 0xCBF43926u);
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>()), 0u);
+  EXPECT_EQ(forced_scalar(std::span<const std::uint8_t>()), 0u);
+
+  // Every length from 0 to 2,100 bytes, at every start offset.
+  constexpr std::size_t kMaxLen = 2100;
+  for (const auto& content : crc_fills(kMaxLen, 42)) {
+    const std::span<const std::uint8_t> all(content);
+    for (std::size_t n = 0; n <= kMaxLen; ++n) {
+      const u32 want = crc32_reference(all.first(n));
+      for (const std::size_t offset : kCrcOffsets) {
+        const auto buf = at_offset(all.first(n), offset);
+        const std::span<const std::uint8_t> data(buf.data() + offset, n);
+        ASSERT_EQ(crc32(data), want) << "n=" << n << " offset=" << offset;
+        ASSERT_EQ(forced_scalar(data), want)
+            << "n=" << n << " offset=" << offset;
+      }
+    }
+  }
+}
+
+TEST(SimdKernel, Crc32WirePayloadSizesMatchReference) {
+  using lsa::runtime::crc32;
+  using lsa::runtime::crc32_reference;
+  lsa::common::Xoshiro256ss rng(788);
+  for (const std::size_t size : kWirePayloadSizes) {
+    std::vector<std::uint8_t> content(size);
+    for (auto& b : content) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto buf = at_offset(content, 28);
+    const std::span<const std::uint8_t> data(buf.data() + 28, size);
+    const u32 want = crc32_reference(data);
+    EXPECT_EQ(crc32(data), want) << size;
+    {
+      const simd::ScopedSimdPolicy scalar(simd::SimdPolicy::kForceScalar);
+      EXPECT_EQ(crc32(data), want) << size;
+    }
+    // The bodies fold the longest multiple-of-16 prefix, as crc32 calls
+    // them.
+    const std::size_t folded = size & ~std::size_t{15};
+    const u32 want_folded = crc32_reference(data.first(folded));
+    for (const auto& [level, k] : crc_fold_tables()) {
+      EXPECT_EQ(~k->crc32_fold(0xFFFFFFFFu, data.data(), folded), want_folded)
+          << simd::level_name(level) << " " << size;
     }
   }
 }
@@ -644,6 +778,22 @@ TEST(SimdKernel, DispatchTablesConsistent) {
       EXPECT_NE(k->sample_pm32, nullptr) << simd::level_name(l);
     }
   }
+#if defined(__x86_64__)
+  // The CRC fold is gated on its own feature bits, never on the level: no
+  // pclmul means slice-by-8 at both levels, and an AVX-512 host without
+  // vpclmulqdq runs the AVX2 table's 128-bit body.
+  const bool pclmul = __builtin_cpu_supports("pclmul") != 0;
+  const bool vpclmulqdq = __builtin_cpu_supports("vpclmulqdq") != 0;
+  const auto* k2 = simd::u32_kernels(Level::kAvx2);
+  const auto* k512 = simd::u32_kernels(Level::kAvx512);
+  if (k2 != nullptr) EXPECT_EQ(k2->crc32_fold != nullptr, pclmul);
+  if (k512 != nullptr) {
+    EXPECT_EQ(k512->crc32_fold != nullptr, pclmul);
+    if (k2 != nullptr && pclmul) {
+      EXPECT_EQ(k512->crc32_fold == k2->crc32_fold, !vpclmulqdq);
+    }
+  }
+#endif
   EXPECT_LE(simd::vector_bytes(simd::detected_level()),
             simd::vector_bytes(Level::kAvx512));
 }
