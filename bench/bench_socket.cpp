@@ -139,7 +139,11 @@ RelayResult relay_socket(const std::string& url, std::size_t frames,
 // framing-from-stream): the upper bound the socket plane is measured
 // against.
 RelayResult relay_inproc(std::size_t frames, std::size_t seg_len) {
-  lsa::transport::ConcurrentRouter router(2);
+  // One link, with the mailbox bound runtime::Network gives a one-user
+  // round.
+  lsa::transport::ConcurrentRouter router(
+      2, lsa::runtime::sync_fanin_bound(1) +
+             lsa::transport::ConcurrentRouter::kCapacityHeadroom);
   std::vector<rep> payload(seg_len);
   for (std::size_t j = 0; j < seg_len; ++j) {
     payload[j] = static_cast<rep>(j % 65521);

@@ -4,10 +4,10 @@
 // updates sit in its buffer; which users arrive, and how stale each update
 // is, are properties of the *deployment*, not the protocol. To make
 // mixed-cohort runs reproducible — the sharded server's async sessions must
-// be bit-identical to the single-threaded legacy drive at the same seed,
-// whatever the thread interleaving — the arrival pattern is factored into
-// this seeded scheduler: every consumer (server::AsyncSession, the legacy
-// runtime::AsyncNetwork reference in tests/benches) derives the SAME
+// be bit-identical to runtime::AsyncNetwork on the inline ExecPolicy at the
+// same seed, whatever the thread interleaving — the arrival pattern is
+// factored into this seeded scheduler: every consumer (server::AsyncSession,
+// the inline AsyncNetwork reference in tests/benches) derives the SAME
 // arrivals for cycle c from the same ArrivalSchedule, with no shared state
 // between cycles (each cycle reseeds from (seed, cycle)).
 #pragma once

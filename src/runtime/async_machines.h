@@ -42,9 +42,10 @@ namespace lsa::runtime {
 /// Largest single-phase fan-in any one async mailbox sees: the server box
 /// takes up to max(N, A) frames between pumps (A masked uploads in the
 /// submission phase, up to N weighted-share responses after the manifest
-/// broadcast); a user box takes at most A timestamped shares. Every async
-/// driver — AsyncNetwork and server::AsyncSession — sizes its router from
-/// this rule plus ConcurrentRouter::kCapacityHeadroom.
+/// broadcast); a user box takes at most A timestamped shares. AsyncNetwork
+/// — the one in-process async driver — sizes its router from this rule
+/// at A = buffer K plus ConcurrentRouter::kCapacityHeadroom, and so admits
+/// cycles of at most max(N, K) arrivals (AsyncNetwork::check_admission).
 [[nodiscard]] constexpr std::size_t async_fanin_bound(
     std::size_t n, std::size_t max_arrivals) {
   return std::max(n, max_arrivals) + 2;
@@ -82,53 +83,29 @@ class AsyncUserDevice final : public Party {
   void submit_update(std::uint64_t born_round, std::span<const rep> update) {
     lsa::require<lsa::ProtocolError>(update.size() == params_.model_dim,
                                      "async user: wrong update dimension");
-    if (params_.persistent_cohort) {
-      auto seed = lsa::crypto::derive_subseed(
-          lsa::crypto::seed_from_u64(
-              master_seed_ ^ (0xae90c4ull + id_ * 0x9e3779b97f4a7c15ull)),
-          epoch_);
-      lsa::crypto::Prg prg(seed);
-      auto mask = lsa::field::uniform_vector<Fp>(params_.model_dim, prg);
-      if (!epoch_setup_done_) {
-        enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
-        codec_.encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
-                           params_.exec.chunk_reps);
-        ++offline_encodes_;
-        for (std::uint32_t j = 0; j < params_.num_users; ++j) {
-          if (j == id_) {
-            bank_for(epoch_).put(id_, enc_.row(j));
-            continue;
-          }
-          transport_.send_row(MsgType::kEncodedMaskShare, id_, j, epoch_,
-                              enc_.row(j));
-        }
-        epoch_setup_done_ = true;
-      }
-      const auto masked =
-          lsa::field::add<Fp>(update, std::span<const rep>(mask));
-      transport_.send_row(MsgType::kMaskedModel, id_,
-                          static_cast<std::uint32_t>(params_.num_users),
-                          born_round, std::span<const rep>(masked));
-      return;
-    }
-    auto seed = lsa::crypto::derive_subseed(
+    const bool persistent = params_.persistent_cohort;
+    const std::uint64_t key = persistent ? epoch_ : born_round;
+    const std::uint64_t tag = persistent ? 0xae90c4ull : 0xa511ull;
+    lsa::crypto::Prg prg(lsa::crypto::derive_subseed(
         lsa::crypto::seed_from_u64(master_seed_ ^
-                                   (0xa511ull + id_ * 0x9e3779b97f4a7c15ull)),
-        born_round);
-    lsa::crypto::Prg prg(seed);
+                                   (tag + id_ * 0x9e3779b97f4a7c15ull)),
+        key));
     auto mask = lsa::field::uniform_vector<Fp>(params_.model_dim, prg);
-    // Encode all N shares into the reused flat arena, then ship rows.
-    enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
-    codec_.encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
-                       params_.exec.chunk_reps);
-    ++offline_encodes_;
-    for (std::uint32_t j = 0; j < params_.num_users; ++j) {
-      if (j == id_) {
-        bank_for(born_round).put(id_, enc_.row(j));
-        continue;
+    if (!persistent || !epoch_setup_done_) {
+      // Encode all N shares into the reused flat arena, then ship rows.
+      enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
+      codec_.encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
+                         params_.exec.chunk_reps);
+      ++offline_encodes_;
+      for (std::uint32_t j = 0; j < params_.num_users; ++j) {
+        if (j == id_) {
+          bank_for(key).put(id_, enc_.row(j));
+          continue;
+        }
+        transport_.send_row(MsgType::kEncodedMaskShare, id_, j, key,
+                            enc_.row(j));
       }
-      transport_.send_row(MsgType::kEncodedMaskShare, id_, j, born_round,
-                          enc_.row(j));
+      epoch_setup_done_ = true;  // read in persistent mode only
     }
     const auto masked =
         lsa::field::add<Fp>(update, std::span<const rep>(mask));
@@ -403,9 +380,12 @@ class AsyncAggregationServer final : public Party {
   std::map<std::uint32_t, std::vector<rep>> weighted_shares_;
 };
 
-/// Owns the router and all async parties; pumps messages to completion —
-/// the single-threaded reference server::AsyncSession is pinned against,
-/// on the same router and pump loop, run on one lane.
+/// THE in-process async cycle driver: owns the router and all async
+/// parties, and runs whole buffer cycles. Arrivals and the pump fan out on
+/// params.exec. On the default, inline ExecPolicy it is the
+/// single-threaded reference every concurrent drive is pinned against;
+/// server::AsyncSession is this driver plus an arrival scheduler and a
+/// queue of cycles, on the session's policy.
 class AsyncNetwork {
  public:
   using Fp = lsa::field::Fp32;
@@ -415,8 +395,7 @@ class AsyncNetwork {
   /// scheduler so session and serial drives consume identical patterns.
   using Arrival = lsa::runtime::Arrival;
 
-  /// The router admits cycles of up to max(N, buffer_k) arrivals, the
-  /// AsyncSession default cap.
+  /// The router admits cycles of up to max(N, buffer_k) arrivals.
   AsyncNetwork(lsa::protocol::Params params, std::size_t buffer_k,
                lsa::quant::StalenessPolicy staleness, std::uint64_t c_g,
                std::uint64_t seed)
@@ -433,17 +412,33 @@ class AsyncNetwork {
     }
   }
 
+  [[nodiscard]] const lsa::protocol::Params& params() const {
+    return params_;
+  }
   [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
+  [[nodiscard]] const lsa::transport::ConcurrentRouter& router() const {
+    return router_;
+  }
   [[nodiscard]] AsyncUserDevice& user(std::size_t i) { return *users_.at(i); }
   [[nodiscard]] AsyncAggregationServer& server() { return *server_; }
 
+  /// Offline encode + share-distribution passes summed over the devices.
+  [[nodiscard]] std::uint64_t offline_encodes() const {
+    std::uint64_t total = 0;
+    for (const auto& u : users_) total += u->offline_encodes();
+    return total;
+  }
+
+  /// Persistent-cohort membership change (see Network::advance_epoch).
+  void advance_epoch() {
+    for (auto& u : users_) u->advance_epoch();
+  }
+
   void pump() {
-    pump_router(router_, lsa::sys::ExecPolicy{},
-                [&](std::size_t r) -> Party& {
-                  return r == params_.num_users
-                             ? static_cast<Party&>(*server_)
-                             : *users_[r];
-                });
+    pump_router(router_, params_.exec, [&](std::size_t r) -> Party& {
+      return r == params_.num_users ? static_cast<Party&>(*server_)
+                                    : *users_[r];
+    });
   }
 
   /// Runs one buffer cycle at aggregation round `now`: the arrivals submit
@@ -452,15 +447,19 @@ class AsyncNetwork {
   [[nodiscard]] AsyncAggregationServer::Output run_cycle(
       std::uint64_t now, const std::vector<Arrival>& arrivals,
       const std::vector<std::size_t>& crash_before_recovery = {}) {
-    // A cycle past the router's fan-in bound would wedge this one thread
-    // on backpressure; refuse it up front.
-    lsa::require<lsa::ProtocolError>(
-        async_fanin_bound(params_.num_users, arrivals.size()) +
-                lsa::transport::ConcurrentRouter::kCapacityHeadroom <=
-            router_.queue_capacity(),
-        "async network: cycle exceeds the mailbox fan-in bound");
-    for (const auto& a : arrivals) {
-      users_.at(a.user)->submit_update(a.born_round, a.update);
+    check_admission(arrivals.size());
+    const lsa::field::simd::ScopedSimdPolicy simd_guard(params_.simd);
+    // One arrival per lane when the users are distinct (each lane owns its
+    // user's machine); repeated users share state and must stay serial.
+    auto submit = [&](std::size_t a) {
+      users_.at(arrivals[a].user)
+          ->submit_update(arrivals[a].born_round,
+                          std::span<const rep>(arrivals[a].update));
+    };
+    if (distinct_users(arrivals)) {
+      params_.exec.run(arrivals.size(), submit);
+    } else {
+      for (std::size_t a = 0; a < arrivals.size(); ++a) submit(a);
     }
     pump();  // shares + masked updates delivered
     for (const auto i : crash_before_recovery) router_.crash(i);
@@ -471,7 +470,30 @@ class AsyncNetwork {
     return out;
   }
 
+ protected:
+  /// THE cycle-admission rule: a cycle of `num_arrivals` past the fan-in
+  /// the router was sized for (max(N, K) arrivals) would wedge a driving
+  /// thread on backpressure with nobody left to drain. run_cycle checks it
+  /// before any frame is sent; server::AsyncSession when a cycle is queued.
+  void check_admission(std::size_t num_arrivals) const {
+    lsa::require<lsa::ProtocolError>(
+        async_fanin_bound(params_.num_users, num_arrivals) +
+                lsa::transport::ConcurrentRouter::kCapacityHeadroom <=
+            router_.queue_capacity(),
+        "async network: cycle exceeds the mailbox fan-in bound");
+  }
+
  private:
+  [[nodiscard]] static bool distinct_users(
+      const std::vector<Arrival>& arrivals) {
+    for (std::size_t a = 0; a < arrivals.size(); ++a) {
+      for (std::size_t b = a + 1; b < arrivals.size(); ++b) {
+        if (arrivals[a].user == arrivals[b].user) return false;
+      }
+    }
+    return true;
+  }
+
   lsa::protocol::Params params_;
   lsa::transport::ConcurrentRouter router_;
   std::unique_ptr<AsyncAggregationServer> server_;

@@ -188,33 +188,25 @@ class UserDevice final : public Party {
   void start_round(std::uint64_t round, std::span<const rep> model) {
     lsa::require<lsa::ProtocolError>(model.size() == params_.model_dim,
                                      "user: wrong model dimension");
+    // Steady-state cohort (params.persistent_cohort): one epoch mask,
+    // encoded and distributed once per epoch; every later round of the
+    // epoch is masked upload only. The epoch tag differs from the
+    // per-round tag so the two modes never share mask streams. Reusing
+    // the mask across rounds is what buys the zero-setup round — the
+    // decode cancels it exactly, so aggregates stay bit-identical to
+    // per-round mode (privacy trade documented in README).
+    const bool persistent = params_.persistent_cohort;
+    const std::uint64_t key = persistent ? epoch_ : round;
+    const std::uint64_t tag = persistent ? 0xe90c4ull : 0xde51ceull;
+    lsa::crypto::Prg prg(lsa::crypto::derive_subseed(
+        lsa::crypto::seed_from_u64(master_seed_ ^
+                                   (tag + id_ * 0x9e3779b97f4a7c15ull)),
+        key));
     const std::span<rep> mask(mask_);
-    if (params_.persistent_cohort) {
-      // Steady-state cohort (params.persistent_cohort): one epoch mask,
-      // encoded and distributed once per epoch; every later round of the
-      // epoch is masked upload only. The epoch tag differs from the
-      // per-round tag so the two modes never share mask streams. Reusing
-      // the mask across rounds is what buys the zero-setup round — the
-      // decode cancels it exactly, so aggregates stay bit-identical to
-      // per-round mode (privacy trade documented in README).
-      auto seed = lsa::crypto::derive_subseed(
-          lsa::crypto::seed_from_u64(
-              master_seed_ ^ (0xe90c4ull + id_ * 0x9e3779b97f4a7c15ull)),
-          epoch_);
-      lsa::crypto::Prg prg(seed);
-      lsa::field::fill_uniform<Fp>(mask, prg);
-      if (!epoch_setup_done_) {
-        distribute_shares(epoch_, mask, prg);
-        epoch_setup_done_ = true;
-      }
-    } else {
-      auto seed = lsa::crypto::derive_subseed(
-          lsa::crypto::seed_from_u64(
-              master_seed_ ^ (0xde51ceull + id_ * 0x9e3779b97f4a7c15ull)),
-          round);
-      lsa::crypto::Prg prg(seed);
-      lsa::field::fill_uniform<Fp>(mask, prg);
-      distribute_shares(round, mask, prg);
+    lsa::field::fill_uniform<Fp>(mask, prg);
+    if (!persistent || !epoch_setup_done_) {
+      distribute_shares(key, mask, prg);
+      epoch_setup_done_ = true;  // read in persistent mode only
     }
     lsa::field::add_inplace<Fp>(mask, model);
     transport_.send_row(MsgType::kMaskedModel, id_,
@@ -537,27 +529,17 @@ class AggregationServer final : public Party {
 /// shares + survivor traffic on a user box, N masked models + N aggregated
 /// shares on the server box across an unpumped phase pair). A bound below
 /// it would wedge a lone driving thread on backpressure with nobody left
-/// to drain, so every sync driver — Network and server::Session — sizes
-/// its router from this rule plus ConcurrentRouter::kCapacityHeadroom.
+/// to drain, so Network — the one in-process sync driver — sizes its
+/// router from this rule plus ConcurrentRouter::kCapacityHeadroom.
 [[nodiscard]] constexpr std::size_t sync_fanin_bound(std::size_t n) {
   return 2 * n + 2;
 }
 
-// A bare router's default capacity must agree with the sync rule.
-static_assert(
-    lsa::transport::ConcurrentRouter::default_capacity(5 + 1) ==
-            sync_fanin_bound(5) +
-                lsa::transport::ConcurrentRouter::kCapacityHeadroom &&
-        lsa::transport::ConcurrentRouter::default_capacity(1000 + 1) ==
-            sync_fanin_bound(1000) +
-                lsa::transport::ConcurrentRouter::kCapacityHeadroom,
-    "transport default queue capacity diverged from sync_fanin_bound");
-
 /// THE delivery loop of every in-process drive: drains each receiver's
 /// mailbox on one lane of `pol` (a Party handles its own frames serially;
 /// distinct parties are independent) and re-pumps until frames sent by
-/// handlers (survivor-set / manifest replies) are delivered too. The
-/// serial references pass a default, inline policy.
+/// handlers (survivor-set / manifest replies) are delivered too. On the
+/// default, inline policy it is the serial reference's loop.
 template <class PartyFn>
 void pump_router(lsa::transport::ConcurrentRouter& router,
                  const lsa::sys::ExecPolicy& pol, PartyFn&& party) {
@@ -572,10 +554,12 @@ void pump_router(lsa::transport::ConcurrentRouter& router,
   } while (!router.idle());
 }
 
-/// Owns a router, N user devices and the server; pumps messages to
-/// completion. The single-threaded reference every concurrent driver is
-/// pinned against: the same router and pump loop as server::Session, run
-/// on one lane.
+/// THE in-process sync round driver: owns a router, N user devices and
+/// the server, and runs whole rounds. User starts and the pump fan out on
+/// params.exec. On the default, inline ExecPolicy it is the
+/// single-threaded reference every concurrent drive is pinned against;
+/// server::Session is this driver plus a queue of rounds, on the
+/// session's policy.
 class Network {
  public:
   using Fp = lsa::field::Fp32;
@@ -596,18 +580,36 @@ class Network {
     }
   }
 
+  [[nodiscard]] const lsa::protocol::Params& params() const {
+    return params_;
+  }
   [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
+  [[nodiscard]] const lsa::transport::ConcurrentRouter& router() const {
+    return router_;
+  }
   [[nodiscard]] UserDevice& user(std::size_t i) { return *users_.at(i); }
   [[nodiscard]] AggregationServer& server() { return *server_; }
 
+  /// Offline encode + share-distribution passes summed over the devices.
+  [[nodiscard]] std::uint64_t offline_encodes() const {
+    std::uint64_t total = 0;
+    for (const auto& u : users_) total += u->offline_encodes();
+    return total;
+  }
+
+  /// Persistent-cohort membership change: every device advances its epoch
+  /// and re-runs offline setup on its next round. No-op per device when
+  /// the cohort is not in persistent mode (the flag gates the fast path).
+  void advance_epoch() {
+    for (auto& u : users_) u->advance_epoch();
+  }
+
   /// Delivers queued messages until the network is quiet.
   void pump() {
-    pump_router(router_, lsa::sys::ExecPolicy{},
-                [&](std::size_t r) -> Party& {
-                  return r == params_.num_users
-                             ? static_cast<Party&>(*server_)
-                             : *users_[r];
-                });
+    pump_router(router_, params_.exec, [&](std::size_t r) -> Party& {
+      return r == params_.num_users ? static_cast<Party&>(*server_)
+                                    : *users_[r];
+    });
   }
 
   /// Runs one full round: all users start (offline + upload), `crash_after_
@@ -620,9 +622,11 @@ class Network {
     const lsa::field::simd::ScopedSimdPolicy simd_guard(params_.simd);
     lsa::require<lsa::ProtocolError>(models.size() == params_.num_users,
                                      "network: wrong number of models");
-    for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      users_[i]->start_round(round, models[i]);
-    }
+    // One user per lane; their share fan-outs are concurrent zero-copy
+    // sends into the per-receiver mailboxes.
+    params_.exec.run(params_.num_users, [&](std::size_t i) {
+      users_[i]->start_round(round, std::span<const rep>(models[i]));
+    });
     pump();  // offline shares + masked models all delivered
     for (auto i : crash_after_upload) router_.crash(i);
     server_->begin_recovery(round);

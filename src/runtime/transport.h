@@ -4,8 +4,9 @@
 // emit traffic through this interface and never see what carries it:
 //
 //   * transport::ConcurrentRouter — the in-process plane (per-receiver
-//     mailboxes over pooled frames), pumped concurrently by the server
-//     sessions and serially by runtime::Network / runtime::AsyncNetwork;
+//     mailboxes over pooled frames), owned and pumped by runtime::Network
+//     / runtime::AsyncNetwork, one receiver per lane of their ExecPolicy
+//     (a server session's pool, or inline for the serial reference);
 //   * transport::socket::SocketTransport — the same frames over TCP or
 //     Unix-domain sockets.
 //

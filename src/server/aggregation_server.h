@@ -11,36 +11,37 @@
 // that multiplexing:
 //
 //   * a session is one cohort behind the `SessionBase` interface (id, shard
-//     affinity, step()/done(), stats snapshot). Two concrete kinds exist:
-//       - `Session` (sync): N UserDevice machines + one
-//         runtime::AggregationServer; step() = one whole round;
-//       - `AsyncSession`: N AsyncUserDevice machines + one
-//         runtime::AsyncAggregationServer; step() = one *buffer cycle*
-//         (arrivals at staleness → K-buffered manifest → weighted-share
-//         fan-in → one-shot decode of the weighted aggregate mask).
-//     Each session owns its arenas and its transport::ConcurrentRouter
-//     (per-receiver MPSC mailboxes, pooled zero-copy frames); nothing is
-//     shared between sessions but the thread pool and the instrumentation
-//     counters;
+//     affinity, step()/done(), stats snapshot): a runtime driver plus a
+//     step queue. Two concrete kinds exist:
+//       - `Session` (sync): runtime::Network plus a queue of rounds;
+//         step() = one whole round;
+//       - `AsyncSession`: runtime::AsyncNetwork plus an arrival scheduler
+//         and a queue of *buffer cycles* (arrivals at staleness →
+//         K-buffered manifest → weighted-share fan-in → one-shot decode of
+//         the weighted aggregate mask); step() = one cycle.
+//     The drivers own the machines, the arenas and the
+//     transport::ConcurrentRouter (per-receiver MPSC mailboxes, pooled
+//     zero-copy frames); nothing is shared between sessions but the
+//     thread pool and the instrumentation counters;
 //   * sessions are sharded session_id % num_shards; run_rounds()/drive()
 //     executes one task per shard on the sys::ThreadPool, each shard
 //     pumping its sessions' queued steps to completion serially while the
 //     shards proceed concurrently — sync and async cohorts interleave in
 //     one process, one drive. Only the shard task touches a session's
 //     queue, between steps; a step's own fan-out never does;
-//   * within a session, the phases fan out over the session's ExecPolicy:
-//     user start_round / arrival submit_update (encode + zero-copy share
-//     fan-out) runs one user per lane — genuinely concurrent MPSC sends —
-//     and delivery pumps one receiver mailbox per lane.
-//     ThreadPool::parallel_for is nested-safe (the caller participates in
-//     block claiming), so shard tasks and intra-session fan-out may share
-//     one pool.
+//   * within a step, the driver fans the phases out over the session's
+//     ExecPolicy (Params::exec): user start_round / arrival submit_update
+//     (encode + zero-copy share fan-out) runs one user per lane —
+//     genuinely concurrent MPSC sends — and delivery pumps one receiver
+//     mailbox per lane. ThreadPool::parallel_for is nested-safe (the
+//     caller participates in block claiming), so shard tasks and
+//     intra-session fan-out may share one pool.
 //
 // Determinism: every reduction in the state machines is ordered by user
 // *index* (never by arrival order), async decode survivor sets are the
 // sorted responder ids, and field arithmetic is exact — so a session's
-// aggregate is bit-identical to its single-threaded reference
-// (runtime::Network / runtime::AsyncNetwork) at the same seed, whatever
+// aggregate is bit-identical to its driver on the default, inline
+// ExecPolicy (the single-threaded reference) at the same seed, whatever
 // the interleaving (asserted in tests/transport_test.cpp,
 // tests/async_session_test.cpp and the benches). Async arrival patterns
 // come from the seeded runtime::ArrivalScheduler so both sides consume
@@ -53,7 +54,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -130,25 +130,6 @@ class SessionBase {
   [[nodiscard]] virtual SessionStats stats() const = 0;
 
  protected:
-  /// THE queue-capacity rule for server-owned routers: the session type's
-  /// largest single-phase fan-in (runtime::sync_fanin_bound /
-  /// runtime::async_fanin_bound — the rules live next to the machines and
-  /// also size the serial references' routers) is the floor, since a
-  /// configured bound below it would wedge the (possibly only) driving
-  /// thread on backpressure with nobody left to drain. 0 picks bound +
-  /// ConcurrentRouter::kCapacityHeadroom.
-  [[nodiscard]] static std::size_t resolve_queue_capacity(
-      std::size_t configured, std::size_t fanin_bound) {
-    if (configured == 0) {
-      return fanin_bound + lsa::transport::ConcurrentRouter::kCapacityHeadroom;
-    }
-    lsa::require<lsa::ProtocolError>(
-        configured >= fanin_bound,
-        "session: queue_capacity below this session type's phase fan-in "
-        "bound");
-    return configured;
-  }
-
   /// Folds one decode's stats into the session telemetry.
   void note_step(const lsa::coding::MaskCodec<Fp>::DecodeStats& st) {
     ++steps_;
@@ -198,82 +179,26 @@ class SessionBase {
 struct SessionConfig {
   lsa::protocol::Params params;  ///< exec drives intra-session fan-out too
   std::uint64_t seed = 1;
-  /// Per-receiver mailbox bound; 0 = the session type's fan-in bound plus
-  /// headroom, so a single-threaded drive never blocks on backpressure.
-  std::size_t queue_capacity = 0;
   bool byzantine_tolerant = false;
 };
 
-/// One synchronous cohort: the state machines, their router, and the
-/// round driver. step() executes one queued whole round.
-class Session final : public SessionBase {
+/// One synchronous cohort: the runtime::Network round driver plus a queue
+/// of whole rounds; step() executes the oldest.
+class Session final : public SessionBase, public lsa::runtime::Network {
  public:
   using Fp = SessionBase::Fp;
   using rep = SessionBase::rep;
 
-  explicit Session(SessionConfig cfg)
-      : cfg_(std::move(cfg)),
-        router_(cfg_.params.num_users + 1,
-                resolve_queue_capacity(
-                    cfg_.queue_capacity,
-                    lsa::runtime::sync_fanin_bound(cfg_.params.num_users))) {
-    cfg_.params.validate_and_resolve();
-    server_ = std::make_unique<lsa::runtime::AggregationServer>(
-        cfg_.params, router_, cfg_.byzantine_tolerant);
-    for (std::uint32_t i = 0; i < cfg_.params.num_users; ++i) {
-      users_.push_back(std::make_unique<lsa::runtime::UserDevice>(
-          i, cfg_.params, cfg_.seed, router_));
-    }
-  }
+  explicit Session(const SessionConfig& cfg)
+      : Network(cfg.params, cfg.seed, cfg.byzantine_tolerant) {}
 
-  [[nodiscard]] const lsa::protocol::Params& params() const {
-    return cfg_.params;
-  }
-  [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
-  [[nodiscard]] lsa::runtime::UserDevice& user(std::size_t i) {
-    return *users_.at(i);
-  }
-  [[nodiscard]] lsa::runtime::AggregationServer& server() { return *server_; }
-
-  /// Persistent-cohort membership change: every device advances its epoch
-  /// and re-runs offline setup on its next round. No-op per device when
-  /// the session is not in persistent mode (the flag gates the fast path).
-  void advance_epoch() {
-    for (auto& u : users_) u->advance_epoch();
-  }
-
-  /// One full round, same phase structure and same failure semantics as
-  /// runtime::Network::run_round (crash-after-upload users are "delayed,
-  /// not dropped"). Bit-identical to the Network result at equal seed.
+  /// Network::run_round, counted in the session's telemetry.
   [[nodiscard]] std::vector<rep> run_round(
       std::uint64_t round, const std::vector<std::vector<rep>>& models,
       const std::vector<std::size_t>& crash_after_upload) {
-    const lsa::field::simd::ScopedSimdPolicy simd_guard(cfg_.params.simd);
-    const std::size_t n = cfg_.params.num_users;
-    lsa::require<lsa::ProtocolError>(models.size() == n,
-                                     "session: wrong number of models");
-    // Offline + upload: one user per lane; their share fan-outs are
-    // concurrent zero-copy sends into the per-receiver mailboxes.
-    cfg_.params.exec.run(n, [&](std::size_t i) {
-      users_[i]->start_round(round, std::span<const rep>(models[i]));
-    });
-    // Crash lands after the first pump — "crash after upload"; frames the
-    // crashed user already enqueued still deliver (delayed, not dropped).
-    pump();
-    for (const auto i : crash_after_upload) router_.crash(i);
-    server_->begin_recovery(round);
-    pump();  // survivor set out, aggregated shares back
-    auto result = server_->finish_round(round);
-    pump();  // result broadcast
-    note_step(server_->codec().last_decode_stats());
+    auto result = Network::run_round(round, models, crash_after_upload);
+    note_step(server().codec().last_decode_stats());
     return result;
-  }
-
-  void pump() {
-    lsa::runtime::pump_router(router_, cfg_.params.exec,
-                              [&](std::size_t r) -> lsa::runtime::Party& {
-                                return party(r);
-                              });
   }
 
   // ------------------------------------------------- SessionBase interface
@@ -310,133 +235,54 @@ class Session final : public SessionBase {
 
   [[nodiscard]] SessionStats stats() const override {
     SessionStats out;
-    fill_common_stats(out, router_);
-    for (const auto& u : users_) out.offline_encodes += u->offline_encodes();
+    fill_common_stats(out, router());
+    out.offline_encodes = offline_encodes();
     return out;
   }
 
  private:
-  [[nodiscard]] lsa::runtime::Party& party(std::size_t r) {
-    return r == cfg_.params.num_users
-               ? static_cast<lsa::runtime::Party&>(*server_)
-               : *users_[r];
-  }
-
-  SessionConfig cfg_;
-  lsa::transport::ConcurrentRouter router_;
-  std::unique_ptr<lsa::runtime::AggregationServer> server_;
-  std::vector<std::unique_ptr<lsa::runtime::UserDevice>> users_;
   std::deque<QueuedRound> queue_;
 };
 
 struct AsyncSessionConfig {
   lsa::protocol::Params params;  ///< exec drives intra-session fan-out too
   std::uint64_t seed = 1;
-  /// Per-receiver mailbox bound; 0 = the async fan-in bound plus headroom.
-  std::size_t queue_capacity = 0;
   std::size_t buffer_k = 1;  ///< K: updates buffered before aggregating
   lsa::quant::StalenessPolicy staleness{};
   std::uint64_t c_g = 1u << 6;  ///< staleness-weight quantization (eq. 34)
-  /// Cap on arrivals a single queued cycle may carry (drives the mailbox
-  /// fan-in bound); 0 = buffer_k.
-  std::size_t max_arrivals_per_cycle = 0;
   /// Seeded deterministic arrival pattern for enqueue_scheduled_cycles();
   /// schedule.arrivals_per_cycle == 0 resolves to buffer_k.
   lsa::runtime::ArrivalSchedule schedule{};
 };
 
-/// One asynchronous buffered cohort: AsyncUserDevice machines and the
-/// AsyncAggregationServer over the same zero-copy transport. step()
-/// executes one queued buffer cycle — timestamped share frames are built
-/// once straight from the encode arenas (zero send-side payload copies),
-/// and the one-shot weighted-mask recovery runs through the codec's
-/// survivor-set-keyed decode-plan cache, so repeated cycles with the same
-/// responder set pay plan setup once.
-class AsyncSession final : public SessionBase {
+/// One asynchronous buffered cohort: the runtime::AsyncNetwork cycle
+/// driver plus an arrival scheduler, a queue of buffer cycles and their
+/// outputs; step() executes the oldest cycle. Timestamped share frames are
+/// built once straight from the encode arenas (zero send-side payload
+/// copies), and the one-shot weighted-mask recovery runs through the
+/// codec's survivor-set-keyed decode-plan cache, so repeated cycles with
+/// the same responder set pay plan setup once.
+class AsyncSession final : public SessionBase,
+                           public lsa::runtime::AsyncNetwork {
  public:
   using Fp = SessionBase::Fp;
   using rep = SessionBase::rep;
   using Arrival = lsa::runtime::Arrival;
   using Output = lsa::runtime::AsyncAggregationServer::Output;
 
-  explicit AsyncSession(AsyncSessionConfig cfg)
-      : cfg_(std::move(cfg)),
-        max_arrivals_(cfg_.max_arrivals_per_cycle != 0
-                          ? cfg_.max_arrivals_per_cycle
-                          : cfg_.buffer_k),
-        router_(cfg_.params.num_users + 1,
-                resolve_queue_capacity(
-                    cfg_.queue_capacity,
-                    lsa::runtime::async_fanin_bound(cfg_.params.num_users,
-                                                    max_arrivals_))) {
-    cfg_.params.validate_and_resolve();
-    server_ = std::make_unique<lsa::runtime::AsyncAggregationServer>(
-        cfg_.params, cfg_.buffer_k, cfg_.staleness, cfg_.c_g, router_);
-    for (std::uint32_t i = 0; i < cfg_.params.num_users; ++i) {
-      users_.push_back(std::make_unique<lsa::runtime::AsyncUserDevice>(
-          i, cfg_.params, cfg_.seed, router_));
-    }
-    scheduler_.emplace(cfg_.schedule, cfg_.params.num_users,
-                       cfg_.params.model_dim,
-                       /*default_arrivals=*/cfg_.buffer_k);
-  }
+  explicit AsyncSession(const AsyncSessionConfig& cfg)
+      : AsyncNetwork(cfg.params, cfg.buffer_k, cfg.staleness, cfg.c_g,
+                     cfg.seed),
+        scheduler_(cfg.schedule, cfg.params.num_users, cfg.params.model_dim,
+                   /*default_arrivals=*/cfg.buffer_k) {}
 
-  [[nodiscard]] const lsa::protocol::Params& params() const {
-    return cfg_.params;
-  }
-  [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
-  [[nodiscard]] lsa::runtime::AsyncUserDevice& user(std::size_t i) {
-    return *users_.at(i);
-  }
-  [[nodiscard]] lsa::runtime::AsyncAggregationServer& server() {
-    return *server_;
-  }
-  [[nodiscard]] const lsa::runtime::ArrivalScheduler& scheduler() const {
-    return *scheduler_;
-  }
-
-  /// Persistent-cohort membership change (see Session::advance_epoch).
-  void advance_epoch() {
-    for (auto& u : users_) u->advance_epoch();
-  }
-
-  /// One buffer cycle at aggregation round `now`: the arrivals submit
-  /// their (stale) updates, `crash_before_recovery` users go silent, and
-  /// the server manifests/aggregates once the buffer is full. Same phase
-  /// structure and failure semantics as AsyncNetwork::run_cycle;
-  /// bit-identical to it at equal seed and arrivals.
+  /// AsyncNetwork::run_cycle, counted in the session's telemetry.
   [[nodiscard]] Output run_cycle(
       std::uint64_t now, const std::vector<Arrival>& arrivals,
       const std::vector<std::size_t>& crash_before_recovery = {}) {
-    const lsa::field::simd::ScopedSimdPolicy simd_guard(cfg_.params.simd);
-    const auto& pol = cfg_.params.exec;
-    // One arrival per lane when the users are distinct (each lane owns its
-    // user's machine); repeated users share state and must stay serial.
-    auto submit = [&](std::size_t a) {
-      users_.at(arrivals[a].user)
-          ->submit_update(arrivals[a].born_round,
-                          std::span<const rep>(arrivals[a].update));
-    };
-    if (distinct_users(arrivals)) {
-      pol.run(arrivals.size(), submit);
-    } else {
-      for (std::size_t a = 0; a < arrivals.size(); ++a) submit(a);
-    }
-    pump();  // timestamped shares + masked updates delivered
-    for (const auto i : crash_before_recovery) router_.crash(i);
-    server_->begin_recovery(now);
-    pump();  // manifest out, weighted shares back
-    auto out = server_->finish_cycle(now);
-    pump();  // result broadcast
-    note_step(server_->codec().last_decode_stats());
+    auto out = AsyncNetwork::run_cycle(now, arrivals, crash_before_recovery);
+    note_step(server().codec().last_decode_stats());
     return out;
-  }
-
-  void pump() {
-    lsa::runtime::pump_router(router_, cfg_.params.exec,
-                              [&](std::size_t r) -> lsa::runtime::Party& {
-                                return party(r);
-                              });
   }
 
   // ------------------------------------------------- SessionBase interface
@@ -447,22 +293,21 @@ class AsyncSession final : public SessionBase {
     std::vector<std::size_t> crash_before_recovery;
   };
 
+  /// Refuses a cycle run_cycle would refuse (check_admission) when it is
+  /// queued, not in the middle of a drive.
   void enqueue_cycle(QueuedCycle cycle) {
-    lsa::require<lsa::ProtocolError>(
-        cycle.arrivals.size() <= max_arrivals_,
-        "async session: cycle exceeds max_arrivals_per_cycle (the mailbox "
-        "fan-in bound was derived from it)");
+    check_admission(cycle.arrivals.size());
     queue_.push_back(std::move(cycle));
   }
 
   /// Enqueues the next `count` cycles of the session's deterministic
   /// arrival schedule (reproducible: the same seed yields the same cycles
-  /// in the legacy single-threaded AsyncNetwork drive).
+  /// on an inline AsyncNetwork).
   void enqueue_scheduled_cycles(std::size_t count) {
     for (std::size_t k = 0; k < count; ++k) {
       enqueue_cycle(QueuedCycle{
-          scheduler_->now_for_cycle(next_scheduled_cycle_),
-          scheduler_->arrivals_for_cycle(next_scheduled_cycle_),
+          scheduler_.now_for_cycle(next_scheduled_cycle_),
+          scheduler_.arrivals_for_cycle(next_scheduled_cycle_),
           {}});
       ++next_scheduled_cycle_;
     }
@@ -488,34 +333,13 @@ class AsyncSession final : public SessionBase {
 
   [[nodiscard]] SessionStats stats() const override {
     SessionStats out;
-    fill_common_stats(out, router_);
-    for (const auto& u : users_) out.offline_encodes += u->offline_encodes();
+    fill_common_stats(out, router());
+    out.offline_encodes = offline_encodes();
     return out;
   }
 
  private:
-  [[nodiscard]] static bool distinct_users(
-      const std::vector<Arrival>& arrivals) {
-    for (std::size_t a = 0; a < arrivals.size(); ++a) {
-      for (std::size_t b = a + 1; b < arrivals.size(); ++b) {
-        if (arrivals[a].user == arrivals[b].user) return false;
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] lsa::runtime::Party& party(std::size_t r) {
-    return r == cfg_.params.num_users
-               ? static_cast<lsa::runtime::Party&>(*server_)
-               : *users_[r];
-  }
-
-  AsyncSessionConfig cfg_;
-  std::size_t max_arrivals_;
-  lsa::transport::ConcurrentRouter router_;
-  std::unique_ptr<lsa::runtime::AsyncAggregationServer> server_;
-  std::vector<std::unique_ptr<lsa::runtime::AsyncUserDevice>> users_;
-  std::optional<lsa::runtime::ArrivalScheduler> scheduler_;
+  lsa::runtime::ArrivalScheduler scheduler_;
   std::uint64_t next_scheduled_cycle_ = 0;
   std::deque<QueuedCycle> queue_;
   std::vector<Output> outputs_;

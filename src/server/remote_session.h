@@ -1,10 +1,11 @@
 // Event-driven LightSecAgg session over a socket hub.
 //
-// The in-process drivers (runtime::Network, server::AggregationServer's
-// sharded sessions) know when a phase ends because they orchestrate both
-// sides. A daemon serving real client processes does not: progress must be
-// inferred purely from what arrives on the wire and from connection
-// lifecycle events. RemoteSession is that inference layer — it owns one
+// The in-process drivers (runtime::Network and runtime::AsyncNetwork, on
+// which server::AggregationServer's sharded sessions queue their steps)
+// know when a phase ends because they orchestrate both sides. A daemon
+// serving real client processes does not: progress must be inferred purely
+// from what arrives on the wire and from connection lifecycle events.
+// RemoteSession is that inference layer — it owns one
 // runtime::AggregationServer machine, registers hooks with the socket hub,
 // and advances the round phase machine deterministically:
 //

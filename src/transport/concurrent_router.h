@@ -1,8 +1,9 @@
 // Thread-safe MPSC message plane: sharded per-receiver mailboxes over
-// pooled zero-copy frames — the one in-process transport. The concurrent
-// server sessions pump it from many lanes; the serial references
-// (runtime::Network / runtime::AsyncNetwork) pump the same router from one
-// thread through the same pump loop (runtime::pump_router).
+// pooled zero-copy frames — the one in-process transport. The one sync and
+// the one async driver (runtime::Network / runtime::AsyncNetwork) own one
+// router each and pump it through runtime::pump_router, one receiver per
+// lane of their ExecPolicy: many lanes under a server session's pool, one
+// on the default inline policy (the serial reference).
 //
 // Design:
 //
@@ -70,30 +71,17 @@ struct Inbound {
 
 class ConcurrentRouter final : public lsa::runtime::Transport {
  public:
-  /// Headroom added on top of a derived fan-in bound — THE shared
-  /// constant: server::SessionBase::resolve_queue_capacity and the serial
-  /// references add it to the fan-in rules that live next to the machines
-  /// (runtime::sync_fanin_bound / runtime::async_fanin_bound).
+  /// Headroom added on top of a derived fan-in bound: runtime::Network and
+  /// runtime::AsyncNetwork size their routers from the fan-in rules that
+  /// live next to the machines (runtime::sync_fanin_bound /
+  /// runtime::async_fanin_bound) plus this constant.
   static constexpr std::size_t kCapacityHeadroom = 14;
 
-  /// Default mailbox bound for a router of `num_parties` endpoints (N users
-  /// + 1 server): the sync round's worst-case single-phase fan-in
-  /// (2N + 2) plus kCapacityHeadroom. runtime/machines.h static_asserts
-  /// that this equals runtime::sync_fanin_bound(N) + kCapacityHeadroom, so
-  /// a bare router and a session-owned one agree.
-  [[nodiscard]] static constexpr std::size_t default_capacity(
-      std::size_t num_parties) {
-    const std::size_t users = num_parties > 0 ? num_parties - 1 : 0;
-    return 2 * users + 2 + kCapacityHeadroom;
-  }
-
   /// num_parties includes the server; party ids are 0..num_parties-1.
-  /// queue_capacity bounds each receiver's mailbox (backpressure); 0 picks
-  /// the derived default_capacity(num_parties).
-  explicit ConcurrentRouter(std::size_t num_parties,
-                            std::size_t queue_capacity = 0)
-      : capacity_(queue_capacity == 0 ? default_capacity(num_parties)
-                                      : queue_capacity) {
+  /// queue_capacity bounds each receiver's mailbox (backpressure).
+  ConcurrentRouter(std::size_t num_parties, std::size_t queue_capacity)
+      : capacity_(queue_capacity) {
+    lsa::require(capacity_ >= 1, "router: queue capacity must be >= 1");
     boxes_.reserve(num_parties);
     for (std::size_t i = 0; i < num_parties; ++i) {
       boxes_.push_back(std::make_unique<Mailbox>());

@@ -1,7 +1,7 @@
 // Async buffered-cycle sessions in the sharded server: bit-identity with
 // the legacy single-threaded AsyncNetwork drive at equal seed, U-boundary
 // dropout under staleness, buffered rounds spanning many born-rounds,
-// per-type queue-capacity bounds, survivor-set plan-cache reuse across
+// one cycle-admission rule, survivor-set plan-cache reuse across
 // cycles, and mixed sync+async multi-session drives deterministic across
 // pool sizes with zero send-side payload copies.
 #include <gtest/gtest.h>
@@ -154,32 +154,41 @@ TEST(AsyncSession, RepeatedCyclesHitTheSurvivorSetPlanCache) {
   EXPECT_TRUE(session.server().codec().last_decode_stats().plan_reused);
 }
 
-TEST(AsyncSession, QueueCapacityBoundIsAsyncSpecific) {
-  // The async fan-in bound is max(N, max_arrivals) + 2, NOT the sync 2N+2:
-  // N + 2 = 12 must be accepted (a sync session of the same N requires 22),
-  // anything below must be rejected at construction.
-  auto cfg = async_config(1, 1);
-  cfg.queue_capacity = kN + 1;
-  EXPECT_THROW(lsa::server::AsyncSession{cfg}, lsa::ProtocolError);
-  cfg.queue_capacity = kN + 2;
-  lsa::server::AsyncSession ok(cfg);
-  ok.enqueue_scheduled_cycles(1);
-  ok.step();
-  EXPECT_EQ(ok.outputs().size(), 1u);
-
-  // A queued cycle may not exceed the arrival cap the bound was derived
-  // from.
-  std::vector<Arrival> too_many;
-  for (std::size_t u = 0; u < kBufferK + 1; ++u) {
-    too_many.push_back({u, 3, random_update(300 + u)});
+TEST(AsyncSession, OneAdmissionRuleForDirectAndQueuedCycles) {
+  // The router admits cycles of up to max(N, K) arrivals, and every path
+  // applies that one rule before any frame is sent: a direct run_cycle and
+  // a queued cycle are refused alike, so neither can wedge the driving
+  // thread on backpressure.
+  std::vector<Arrival> too_many;  // N + 1 arrivals from two users
+  for (std::size_t a = 0; a < kN + 1; ++a) {
+    too_many.push_back({a % 2, 3, random_update(300 + a)});
   }
-  EXPECT_THROW(ok.enqueue_cycle({3, too_many, {}}), lsa::ProtocolError);
+  lsa::server::AsyncSession session(async_config(1, 1));
+  EXPECT_THROW((void)session.run_cycle(3, too_many), lsa::ProtocolError);
+  EXPECT_THROW(session.enqueue_cycle({3, too_many, {}}), lsa::ProtocolError);
+  EXPECT_EQ(session.router().frames_sent(), 0u);
+  EXPECT_EQ(session.pending(), 0u);
 
-  // Sync sessions keep their 2N + 2 floor.
-  lsa::server::SessionConfig sync_cfg{.params = make_params(),
-                                      .seed = 1,
-                                      .queue_capacity = 2 * kN + 1};
-  EXPECT_THROW(lsa::server::Session{sync_cfg}, lsa::ProtocolError);
+  // K < A <= N distinct arrivals fit the same rule: queued, stepped on a
+  // pool, and equal to the inline driver at the same seed.
+  std::vector<Arrival> past_k;
+  for (std::size_t u = 0; u < kBufferK + 1; ++u) {
+    past_k.push_back({u, 1 + u % 3, random_update(400 + u)});
+  }
+  lsa::sys::ThreadPool pool(3);
+  auto cfg = async_config(2, 1);
+  cfg.params.exec.pool = &pool;
+  lsa::server::AsyncSession pooled(cfg);
+  pooled.enqueue_cycle({4, past_k, {}});
+  pooled.step();
+  lsa::runtime::AsyncNetwork inline_net(make_params(), kBufferK,
+                                        cfg.staleness, kCg, 2);
+  const auto expected = inline_net.run_cycle(4, past_k);
+  ASSERT_EQ(pooled.outputs().size(), 1u);
+  EXPECT_EQ(pooled.outputs()[0].weighted_sum, expected.weighted_sum);
+  EXPECT_EQ(pooled.outputs()[0].weight_sum, expected.weight_sum);
+  EXPECT_EQ(expected.weighted_sum,
+            expected_weighted_sum(past_k, 4, cfg.staleness));
 }
 
 TEST(MixedServer, OneDriveRunsSyncAndAsyncCohortsDeterministically) {

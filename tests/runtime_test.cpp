@@ -86,7 +86,7 @@ void send_one(ConcurrentRouter& router, std::uint32_t sender,
 }
 
 TEST(Router, FifoDeliveryAndCrashSemantics) {
-  ConcurrentRouter router(3);
+  ConcurrentRouter router(3, /*queue_capacity=*/8);
   send_one(router, 0, 1, 1);
   send_one(router, 0, 1, 2);
   router.crash(0);
@@ -108,7 +108,7 @@ TEST(Router, FifoDeliveryAndCrashSemantics) {
 }
 
 TEST(Router, FaultHookCanDropFrames) {
-  ConcurrentRouter router(2);
+  ConcurrentRouter router(2, /*queue_capacity=*/8);
   int count = 0;
   router.set_fault_hook([&count](std::span<std::uint8_t>) {
     return ++count % 2 == 0;  // drop every other frame
@@ -289,6 +289,59 @@ TEST(SerialReference, NetworkAndAsyncNetworkMakeNoPayloadCopies) {
   const auto after = lsa::transport::snapshot();
   EXPECT_EQ(after.payload_copies - before.payload_copies, 0u);
   EXPECT_GT(after.frames_built - before.frames_built, 0u);
+}
+
+/// Installs a fault hook that folds every frame's bytes, in send order,
+/// into a 64-bit FNV-1a digest.
+void digest_traffic(ConcurrentRouter& router, std::uint64_t& h) {
+  h = 0xcbf29ce484222325ull;
+  router.set_fault_hook([&h](std::span<std::uint8_t> frame) {
+    for (const auto b : frame) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+    return true;
+  });
+}
+
+std::uint64_t sync_traffic_digest(bool persistent) {
+  auto p = net_params(6, 2, 4, 150);
+  p.persistent_cohort = persistent;
+  std::uint64_t h = 0;  // outlives the router whose hook writes it
+  Network net(p, 21);
+  digest_traffic(net.router(), h);
+  (void)net.run_round(0, random_models(6, 150, 60), {});
+  (void)net.run_round(1, random_models(6, 150, 61), {2});
+  return h;
+}
+
+std::uint64_t async_traffic_digest(bool persistent) {
+  auto p = net_params(6, 2, 4, 150);
+  p.persistent_cohort = persistent;
+  const lsa::quant::StalenessPolicy poly{
+      lsa::quant::StalenessKind::kPolynomial, 1.0};
+  std::uint64_t h = 0;
+  AsyncNetwork net(p, /*buffer_k=*/3, poly, /*c_g=*/64, /*seed=*/23);
+  digest_traffic(net.router(), h);
+  const auto u0 = random_models(3, 150, 70);
+  const auto u1 = random_models(3, 150, 71);
+  (void)net.run_cycle(/*now=*/3, {{0, 1, u0[0]}, {2, 3, u0[1]}, {4, 2, u0[2]}});
+  (void)net.run_cycle(/*now=*/4, {{1, 4, u1[0]}, {2, 2, u1[1]}, {5, 3, u1[2]}},
+                      /*crash_before_recovery=*/{3});
+  return h;
+}
+
+TEST(SerialReference, DeviceTrafficGoldenDigests) {
+  // Masks cancel in every aggregate, so no aggregate test notices a device
+  // that draws the wrong mask stream (a swapped domain tag, an epoch mask
+  // keyed on the round). These digests pin every byte the devices and the
+  // server put on the wire — shares, masked uploads, survivor sets,
+  // manifests, weighted shares and results — in per-round and persistent
+  // mode, and must hold at every SIMD level.
+  EXPECT_EQ(sync_traffic_digest(false), 0x47c6b71b1483897bull);
+  EXPECT_EQ(sync_traffic_digest(true), 0xc97a56f76fb21cd7ull);
+  EXPECT_EQ(async_traffic_digest(false), 0x37b942b1fd1e0515ull);
+  EXPECT_EQ(async_traffic_digest(true), 0x90af1c0616e294f5ull);
 }
 
 }  // namespace

@@ -197,7 +197,7 @@ TEST(ConcurrentRouter, BackpressureBoundsQueueDepthAndBlocksSenders) {
 }
 
 TEST(ConcurrentRouter, CrashDropsAndReviveReadmits) {
-  ConcurrentRouter router(3);
+  ConcurrentRouter router(3, /*queue_capacity=*/8);
   const std::vector<rep> payload = {1};
   auto send01 = [&] {
     router.send_row(MsgType::kMaskedModel, 0, 1, 0,
@@ -237,7 +237,7 @@ TEST(ConcurrentRouter, CrashUnblocksBackpressuredSenders) {
 
 TEST(ConcurrentRouter, BroadcastSharesOneRefCountedFrame) {
   constexpr std::size_t kReceivers = 5;
-  ConcurrentRouter router(kReceivers + 1);
+  ConcurrentRouter router(kReceivers + 1, /*queue_capacity=*/8);
   const std::uint32_t server = kReceivers;
   const std::vector<rep> payload(128, 3);
   const auto before = snapshot();
@@ -266,7 +266,7 @@ TEST(ConcurrentRouter, BroadcastSharesOneRefCountedFrame) {
 }
 
 TEST(ConcurrentRouter, CrashWakesBlockedReceiver) {
-  ConcurrentRouter router(2);
+  ConcurrentRouter router(2, /*queue_capacity=*/8);
   const auto t0 = std::chrono::steady_clock::now();
   std::thread crasher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -281,7 +281,7 @@ TEST(ConcurrentRouter, CrashWakesBlockedReceiver) {
 }
 
 TEST(ConcurrentRouter, FaultHookCorruptionSurfacesAtDelivery) {
-  ConcurrentRouter router(2);
+  ConcurrentRouter router(2, /*queue_capacity=*/8);
   router.set_fault_hook([](std::span<std::uint8_t> bytes) {
     if (bytes.size() > lsa::runtime::kHeaderBytes) {
       bytes[lsa::runtime::kHeaderBytes] ^= 0x10;
@@ -325,30 +325,6 @@ TEST(ConcurrentRouter, FifoHoldsUnderBackpressuredSenders) {
   EXPECT_EQ(got, kSenders * kFrames);
   EXPECT_TRUE(router.idle());
   EXPECT_LE(router.max_queue_depth(), 8u);
-}
-
-TEST(ConcurrentRouter, DefaultCapacityAgreesWithSyncSessionRule) {
-  // A bare router, the serial Network and a server-owned sync session
-  // must all resolve the same mailbox bound.
-  for (const std::size_t n : {4u, 6u, 32u, 100u}) {
-    ConcurrentRouter bare(n + 1);
-    EXPECT_EQ(bare.queue_capacity(),
-              lsa::runtime::sync_fanin_bound(n) +
-                  ConcurrentRouter::kCapacityHeadroom)
-        << "n=" << n;
-  }
-  lsa::protocol::Params p;
-  p.num_users = 6;
-  p.privacy = 1;
-  p.dropout = 2;
-  p.target_survivors = 4;
-  p.model_dim = 8;
-  lsa::server::Session session(
-      lsa::server::SessionConfig{.params = p, .seed = 1});
-  ConcurrentRouter bare(6 + 1);
-  EXPECT_EQ(session.router().queue_capacity(), bare.queue_capacity());
-  EXPECT_EQ(lsa::runtime::Network(p, 1).router().queue_capacity(),
-            bare.queue_capacity());
 }
 
 TEST(ConcurrentRouter, CrashFencesParkedSenderOutOfRevivedMailbox) {
@@ -463,21 +439,6 @@ TEST(Session, SendSideIsZeroCopy) {
   EXPECT_EQ(after.payload_copies - before.payload_copies, 0u)
       << "a send-side intermediate payload copy sneaked in";
   EXPECT_GT(after.frames_built - before.frames_built, 0u);
-}
-
-TEST(Session, RejectsDeadlockProneQueueCapacity) {
-  // A mailbox bound below the phase fan-in would wedge the driving thread
-  // on backpressure with nobody left to drain; the session must refuse it.
-  auto p = session_params(6, 1, 4, 8);
-  EXPECT_THROW(lsa::server::Session(lsa::server::SessionConfig{
-                   .params = p, .seed = 1, .queue_capacity = 4}),
-               lsa::ProtocolError);
-  // The documented floor (2N + 2) is accepted and works.
-  lsa::server::Session ok(lsa::server::SessionConfig{
-      .params = p, .seed = 1, .queue_capacity = 14});
-  const auto models = random_models(6, 8, 2);
-  EXPECT_EQ(ok.run_round(0, models, {}),
-            lsa::runtime::Network(p, 1).run_round(0, models, {}));
 }
 
 TEST(Session, TooManyCrashesFailLoudly) {
