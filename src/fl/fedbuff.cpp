@@ -1,10 +1,12 @@
 #include "fl/fedbuff.h"
 
 #include <deque>
+#include <optional>
 
 #include "common/error.h"
 #include "field/fp.h"
 #include "quant/quantizer.h"
+#include "runtime/async_machines.h"
 
 namespace lsa::fl {
 
@@ -39,8 +41,8 @@ std::vector<RoundRecord> run_fedbuff(
   std::deque<std::vector<double>> history;  // history[0] = newest
   history.push_front(global.params());
 
-  // Secure-mode machinery.
-  std::unique_ptr<lsa::protocol::AsyncLightSecAgg<Fp32>> secure;
+  // Secure mode: one async cohort of N devices and the buffering server.
+  std::optional<lsa::runtime::AsyncNetwork> secure;
   lsa::quant::Quantizer<Fp32> quant(cfg.c_l);
   if (cfg.secure) {
     lsa::protocol::Params p;
@@ -53,14 +55,12 @@ std::vector<RoundRecord> run_fedbuff(
     p.dropout = n - u;
     p.target_survivors = u;
     p.model_dim = d;
-    p.exec = cfg.exec;
-    secure = std::make_unique<lsa::protocol::AsyncLightSecAgg<Fp32>>(
-        p, cfg.buffer_k, cfg.staleness, cfg.c_g, cfg.seed ^ 0xfedbull);
+    secure.emplace(p, cfg.buffer_k, cfg.staleness, cfg.c_g,
+                   cfg.seed ^ 0xfedbull);
   }
 
   std::vector<RoundRecord> records;
   records.reserve(cfg.rounds);
-  const std::vector<bool> all_active(n, true);
 
   for (std::size_t round = 0; round < cfg.rounds; ++round) {
     // K distinct arrivals this round, each with its own staleness.
@@ -105,18 +105,16 @@ std::vector<RoundRecord> run_fedbuff(
       }
       for (auto& v : update) v /= weight_sum;
     } else {
-      // Offline sharing (timestamped), masking, buffering, one-shot recovery.
+      // Quantize in arrival order, then one buffer cycle: timestamped
+      // share exchange, masked uploads, one-shot weighted recovery.
+      std::vector<lsa::runtime::Arrival> uploads;
+      uploads.reserve(arrivals.size());
       for (const auto& a : arrivals) {
-        auto mask = secure->generate_and_share_mask(a.user, a.born_round);
-        auto q =
-            quant.quantize_vector(std::span<const double>(a.delta), quant_rng);
-        lsa::protocol::AsyncLightSecAgg<Fp32>::BufferedUpdate upd;
-        upd.user = a.user;
-        upd.born_round = a.born_round;
-        upd.masked = secure->mask_update(q, mask);
-        (void)secure->buffer_update(std::move(upd));
+        uploads.push_back({a.user, a.born_round,
+                           quant.quantize_vector(
+                               std::span<const double>(a.delta), quant_rng)});
       }
-      const auto out = secure->aggregate(round, all_active);
+      const auto out = secure->run_cycle(round, uploads);
       // Normalize by sum_i w_i: the c_g factor common to numerator and
       // denominator cancels, leaving the plaintext path's normalization up
       // to staleness quantization (eq. 37).

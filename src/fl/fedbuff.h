@@ -10,7 +10,9 @@
 //
 // In secure mode the updates are quantized (c_l), masked with timestamped
 // LightSecAgg masks, and the server aggregates with the *quantized* integer
-// staleness weights s_cg (eq. 34) — never seeing an individual update.
+// staleness weights s_cg (eq. 34) — never seeing an individual update. Each
+// server round is one runtime::AsyncNetwork buffer cycle: N devices and the
+// buffering server exchanging wire frames.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +23,7 @@
 #include "fl/fedavg.h"  // RoundRecord
 #include "fl/model.h"
 #include "fl/sgd.h"
-#include "protocol/async_lightsecagg.h"
 #include "quant/staleness.h"
-#include "sys/exec_policy.h"
 
 namespace lsa::fl {
 
@@ -41,12 +41,8 @@ struct FedBuffConfig {
   bool secure = false;
   std::uint64_t c_l = 1u << 16;  ///< update quantization levels (Fig. 12)
   std::uint64_t c_g = 1u << 6;   ///< staleness quantization levels (App. F.5)
-  std::size_t privacy_t = 0;     ///< T for AsyncLightSecAgg (0 = N/10)
+  std::size_t privacy_t = 0;     ///< T of the AsyncNetwork cohort (0 = N/10)
   std::size_t target_u = 0;      ///< U (0 = default N - D with D = N/5)
-  /// Execution policy threaded into the secure aggregator's Params
-  /// (encode fan-out, one-shot weighted recovery); results are
-  /// bit-identical under every choice.
-  lsa::sys::ExecPolicy exec{};
 
   /// Optional transform applied to each arriving update before it reaches
   /// the server (identity when empty). This is where the DP baseline plugs

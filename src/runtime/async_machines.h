@@ -1,6 +1,7 @@
 // Asynchronous LightSecAgg as communicating state machines (paper §4.2,
-// Appendix F) — the distributed-system shape of protocol/async_lightsecagg.h,
-// with every byte crossing a Transport in wire format.
+// Appendix F), with every byte crossing a Transport in wire format. The one
+// implementation of the async protocol: server::AsyncSession and
+// fl::run_fedbuff's secure mode both drive AsyncNetwork cycles.
 //
 // Message flow per buffer cycle (buffered async FL, FedBuff-style):
 //   1. A user finishing local training at staleness tau_i = now - t_i sends
@@ -64,7 +65,8 @@ class AsyncUserDevice final : public Party {
         codec_(params.num_users, params.target_survivors, params.privacy,
                params.model_dim),
         master_seed_(master_seed),
-        transport_(transport) {}
+        transport_(transport),
+        mask_(params.model_dim) {}
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
   /// Number of stored (owner, born_round) shares across retained rounds.
@@ -76,8 +78,9 @@ class AsyncUserDevice final : public Party {
 
   /// Finishes a local update born at global round t_i: timestamped mask
   /// sharing (offline) + masked upload. The mask is derived
-  /// deterministically from (seed, id, born_round), mirroring App. F.3.1.
-  /// In persistent-cohort mode the mask is instead derived from
+  /// deterministically from (seed, id, born_round), mirroring App. F.3.1,
+  /// and drawn into the reused mask buffer, which then takes the update in
+  /// place. In persistent-cohort mode the mask is instead derived from
   /// (seed, id, epoch) and its shares are distributed once per epoch under
   /// wire round = epoch; subsequent updates are masked-upload only.
   void submit_update(std::uint64_t born_round, std::span<const rep> update) {
@@ -90,7 +93,8 @@ class AsyncUserDevice final : public Party {
         lsa::crypto::seed_from_u64(master_seed_ ^
                                    (tag + id_ * 0x9e3779b97f4a7c15ull)),
         key));
-    auto mask = lsa::field::uniform_vector<Fp>(params_.model_dim, prg);
+    const std::span<rep> mask(mask_);
+    lsa::field::fill_uniform<Fp>(mask, prg);
     if (!persistent || !epoch_setup_done_) {
       // Encode all N shares into the reused flat arena, then ship rows.
       enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
@@ -107,11 +111,10 @@ class AsyncUserDevice final : public Party {
       }
       epoch_setup_done_ = true;  // read in persistent mode only
     }
-    const auto masked =
-        lsa::field::add<Fp>(update, std::span<const rep>(mask));
+    lsa::field::add_inplace<Fp>(mask, update);
     transport_.send_row(MsgType::kMaskedModel, id_,
                         static_cast<std::uint32_t>(params_.num_users),
-                        born_round, std::span<const rep>(masked));
+                        born_round, std::span<const rep>(mask_));
   }
 
   /// Persistent-cohort epoch advance (membership change): next
@@ -214,6 +217,7 @@ class AsyncUserDevice final : public Party {
   /// (keyed by epoch instead of born round in persistent-cohort mode).
   std::map<std::uint64_t, ShareBank<Fp>> store_;
   lsa::field::FlatMatrix<Fp> enc_;  ///< encode arena, reused per update
+  std::vector<rep> mask_;           ///< mask, then masked update; reused
   std::optional<std::vector<rep>> last_result_;
   std::uint64_t epoch_ = 0;          ///< persistent-cohort epoch counter
   bool epoch_setup_done_ = false;    ///< offline setup done for epoch_

@@ -1,6 +1,7 @@
 // Asynchronous LightSecAgg as distributed state machines (App. F through
 // the wire-format router): mixed-staleness aggregation, delayed-user and
-// crash semantics, share lifecycle, and multi-cycle operation.
+// crash semantics, share lifecycle, multi-cycle operation, and the
+// rejection of cycles that cannot be recovered.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,6 +11,7 @@
 #include "field/random_field.h"
 #include "quant/staleness.h"
 #include "runtime/async_machines.h"
+#include "runtime/wire.h"
 
 namespace {
 
@@ -112,6 +114,37 @@ TEST(AsyncRuntime, TooFewReachableUsersAborts) {
                lsa::ProtocolError);
 }
 
+TEST(AsyncRuntime, AllZeroStalenessWeightsAbort) {
+  // Poly(alpha = 4) at tau = 100 with c_g = 2: c_g * 101^-4 rounds to 0 for
+  // every update. The cycle must fail, not normalise by a zero weight sum.
+  lsa::quant::StalenessPolicy poly4{
+      lsa::quant::StalenessKind::kPolynomial, 4.0};
+  lsa::runtime::AsyncNetwork net(make_params(), /*buffer_k=*/1, poly4,
+                                 /*c_g=*/2, 17);
+  const std::vector<Arrival> arrivals{{1, 0, random_update(450)}};
+  EXPECT_THROW((void)net.run_cycle(/*now=*/100, arrivals),
+               lsa::ProtocolError);
+  EXPECT_EQ(net.server().buffered(), 1u);  // uploaded; recovery refused
+}
+
+TEST(AsyncRuntime, UploadWithoutTimestampedSharesIsRejected) {
+  // A masked upload whose owner never shared a mask for its born round.
+  // The server buffers and manifests it; a user holding no share for the
+  // manifest entry must reject the manifest.
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), /*buffer_k=*/1, constant, kCg,
+                                 19);
+  const auto upload = random_update(460);
+  net.router().send_row(lsa::runtime::MsgType::kMaskedModel, /*sender=*/2,
+                        /*receiver=*/static_cast<std::uint32_t>(kN),
+                        /*round=*/4, std::span<const rep>(upload));
+  net.pump();
+  ASSERT_EQ(net.server().buffered(), 1u);
+  net.server().begin_recovery(/*now=*/4);
+  EXPECT_THROW(net.pump(), lsa::ProtocolError);
+}
+
 TEST(AsyncRuntime, SharesAreConsumedAfterAggregation) {
   lsa::quant::StalenessPolicy constant{
       lsa::quant::StalenessKind::kConstant, 1.0};
@@ -125,6 +158,21 @@ TEST(AsyncRuntime, SharesAreConsumedAfterAggregation) {
   for (std::size_t j = 0; j < kN; ++j) {
     EXPECT_EQ(net.user(j).stored_shares(), 0u) << "user " << j;
   }
+}
+
+TEST(AsyncRuntime, SameUserTwiceInOneCycleAtDifferentBornRounds) {
+  // One user delivers updates born at rounds 10 and 11 into one buffer.
+  // A repeated user takes run_cycle's serial submit path, and each upload's
+  // mask is cancelled by the shares stamped with its own born round.
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), /*buffer_k=*/2, constant, kCg,
+                                 21);
+  const std::vector<Arrival> arrivals{{1, 10, random_update(550)},
+                                      {1, 11, random_update(551)}};
+  const auto out = net.run_cycle(/*now=*/12, arrivals);
+  EXPECT_EQ(out.weighted_sum, expected_weighted_sum(arrivals, 12, constant));
+  EXPECT_EQ(out.weight_sum, 2 * kCg);
 }
 
 TEST(AsyncRuntime, MultipleCyclesWithInterleavedTimestamps) {
