@@ -4,7 +4,8 @@
 // K = 10, staleness uniform over [0, tau_max = 10].
 //
 // Substitution note: synthetic CIFAR-shaped data + a compact LeNet-class
-// CNN (the paper itself uses "a variant of LeNet-5"); see DESIGN.md.
+// CNN (the paper itself uses "a variant of LeNet-5"); see README.md,
+// "Substitutions".
 #include <cstdio>
 
 #include "bench_common.h"

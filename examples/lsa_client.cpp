@@ -128,7 +128,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  // The client send path frames straight from the device's encode arena:
+  // The device writes its shares and upload straight into their frames:
   // any payload copy is a regression in the zero-copy contract.
   const std::uint64_t copies = lsa::transport::snapshot().payload_copies;
   if (copies != 0) {

@@ -125,9 +125,9 @@ int serve(int argc, char** argv) {
       static_cast<unsigned long long>(st.disconnects),
       static_cast<unsigned long long>(st.revives));
 
-  // The serving path must be copy-free: frames are built once from arena
-  // rows and relayed/broadcast by refcount. Snapshot BEFORE the verify
-  // drive so the count covers the serving path alone.
+  // The serving path must be copy-free: payloads are written once into
+  // their frames and relayed/broadcast by refcount. Snapshot BEFORE the
+  // verify drive so the count covers the serving path alone.
   const std::uint64_t serve_copies =
       lsa::transport::snapshot().payload_copies;
   if (serve_copies != 0) {

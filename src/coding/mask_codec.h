@@ -34,8 +34,11 @@
 // Execution model. All hot paths run on flat arenas (field/flat_matrix.h)
 // and the fused blocked kernels of field/field_vec.h:
 //
-//   * encode_into writes one user's N shares into caller-chosen rows of a
-//     shared arena (disjoint rows -> safe to run one user per pool lane).
+//   * encode_into writes one user's N shares into caller-chosen rows —
+//     row pointers (a device's share frames) or rows of a shared arena
+//     (disjoint rows -> safe to run one user per pool lane) — reading the
+//     mask's data segments in place, with scratch only for a zero-padded
+//     tail segment and the T noise segments.
 //     The N x U x seg_len product runs through field::gemm_rows: on 32-bit
 //     fields with an AVX-512 or AVX2 table, a register-tiled split-word
 //     kernel holds a tile of share rows x one lane block in registers
@@ -139,22 +142,36 @@ class MaskCodec {
 
   // ---------------------------------------------------------------- encode
 
-  /// Encodes one user's mask into rows {base + j*stride, j = 0..N-1} of a
-  /// shared arena: out.row(base + j*stride) = [~z]_j. The U-T data
-  /// segments come from `mask` (zero-padded), the T noise segments are
-  /// drawn from noise_rng. Rows written are disjoint per (base, stride)
-  /// choice, so concurrent callers encoding different users into one
-  /// arena need no synchronization.
+  /// Encodes one user's mask straight into N caller-owned rows:
+  /// dst_rows[j] <- [~z]_j, segment_len() reps each (a device passes its
+  /// share frames' payloads and its own share-bank row). The U-T data
+  /// segments are read in place from `mask`; only a zero-padded tail
+  /// segment and the T noise segments, drawn from noise_rng in slot order,
+  /// take scratch. Concurrent callers with disjoint rows need no
+  /// synchronization.
+  template <lsa::field::BitSource G>
+  void encode_into(std::span<const rep> mask, G& noise_rng,
+                   std::span<rep* const> dst_rows,
+                   std::size_t chunk = 0) const {
+    std::vector<const rep*> seg_rows(u_);
+    Matrix scratch = data_segments(mask, seg_rows);
+    for (std::size_t k = 0; k < t_; ++k) {
+      const auto row = scratch.row(scratch.rows() - t_ + k);
+      lsa::field::fill_uniform<F>(row, noise_rng);
+      seg_rows[u_ - t_ + k] = row.data();
+    }
+    encode_segments_into(seg_rows, dst_rows, chunk);
+  }
+
+  /// Arena variant: out.row(base + j*stride) = [~z]_j. Rows written are
+  /// disjoint per (base, stride) choice, so concurrent callers encoding
+  /// different users into one arena need no synchronization.
   template <lsa::field::BitSource G>
   void encode_into(std::span<const rep> mask, G& noise_rng, Matrix& out,
                    std::size_t base = 0, std::size_t stride = 1,
                    std::size_t chunk = 0) const {
-    Matrix segments(u_, seg_len_);
-    fill_data_segments(mask, segments);
-    for (std::size_t k = u_ - t_; k < u_; ++k) {
-      lsa::field::fill_uniform<F>(segments.row(k), noise_rng);
-    }
-    encode_segments_into(segments, out, base, stride, chunk);
+    const auto dst = arena_rows(out, base, stride);
+    encode_into(mask, noise_rng, std::span<rep* const>(dst), chunk);
   }
 
   /// Deterministic variant: caller supplies the T noise segments as the
@@ -166,13 +183,13 @@ class MaskCodec {
     lsa::require<lsa::CodingError>(
         noise.rows() == t_ && (t_ == 0 || noise.cols() == seg_len_),
         "encode: need exactly T noise segments of segment_len");
-    Matrix segments(u_, seg_len_);
-    fill_data_segments(mask, segments);
+    std::vector<const rep*> seg_rows(u_);
+    const Matrix scratch = data_segments(mask, seg_rows);
     for (std::size_t k = 0; k < t_; ++k) {
-      const auto src = noise.row(k);
-      std::copy(src.begin(), src.end(), segments.row(u_ - t_ + k).begin());
+      seg_rows[u_ - t_ + k] = noise.row_ptr(k);
     }
-    encode_segments_into(segments, out, base, stride, chunk);
+    const auto dst = arena_rows(out, base, stride);
+    encode_segments_into(seg_rows, std::span<rep* const>(dst), chunk);
   }
 
   /// Batch-encodes a whole round: masks.row(i) = z_i for all N users.
@@ -440,37 +457,52 @@ class MaskCodec {
   }
 
  private:
-  /// Rows [0, U-T) of `segments` <- mask split into seg_len pieces
-  /// (zero-padded); rows [U-T, U) are left untouched for the caller.
-  void fill_data_segments(std::span<const rep> mask, Matrix& segments) const {
+  /// Points seg_rows[0, U-T) at the mask's seg_len pieces: whole pieces
+  /// in place, the zero-padded rest in the returned scratch, whose last T
+  /// rows are left for the noise segments.
+  [[nodiscard]] Matrix data_segments(std::span<const rep> mask,
+                                     std::vector<const rep*>& seg_rows) const {
     lsa::require<lsa::CodingError>(mask.size() == d_,
                                    "encode: mask length != d");
+    const std::size_t whole = d_ / seg_len_;  // <= U-T by seg_len's choice
+    Matrix scratch(u_ - whole, seg_len_);     // zero-initialized
     for (std::size_t k = 0; k < u_ - t_; ++k) {
-      auto seg = segments.row(k);
       const std::size_t off = k * seg_len_;
+      if (k < whole) {
+        seg_rows[k] = mask.data() + off;
+        continue;
+      }
+      auto seg = scratch.row(k - whole);
       const std::size_t n = std::min(seg_len_, d_ - std::min(d_, off));
-      for (std::size_t l = 0; l < n; ++l) seg[l] = mask[off + l];
-      for (std::size_t l = n; l < seg_len_; ++l) seg[l] = F::zero;
+      std::copy(mask.begin() + off, mask.begin() + off + n, seg.begin());
+      seg_rows[k] = seg.data();
     }
+    return scratch;
   }
 
-  /// Share j <- sum_k W[k][j] * segments.row(k): one N x U x seg_len
-  /// product through the multi-row GEMM kernel.
-  void encode_segments_into(const Matrix& segments, Matrix& out,
-                            std::size_t base, std::size_t stride,
-                            std::size_t chunk) const {
+  /// Row pointers {base + j*stride} of an arena, checked against its shape.
+  [[nodiscard]] std::vector<rep*> arena_rows(Matrix& out, std::size_t base,
+                                             std::size_t stride) const {
     lsa::require<lsa::CodingError>(out.cols() == seg_len_,
                                    "encode: arena column width != seg_len");
     lsa::require<lsa::CodingError>(
         base + (n_ - 1) * stride < out.rows(),
         "encode: arena too small for N share rows");
-    const auto seg_rows = segments.row_ptrs();
-    std::vector<rep*> dst_rows(n_);
+    std::vector<rep*> dst(n_);
     for (std::size_t j = 0; j < n_; ++j) {
-      dst_rows[j] = out.row_ptr(base + j * stride);
+      dst[j] = out.row_ptr(base + j * stride);
     }
-    lsa::field::gemm_rows<F>(std::span<rep* const>(dst_rows),
-                             w_cols_.row_ptr(0), u_,
+    return dst;
+  }
+
+  /// Share j <- sum_k W[k][j] * segment k: one N x U x seg_len product
+  /// through the multi-row GEMM kernel.
+  void encode_segments_into(const std::vector<const rep*>& seg_rows,
+                            std::span<rep* const> dst_rows,
+                            std::size_t chunk) const {
+    lsa::require<lsa::CodingError>(dst_rows.size() == n_,
+                                   "encode: need N share rows");
+    lsa::field::gemm_rows<F>(dst_rows, w_cols_.row_ptr(0), u_,
                              std::span<const rep* const>(seg_rows), seg_len_,
                              chunk);
   }

@@ -7,7 +7,7 @@
 // the experiments measure — the message sizes (s ≪ d), the commutativity
 // that makes pairwise masks cancel, and the O(N) agreements per user — while
 // staying dependency-free. It is NOT cryptographically strong at 61 bits;
-// DESIGN.md documents this as a simulation substrate.
+// README.md ("Substitutions") documents it as a simulation substrate.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,8 @@
 namespace lsa::crypto {
 
 /// The hard-coded group: p is the largest 61-bit safe prime, g = 3 generates
-/// the order-(p-1)/2 subgroup (validated in tests against primality.h).
+/// the order-(p-1)/2 subgroup (crypto_test checks p and q with the
+/// Miller–Rabin helper in tests/primality.h).
 struct DhGroup {
   static constexpr std::uint64_t p = 2305843009213691579ull;
   static constexpr std::uint64_t q = (p - 1) / 2;  // subgroup order

@@ -1,9 +1,9 @@
 // Synthetic federated datasets.
 //
-// Substitution (see DESIGN.md): the paper trains on MNIST / FEMNIST /
-// CIFAR-10 / GLD-23K. Secure-aggregation cost depends only on the model
-// dimension d, and the convergence experiments need a learnable task with
-// controllable client heterogeneity — both provided by Gaussian-mixture
+// Substitution (README.md, "Substitutions"): the paper trains on MNIST /
+// FEMNIST / CIFAR-10 / GLD-23K. Secure-aggregation cost depends only on the
+// model dimension d, and the convergence experiments need a learnable task
+// with controllable client heterogeneity — both provided by Gaussian-mixture
 // classification data with matched input dimensionality. Presets mirror the
 // paper's datasets' shapes (28x28x1 MNIST-like, 32x32x3 CIFAR-like, 62-class
 // FEMNIST-like).

@@ -3,11 +3,11 @@
 // Models expose their parameters as one contiguous double vector — exactly
 // the view secure aggregation needs (quantize the flat vector, mask it,
 // aggregate in the field). Gradients are computed into an equally flat
-// buffer. Substitution note (DESIGN.md): the paper's two large models
-// (MobileNetV3, EfficientNet-B0) enter timing experiments through their
-// parameter counts only; convergence experiments use the LR / MLP / CNN
-// implemented here, mirroring the paper's own use of LeNet-class models for
-// the asynchronous study.
+// buffer. Substitution note (README.md, "Substitutions"): the paper's two
+// large models (MobileNetV3, EfficientNet-B0) enter timing experiments
+// through their parameter counts only; convergence experiments use the
+// LR / MLP / CNN implemented here, mirroring the paper's own use of
+// LeNet-class models for the asynchronous study.
 #pragma once
 
 #include <memory>

@@ -34,7 +34,8 @@
 #include "protocol/params.h"
 #include "quant/staleness.h"
 #include "runtime/arrival_scheduler.h"
-#include "runtime/machines.h"  // Party, pump_router, ShareBank
+#include "runtime/machines.h"  // Party, pump_router, ShareBank,
+                                // encode_shares_into_frames
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 
@@ -65,8 +66,7 @@ class AsyncUserDevice final : public Party {
         codec_(params.num_users, params.target_survivors, params.privacy,
                params.model_dim),
         master_seed_(master_seed),
-        transport_(transport),
-        mask_(params.model_dim) {}
+        transport_(transport) {}
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
   /// Number of stored (owner, born_round) shares across retained rounds.
@@ -79,8 +79,9 @@ class AsyncUserDevice final : public Party {
   /// Finishes a local update born at global round t_i: timestamped mask
   /// sharing (offline) + masked upload. The mask is derived
   /// deterministically from (seed, id, born_round), mirroring App. F.3.1,
-  /// and drawn into the reused mask buffer, which then takes the update in
-  /// place. In persistent-cohort mode the mask is instead derived from
+  /// and drawn into the upload frame, which then takes the update in
+  /// place; the shares are encoded straight into their frames. In
+  /// persistent-cohort mode the mask is instead derived from
   /// (seed, id, epoch) and its shares are distributed once per epoch under
   /// wire round = epoch; subsequent updates are masked-upload only.
   void submit_update(std::uint64_t born_round, std::span<const rep> update) {
@@ -93,28 +94,19 @@ class AsyncUserDevice final : public Party {
         lsa::crypto::seed_from_u64(master_seed_ ^
                                    (tag + id_ * 0x9e3779b97f4a7c15ull)),
         key));
-    const std::span<rep> mask(mask_);
-    lsa::field::fill_uniform<Fp>(mask, prg);
+    lsa::transport::BufferRef upload = transport_.acquire(params_.model_dim);
+    const std::span<rep> masked = lsa::transport::frame_payload(upload);
+    lsa::field::fill_uniform<Fp>(masked, prg);
     if (!persistent || !epoch_setup_done_) {
-      // Encode all N shares into the reused flat arena, then ship rows.
-      enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
-      codec_.encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
-                         params_.exec.chunk_reps);
+      encode_shares_into_frames(codec_, transport_, id_, key, masked, prg,
+                                bank_for(key).claim(id_),
+                                params_.exec.chunk_reps);
       ++offline_encodes_;
-      for (std::uint32_t j = 0; j < params_.num_users; ++j) {
-        if (j == id_) {
-          bank_for(key).put(id_, enc_.row(j));
-          continue;
-        }
-        transport_.send_row(MsgType::kEncodedMaskShare, id_, j, key,
-                            enc_.row(j));
-      }
       epoch_setup_done_ = true;  // read in persistent mode only
     }
-    lsa::field::add_inplace<Fp>(mask, update);
-    transport_.send_row(MsgType::kMaskedModel, id_,
-                        static_cast<std::uint32_t>(params_.num_users),
-                        born_round, std::span<const rep>(mask_));
+    lsa::field::add_inplace<Fp>(masked, update);
+    transport_.send(std::move(upload), MsgType::kMaskedModel, id_,
+                    static_cast<std::uint32_t>(params_.num_users), born_round);
   }
 
   /// Persistent-cohort epoch advance (membership change): next
@@ -149,39 +141,40 @@ class AsyncUserDevice final : public Party {
         break;
       case MsgType::kBufferManifest: {
         // Payload: triples (user, born_round, weight), see the server.
-        // One fused weighted column sum across the manifested share rows.
+        // One fused weighted column sum across the manifested share rows,
+        // formed inside the response frame.
         lsa::require<lsa::ProtocolError>(payload.size() % 3 == 0,
                                          "async user: bad manifest shape");
-        std::vector<rep> acc(codec_.segment_len(), Fp::zero);
-        {
-          std::vector<rep> coeffs;
-          std::vector<const rep*> rows;
-          coeffs.reserve(payload.size() / 3);
-          rows.reserve(payload.size() / 3);
-          for (std::size_t e = 0; e < payload.size(); e += 3) {
-            const std::uint32_t user = payload[e];
-            const std::uint64_t born = payload[e + 1];
-            lsa::require<lsa::ProtocolError>(
-                user < params_.num_users,
-                "async user: manifest user id out of range");
-            // Persistent mode: every manifested update reuses its owner's
-            // epoch mask, so all shares live under the epoch key.
-            const auto it =
-                store_.find(params_.persistent_cohort ? epoch_ : born);
-            lsa::require<lsa::ProtocolError>(
-                it != store_.end() && it->second.has(user),
-                "async user: missing timestamped share for manifest entry");
-            coeffs.push_back(payload[e + 2]);
-            rows.push_back(it->second.rows.row_ptr(user));
-          }
-          lsa::field::axpy_accumulate_blocked<Fp>(
-              std::span<rep>(acc), std::span<const rep>(coeffs),
-              std::span<const rep* const>(rows), params_.exec.chunk_reps);
+        std::vector<rep> coeffs;
+        std::vector<const rep*> rows;
+        coeffs.reserve(payload.size() / 3);
+        rows.reserve(payload.size() / 3);
+        for (std::size_t e = 0; e < payload.size(); e += 3) {
+          const std::uint32_t user = payload[e];
+          const std::uint64_t born = payload[e + 1];
+          lsa::require<lsa::ProtocolError>(
+              user < params_.num_users,
+              "async user: manifest user id out of range");
+          // Persistent mode: every manifested update reuses its owner's
+          // epoch mask, so all shares live under the epoch key.
+          const auto it =
+              store_.find(params_.persistent_cohort ? epoch_ : born);
+          lsa::require<lsa::ProtocolError>(
+              it != store_.end() && it->second.has(user),
+              "async user: missing timestamped share for manifest entry");
+          coeffs.push_back(payload[e + 2]);
+          rows.push_back(it->second.rows.row_ptr(user));
         }
-        transport_.send_row(MsgType::kWeightedShares, id_,
-                            static_cast<std::uint32_t>(params_.num_users),
-                            round,  // the aggregation round `now`
-                            std::span<const rep>(acc));
+        lsa::transport::BufferRef response =
+            transport_.acquire(codec_.segment_len());
+        const std::span<rep> acc = lsa::transport::frame_payload(response);
+        std::fill(acc.begin(), acc.end(), Fp::zero);
+        lsa::field::axpy_accumulate_blocked<Fp>(
+            acc, std::span<const rep>(coeffs),
+            std::span<const rep* const>(rows), params_.exec.chunk_reps);
+        transport_.send(std::move(response), MsgType::kWeightedShares, id_,
+                        static_cast<std::uint32_t>(params_.num_users),
+                        round);  // the aggregation round `now`
         // The manifested shares are consumed — except in persistent mode,
         // where epoch shares serve every round until advance_epoch().
         if (!params_.persistent_cohort) {
@@ -216,8 +209,6 @@ class AsyncUserDevice final : public Party {
   /// store_[born_round].rows.row(u) = [~z_u^{(born)}]_this held here
   /// (keyed by epoch instead of born round in persistent-cohort mode).
   std::map<std::uint64_t, ShareBank<Fp>> store_;
-  lsa::field::FlatMatrix<Fp> enc_;  ///< encode arena, reused per update
-  std::vector<rep> mask_;           ///< mask, then masked update; reused
   std::optional<std::vector<rep>> last_result_;
   std::uint64_t epoch_ = 0;          ///< persistent-cohort epoch counter
   bool epoch_setup_done_ = false;    ///< offline setup done for epoch_

@@ -12,15 +12,23 @@
 //   * the server decides U1 from what actually arrived, not from a script;
 //   * recovery succeeds from ANY U responding users.
 //
-// All handlers consume *payload views* (handle_view -> on_payload): a span
-// aliasing the pooled frame buffer, copied exactly once — straight into
-// the receiver's ShareBank arena row.
+// Frame ownership. Devices write every payload in place: the masked
+// upload is drawn and masked inside its frame, the N-1 shares are encoded
+// straight into their frames (and the device's own share into its bank
+// row), and a recovery response is summed inside its frame; Transport::
+// send seals each frame once. Handlers consume *payload views*
+// (handle_view -> on_payload): a span aliasing the pooled frame buffer. A
+// share is copied once, into the receiver's ShareBank row; an upload is
+// added into the server's per-round running sum and never stored.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "coding/mask_codec.h"
@@ -63,6 +71,12 @@ struct ShareBank {
     std::copy(payload.begin(), payload.end(), dst.begin());
     present[r] = 1;
   }
+  /// Row r for the caller to write in place (a device encoding its own
+  /// share); marks it present.
+  [[nodiscard]] typename F::rep* claim(std::size_t r) {
+    present[r] = 1;
+    return rows.row_ptr(r);
+  }
   [[nodiscard]] bool has(std::size_t r) const { return present[r] != 0; }
   [[nodiscard]] std::size_t count() const {
     std::size_t c = 0;
@@ -91,47 +105,77 @@ struct ShareBank {
   }
 };
 
-/// Two-slot, parity-indexed ring of ShareBanks — the per-round share and
-/// upload store of the sync machines. Two slots because a peer can bank
-/// round r+1's traffic while round r is still in recovery: over sockets
-/// (server::RemoteSession) a client that reconnects after dropping starts
-/// round r+1 without waiting for round r's result, so its shares reach
-/// peers that still have to answer round r's survivor set, and its upload
-/// reaches the hub before round r is decoded. Slot `key % 2` holds the
-/// bank for `key`; keying a new round onto a slot retires the slot's
-/// previous round, two rounds back.
+/// One round's masked uploads as the server needs them: their running sum
+/// and who contributed (U1). Uploads are added on arrival and never
+/// stored, so the server holds d reps per round, not N × d.
 template <class F>
-class BankRing {
+struct UploadSum {
+  std::vector<typename F::rep> sum;
+  std::vector<std::uint8_t> present;
+
+  /// Re-dimensions for a new round: zero sum, empty bitmap.
+  void reset(std::size_t n_users, std::size_t d) {
+    sum.assign(d, F::zero);
+    present.assign(n_users, 0);
+  }
+  /// Adds one user's upload. A second upload from the same user would be
+  /// counted twice while its mask is recovered once, so it is rejected
+  /// before it touches the sum.
+  void fold(std::size_t user, std::span<const typename F::rep> payload) {
+    lsa::require<lsa::ProtocolError>(present[user] == 0,
+                                     "server: duplicate masked model");
+    lsa::field::add_inplace<F>(std::span<typename F::rep>(sum), payload);
+    present[user] = 1;
+  }
+  [[nodiscard]] bool has(std::size_t user) const {
+    return present[user] != 0;
+  }
+  [[nodiscard]] std::size_t count() const {
+    std::size_t c = 0;
+    for (const auto p : present) c += p;
+    return c;
+  }
+};
+
+/// Two-slot, parity-indexed ring of per-round stores (ShareBanks, or the
+/// server's UploadSums) — the round-keyed state of the sync machines. Two
+/// slots because a peer can bank round r+1's traffic while round r is
+/// still in recovery: over sockets (server::RemoteSession) a client that
+/// reconnects after dropping starts round r+1 without waiting for round
+/// r's result, so its shares reach peers that still have to answer round
+/// r's survivor set, and its upload reaches the hub before round r is
+/// decoded. Slot `key % 2` holds the store for `key`; keying a new round
+/// onto a slot retires the slot's previous round, two rounds back.
+template <class Store>
+class ParityRing {
  public:
   static constexpr std::uint64_t kUnkeyed = ~std::uint64_t{0};
   /// Rounds simultaneously representable.
   static constexpr std::uint64_t kDepth = 2;
 
-  /// Points the parity slot at `key`, clearing its presence bitmap (the
-  /// row arena is recycled). Idempotent when the slot is already keyed to
-  /// `key`.
-  ShareBank<F>& prepare(std::uint64_t key, std::size_t n_rows,
-                        std::size_t cols) {
+  /// Points the parity slot at `key`, resetting its store for the new
+  /// round. Idempotent when the slot is already keyed to `key`.
+  Store& prepare(std::uint64_t key, std::size_t n_rows, std::size_t cols) {
     Slot& s = slots_[key % kDepth];
     if (s.key != key) {
       s.key = key;
-      s.bank.reset(n_rows, cols);
+      s.store.reset(n_rows, cols);
     }
-    return s.bank;
+    return s.store;
   }
 
-  /// The bank for `key`, or nullptr once it was dropped or its slot was
+  /// The store for `key`, or nullptr once it was dropped or its slot was
   /// re-keyed by a newer round of the same parity.
-  [[nodiscard]] ShareBank<F>* find(std::uint64_t key) {
+  [[nodiscard]] Store* find(std::uint64_t key) {
     Slot& s = slots_[key % kDepth];
-    return s.key == key ? &s.bank : nullptr;
+    return s.key == key ? &s.store : nullptr;
   }
-  [[nodiscard]] const ShareBank<F>* find(std::uint64_t key) const {
+  [[nodiscard]] const Store* find(std::uint64_t key) const {
     const Slot& s = slots_[key % kDepth];
-    return s.key == key ? &s.bank : nullptr;
+    return s.key == key ? &s.store : nullptr;
   }
 
-  /// Marks `key` consumed; its slot's allocations stay for reuse.
+  /// Marks `key` consumed; a later round of its parity reuses the slot.
   void drop(std::uint64_t key) {
     Slot& s = slots_[key % kDepth];
     if (s.key == key) s.key = kUnkeyed;
@@ -145,7 +189,7 @@ class BankRing {
   [[nodiscard]] std::size_t live_count() const {
     std::size_t c = 0;
     for (const auto& s : slots_) {
-      if (s.key != kUnkeyed) c += s.bank.count();
+      if (s.key != kUnkeyed) c += s.store.count();
     }
     return c;
   }
@@ -153,10 +197,41 @@ class BankRing {
  private:
   struct Slot {
     std::uint64_t key = kUnkeyed;
-    ShareBank<F> bank;
+    Store store;
   };
   std::array<Slot, kDepth> slots_;
 };
+
+/// The sync machines' per-round share store.
+template <class F>
+using BankRing = ParityRing<ShareBank<F>>;
+
+/// A device's offline stage, sync or async: encodes `mask`'s N shares
+/// straight into N-1 pooled share frames and the device's own bank row
+/// (`own_row`), then sends the frames in holder order under wire round
+/// `key`. Nothing is staged in between: the encode GEMM writes each
+/// share where it travels.
+inline void encode_shares_into_frames(
+    const lsa::coding::MaskCodec<lsa::field::Fp32>& codec,
+    Transport& transport, std::uint32_t id, std::uint64_t key,
+    std::span<const lsa::field::Fp32::rep> mask, lsa::crypto::Prg& prg,
+    lsa::field::Fp32::rep* own_row, std::size_t chunk) {
+  using rep = lsa::field::Fp32::rep;
+  const std::size_t n = codec.num_users();
+  std::vector<lsa::transport::BufferRef> frames(n);
+  std::vector<rep*> dst(n, own_row);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j == id) continue;
+    frames[j] = transport.acquire(codec.segment_len());
+    dst[j] = lsa::transport::frame_payload(frames[j]).data();
+  }
+  codec.encode_into(mask, prg, std::span<rep* const>(dst), chunk);
+  for (std::uint32_t j = 0; j < n; ++j) {
+    if (j == id) continue;
+    transport.send(std::move(frames[j]), MsgType::kEncodedMaskShare, id, j,
+                   key);
+  }
+}
 
 /// One edge device running LightSecAgg.
 class UserDevice final : public Party {
@@ -171,8 +246,7 @@ class UserDevice final : public Party {
         codec_(params.num_users, params.target_survivors, params.privacy,
                params.model_dim),
         master_seed_(master_seed),
-        transport_(transport),
-        mask_(params.model_dim) {}
+        transport_(transport) {}
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
@@ -182,9 +256,9 @@ class UserDevice final : public Party {
   static constexpr std::uint64_t kShareRetentionRounds = BankRing<Fp>::kDepth;
 
   /// Phase 1 + 2 in one pass: checks the model length (nothing is sent for
-  /// a wrong one), draws the round mask into the reused mask buffer,
-  /// encodes and distributes its shares, then adds the model into the
-  /// buffer and uploads the masked model. Sends only — never pumps.
+  /// a wrong one), draws the round mask into the upload frame, encodes
+  /// its shares into their frames and sends them, then adds the model
+  /// into the upload frame and sends it. Sends only — never pumps.
   void start_round(std::uint64_t round, std::span<const rep> model) {
     lsa::require<lsa::ProtocolError>(model.size() == params_.model_dim,
                                      "user: wrong model dimension");
@@ -202,16 +276,22 @@ class UserDevice final : public Party {
         lsa::crypto::seed_from_u64(master_seed_ ^
                                    (tag + id_ * 0x9e3779b97f4a7c15ull)),
         key));
-    const std::span<rep> mask(mask_);
-    lsa::field::fill_uniform<Fp>(mask, prg);
+    lsa::transport::BufferRef upload = transport_.acquire(params_.model_dim);
+    const std::span<rep> masked = lsa::transport::frame_payload(upload);
+    lsa::field::fill_uniform<Fp>(masked, prg);
     if (!persistent || !epoch_setup_done_) {
-      distribute_shares(key, mask, prg);
+      // Our own share banks under `key`: the round normally, the epoch in
+      // persistent-cohort mode (receivers bank by the wire round field,
+      // which carries the same key).
+      encode_shares_into_frames(codec_, transport_, id_, key, masked, prg,
+                                bank_for(key).claim(id_),
+                                params_.exec.chunk_reps);
+      ++offline_encodes_;
       epoch_setup_done_ = true;  // read in persistent mode only
     }
-    lsa::field::add_inplace<Fp>(mask, model);
-    transport_.send_row(MsgType::kMaskedModel, id_,
-                        static_cast<std::uint32_t>(params_.num_users), round,
-                        std::span<const rep>(mask_));
+    lsa::field::add_inplace<Fp>(masked, model);
+    transport_.send(std::move(upload), MsgType::kMaskedModel, id_,
+                    static_cast<std::uint32_t>(params_.num_users), round);
   }
 
   /// Cohort membership changed: forget the old epoch's banked shares and
@@ -249,27 +329,6 @@ class UserDevice final : public Party {
   }
 
  private:
-  /// Offline phase: encode the mask's N shares into the reused flat arena
-  /// (row j = [~z]_j) and ship rows straight off the arena — no per-share
-  /// heap vectors and, under a zero-copy transport, no intermediate
-  /// payload copies. Our own row banks under `key`: the round normally,
-  /// the epoch in persistent-cohort mode (receivers bank by the wire
-  /// round field, which carries the same key).
-  void distribute_shares(std::uint64_t key, std::span<const rep> mask,
-                         lsa::crypto::Prg& prg) {
-    enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
-    codec_.encode_into(mask, prg, enc_, 0, 1, params_.exec.chunk_reps);
-    ++offline_encodes_;
-    for (std::uint32_t j = 0; j < params_.num_users; ++j) {
-      if (j == id_) {
-        bank_for(key).put(j, enc_.row(j));
-        continue;
-      }
-      transport_.send_row(MsgType::kEncodedMaskShare, id_, j, key,
-                          enc_.row(j));
-    }
-  }
-
   /// Which share bank a survivor request for `round` reads: rounds map to
   /// the current epoch's bank in persistent-cohort mode.
   [[nodiscard]] std::uint64_t share_key(std::uint64_t round) const {
@@ -287,27 +346,27 @@ class UserDevice final : public Party {
         break;
       case MsgType::kSurvivorSet: {
         // Payload: N entries of 0/1. Aggregate the stored shares of the
-        // surviving set (one fused pass over the round bank's rows) and
-        // return them to the server.
+        // surviving set (one fused pass over the round bank's rows) inside
+        // the response frame and return it to the server.
         lsa::require<lsa::ProtocolError>(
             payload.size() == params_.num_users,
             "user: bad survivor bitmap");
-        std::vector<rep> acc(codec_.segment_len(), Fp::zero);
-        {
-          const auto* bank = store_.find(share_key(round));
-          std::vector<const rep*> rows;
-          rows.reserve(params_.num_users);
-          for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-            if (payload[i] == 0) continue;
-            lsa::require<lsa::ProtocolError>(
-                bank != nullptr && bank->has(i),
-                "user: missing share for survivor");
-            rows.push_back(bank->rows.row_ptr(i));
-          }
-          lsa::field::add_accumulate_blocked<Fp>(
-              std::span<rep>(acc), std::span<const rep* const>(rows),
-              params_.exec.chunk_reps);
+        const auto* bank = store_.find(share_key(round));
+        std::vector<const rep*> rows;
+        rows.reserve(params_.num_users);
+        for (std::uint32_t i = 0; i < params_.num_users; ++i) {
+          if (payload[i] == 0) continue;
+          lsa::require<lsa::ProtocolError>(
+              bank != nullptr && bank->has(i),
+              "user: missing share for survivor");
+          rows.push_back(bank->rows.row_ptr(i));
         }
+        lsa::transport::BufferRef response =
+            transport_.acquire(codec_.segment_len());
+        const std::span<rep> acc = lsa::transport::frame_payload(response);
+        std::fill(acc.begin(), acc.end(), Fp::zero);
+        lsa::field::add_accumulate_blocked<Fp>(
+            acc, std::span<const rep* const>(rows), params_.exec.chunk_reps);
         if (byzantine_) {
           // Arbitrary falsification; any nonzero offset breaks the
           // codeword, which is what the server must locate and discard.
@@ -315,9 +374,8 @@ class UserDevice final : public Party {
             acc[k] = Fp::add(acc[k], Fp::from_u64(0x0bad + 7 * k + id_));
           }
         }
-        transport_.send_row(MsgType::kAggregatedShares, id_,
-                            static_cast<std::uint32_t>(params_.num_users),
-                            round, std::span<const rep>(acc));
+        transport_.send(std::move(response), MsgType::kAggregatedShares, id_,
+                        static_cast<std::uint32_t>(params_.num_users), round);
         // Shares for this round are consumed — except in persistent
         // mode, where the epoch bank serves every round until the
         // membership changes (advance_epoch clears it).
@@ -348,10 +406,6 @@ class UserDevice final : public Party {
   /// by epoch instead of round in persistent-cohort mode). Parity ring:
   /// two rounds in flight max, older slots retire on re-key.
   BankRing<Fp> store_;
-  lsa::field::FlatMatrix<Fp> enc_;  ///< encode arena, reused per round
-  /// The round mask, then the masked model sent from it; reused per round
-  /// so a start allocates no model-sized buffer.
-  std::vector<rep> mask_;
   std::optional<std::vector<rep>> last_result_;
   std::uint64_t epoch_ = 0;          ///< persistent-cohort epoch counter
   bool epoch_setup_done_ = false;    ///< offline setup done for epoch_
@@ -384,23 +438,23 @@ class AggregationServer final : public Party {
   /// Ends the upload phase: U1 = everyone whose masked model arrived.
   /// Broadcasts the survivor set so users return aggregated shares.
   void begin_recovery(std::uint64_t round) {
-    const auto* models = masked_.find(round);
+    const auto* uploads = uploads_.find(round);
     lsa::require<lsa::ProtocolError>(
-        models != nullptr &&
-            models->count() >= params_.target_survivors,
+        uploads != nullptr && uploads->count() >= params_.target_survivors,
         "server: fewer than U masked models arrived");
-    std::vector<rep> bitmap(params_.num_users, Fp::zero);
+    lsa::transport::BufferRef frame = transport_.acquire(params_.num_users);
+    const std::span<rep> bitmap = lsa::transport::frame_payload(frame);
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      if (models->has(i)) bitmap[i] = Fp::one;
+      bitmap[i] = uploads->has(i) ? Fp::one : Fp::zero;
     }
-    transport_.broadcast_row(MsgType::kSurvivorSet,
-                             static_cast<std::uint32_t>(params_.num_users),
-                             round, std::span<const rep>(bitmap),
-                             static_cast<std::uint32_t>(params_.num_users));
+    transport_.broadcast(std::move(frame), MsgType::kSurvivorSet,
+                         static_cast<std::uint32_t>(params_.num_users), round,
+                         static_cast<std::uint32_t>(params_.num_users));
   }
 
   /// Completes the round once at least U aggregated shares arrived:
-  /// one-shot decode, subtract, broadcast the aggregate. Returns it.
+  /// one-shot decode, subtract it from the round's upload sum in place,
+  /// broadcast the aggregate. Returns it.
   [[nodiscard]] std::vector<rep> finish_round(std::uint64_t round) {
     const auto* sbank = agg_shares_.find(round);
     lsa::require<lsa::ProtocolError>(
@@ -408,6 +462,9 @@ class AggregationServer final : public Party {
             sbank->count() >= params_.target_survivors,
         "server: fewer than U aggregated-share responses — "
         "unrecoverable round");
+    auto* uploads = uploads_.find(round);
+    lsa::require<lsa::ProtocolError>(uploads != nullptr,
+                                     "server: round state already retired");
     const auto& shares = *sbank;
     std::vector<std::size_t> owners;
     std::vector<const rep*> rows;
@@ -433,21 +490,9 @@ class AggregationServer final : public Party {
       agg_mask = codec_.decode_aggregate_rows(owners, share_rows, params_.exec);
     }
 
-    std::vector<rep> result(params_.model_dim, Fp::zero);
-    {
-      const auto* models = masked_.find(round);
-      lsa::require<lsa::ProtocolError>(models != nullptr,
-                                       "server: round state already retired");
-      std::vector<const rep*> model_rows;
-      for (std::uint32_t user = 0; user < params_.num_users; ++user) {
-        if (models->has(user)) {
-          model_rows.push_back(models->rows.row_ptr(user));
-        }
-      }
-      lsa::field::add_accumulate_blocked<Fp>(
-          std::span<rep>(result), std::span<const rep* const>(model_rows),
-          params_.exec.chunk_reps);
-    }
+    // The sum of U1's masked models was formed as they arrived; the slot
+    // is retired below, so the result takes its buffer.
+    std::vector<rep> result = std::move(uploads->sum);
     lsa::field::sub_inplace<Fp>(std::span<rep>(result),
                                 std::span<const rep>(agg_mask));
 
@@ -455,7 +500,7 @@ class AggregationServer final : public Party {
                              static_cast<std::uint32_t>(params_.num_users),
                              round, std::span<const rep>(result),
                              static_cast<std::uint32_t>(params_.num_users));
-    masked_.drop(round);
+    uploads_.drop(round);
     agg_shares_.drop(round);
     return result;
   }
@@ -463,10 +508,10 @@ class AggregationServer final : public Party {
   /// Users whose masked model arrived for `round` (the de-facto U1).
   [[nodiscard]] std::vector<std::uint32_t> arrived(std::uint64_t round) const {
     std::vector<std::uint32_t> out;
-    const auto* models = masked_.find(round);
-    if (models == nullptr) return out;
+    const auto* uploads = uploads_.find(round);
+    if (uploads == nullptr) return out;
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      if (models->has(i)) out.push_back(i);
+      if (uploads->has(i)) out.push_back(i);
     }
     return out;
   }
@@ -491,13 +536,16 @@ class AggregationServer final : public Party {
         lsa::require<lsa::ProtocolError>(
             payload.size() == params_.model_dim,
             "server: bad masked model length");
-        bank_for(masked_, round, params_.model_dim).put(sender, payload);
+        lsa::require<lsa::ProtocolError>(sender < params_.num_users,
+                                         "server: upload from a non-user");
+        uploads_.prepare(round, params_.num_users, params_.model_dim)
+            .fold(sender, payload);
         break;
       case MsgType::kAggregatedShares:
         lsa::require<lsa::ProtocolError>(
             payload.size() == codec_.segment_len(),
             "server: bad aggregated share length");
-        bank_for(agg_shares_, round, codec_.segment_len())
+        agg_shares_.prepare(round, params_.num_users, codec_.segment_len())
             .put(sender, payload);
         break;
       default:
@@ -505,21 +553,16 @@ class AggregationServer final : public Party {
     }
   }
 
-  ShareBank<Fp>& bank_for(BankRing<Fp>& store, std::uint64_t round,
-                          std::size_t cols) {
-    return store.prepare(round, params_.num_users, cols);
-  }
-
   lsa::protocol::Params params_;
   lsa::coding::MaskCodec<Fp> codec_;
   Transport& transport_;
   bool byzantine_tolerant_ = false;
   std::vector<std::size_t> last_corrupted_;
-  /// masked_.find(r)->rows.row(i) = user i's masked model for round r.
-  /// Parity ring: uploads for round r+1 may bank into the other slot while
+  /// uploads_.find(r)->sum = the sum of round r's masked models so far.
+  /// Parity ring: uploads for round r+1 may fold into the other slot while
   /// round r is still mid-recovery (a socket peer banking ahead, see
-  /// BankRing).
-  BankRing<Fp> masked_;
+  /// ParityRing).
+  ParityRing<UploadSum<Fp>> uploads_;
   /// agg_shares_.find(r)->rows.row(j) = responder j's aggregated share.
   BankRing<Fp> agg_shares_;
 };

@@ -10,38 +10,68 @@
 //   * transport::socket::SocketTransport — the same frames over TCP or
 //     Unix-domain sockets.
 //
-// send_row is THE hot entry point: senders pass a row view (FlatMatrix
-// arena row, local vector span) and every transport frames it once,
-// straight from the view — no intermediate payload vector exists on any
+// Frames are written in place: a sender acquires a pooled frame, writes
+// its payload straight into frame_payload() (a device draws its mask,
+// encodes its shares, sums its recovery response there) and hands the
+// frame to send / broadcast, which seal it once (CRC + header) and
+// enqueue it. send_row / broadcast_row are the copying helpers for a
+// payload that already lives elsewhere (a bitmap, a decoded result): one
+// copy into the acquired frame, then the same send. Each transport thus
+// has one framing path, and no intermediate payload vector exists on any
 // send path (transport/stats.h counts copies; tests assert zero).
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "runtime/wire.h"
+#include "transport/buffer_pool.h"
+#include "transport/frame.h"
 
 namespace lsa::runtime {
 
 class Transport {
  public:
+  using rep = lsa::field::Fp32::rep;
+
   virtual ~Transport() = default;
 
-  /// Sends a payload row view to `receiver`.
-  virtual void send_row(MsgType type, std::uint32_t sender,
-                        std::uint32_t receiver, std::uint64_t round,
-                        std::span<const lsa::field::Fp32::rep> payload) = 0;
+  /// A pooled frame with an `elems`-rep payload for the caller to fill
+  /// through transport::frame_payload; contents are stale until written.
+  [[nodiscard]] virtual lsa::transport::BufferRef acquire(
+      std::size_t elems) = 0;
 
-  /// Broadcasts one payload to receivers 0..num_receivers-1 (the server's
-  /// survivor-set / result / manifest fan-outs). Default: one send_row per
-  /// receiver. Ref-counted transports override this to frame ONCE and
-  /// share the buffer across all mailboxes.
-  virtual void broadcast_row(MsgType type, std::uint32_t sender,
-                             std::uint64_t round,
-                             std::span<const lsa::field::Fp32::rep> payload,
-                             std::uint32_t num_receivers) {
-    for (std::uint32_t j = 0; j < num_receivers; ++j) {
-      send_row(type, sender, j, round, payload);
-    }
+  /// Seals a filled frame from acquire() and sends it to `receiver`.
+  virtual void send(lsa::transport::BufferRef frame, MsgType type,
+                    std::uint32_t sender, std::uint32_t receiver,
+                    std::uint64_t round) = 0;
+
+  /// Seals one filled frame and fans it out to receivers
+  /// 0..num_receivers-1 (the server's survivor-set / result / manifest
+  /// broadcasts): one buffer, one reference per receiver.
+  virtual void broadcast(lsa::transport::BufferRef frame, MsgType type,
+                         std::uint32_t sender, std::uint64_t round,
+                         std::uint32_t num_receivers) = 0;
+
+  /// Copying send: acquire, one payload copy, send.
+  void send_row(MsgType type, std::uint32_t sender, std::uint32_t receiver,
+                std::uint64_t round, std::span<const rep> payload) {
+    send(framed_copy(payload), type, sender, receiver, round);
+  }
+
+  /// Copying broadcast: acquire, one payload copy, broadcast.
+  void broadcast_row(MsgType type, std::uint32_t sender, std::uint64_t round,
+                     std::span<const rep> payload,
+                     std::uint32_t num_receivers) {
+    broadcast(framed_copy(payload), type, sender, round, num_receivers);
+  }
+
+ private:
+  [[nodiscard]] lsa::transport::BufferRef framed_copy(
+      std::span<const rep> payload) {
+    lsa::transport::BufferRef frame = acquire(payload.size());
+    lsa::transport::copy_payload(frame, payload);
+    return frame;
   }
 };
 

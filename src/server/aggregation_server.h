@@ -257,9 +257,9 @@ struct AsyncSessionConfig {
 
 /// One asynchronous buffered cohort: the runtime::AsyncNetwork cycle
 /// driver plus an arrival scheduler, a queue of buffer cycles and their
-/// outputs; step() executes the oldest cycle. Timestamped share frames are
-/// built once straight from the encode arenas (zero send-side payload
-/// copies), and the one-shot weighted-mask recovery runs through the
+/// outputs; step() executes the oldest cycle. Timestamped shares are
+/// encoded straight into their frames (zero send-side payload copies),
+/// and the one-shot weighted-mask recovery runs through the
 /// codec's survivor-set-keyed decode-plan cache, so repeated cycles with
 /// the same responder set pay plan setup once.
 class AsyncSession final : public SessionBase,

@@ -121,12 +121,16 @@ class RemoteSession {
     if (phase_ == Phase::kDone) return;
     switch (in.view.type) {
       case lsa::runtime::MsgType::kMaskedModel:
-        // Bank uploads for the current collect phase and for future
-        // rounds (fast clients bank ahead). A current-round model landing
+        // Fold uploads for the current collect phase and for the next
+        // round (fast clients bank ahead). A current-round model landing
         // AFTER the survivor bitmap is out is late — U1 is sealed, and
-        // banking it would desynchronize the masked-model sum from the
-        // recovered mask. Dropped, like every late frame.
-        if (in.view.round > round_ ||
+        // folding it would desynchronize the masked-model sum from the
+        // recovered mask. An upload kRingDepth or more rounds ahead has
+        // no slot of its own in the server's parity ring: it would re-key
+        // the live round's slot and wipe its sum. Both are dropped, like
+        // every late frame.
+        if ((in.view.round > round_ &&
+             in.view.round < round_ + kRingDepth) ||
             (in.view.round == round_ && phase_ == Phase::kCollect)) {
           server_->handle_view(in.view);
           if (in.view.round > max_round_seen_) {
@@ -217,6 +221,10 @@ class RemoteSession {
       // Loop: banked-ahead uploads may already complete the next collect.
     }
   }
+
+  /// Rounds the server machine holds at once (its parity ring's depth).
+  static constexpr std::uint64_t kRingDepth =
+      lsa::runtime::ParityRing<lsa::runtime::UploadSum<Fp>>::kDepth;
 
   RemoteSessionConfig cfg_;
   std::unique_ptr<lsa::runtime::AggregationServer> server_;

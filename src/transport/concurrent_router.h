@@ -16,9 +16,10 @@
 //   * backpressure: send blocks on not-full when a mailbox is at capacity
 //     (a crashed receiver unblocks its senders — frames to the dead are
 //     dropped, not queued);
-//   * zero-copy: send_row frames straight from the caller's row view into
-//     a pooled ref-counted buffer (transport/frame.h); try_recv validates
-//     in place and hands back a payload span aliasing that buffer;
+//   * zero-copy: senders write payloads straight into pooled ref-counted
+//     frames from acquire() and send() seals them in place
+//     (transport/frame.h); try_recv validates in place and hands back a
+//     payload span aliasing that buffer;
 //   * fault semantics: sends from crashed parties are dropped silently,
 //     frames addressed to a party that crashes are discarded undelivered,
 //     revive() re-admits, and an optional fault hook may mutate or drop any
@@ -137,15 +138,18 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
 
   // ----------------------------------------------------------------- send
 
-  /// Zero-copy send: frames the row view straight into a pooled buffer.
-  void send_row(lsa::runtime::MsgType type, std::uint32_t sender,
-                std::uint32_t receiver, std::uint64_t round,
-                std::span<const lsa::field::Fp32::rep> payload) override {
+  [[nodiscard]] BufferRef acquire(std::size_t elems) override {
+    return acquire_frame(pool_, elems);
+  }
+
+  /// Seals the sender's filled frame and enqueues it. A crashed sender's
+  /// frame is dropped unsealed and uncounted.
+  void send(BufferRef frame, lsa::runtime::MsgType type, std::uint32_t sender,
+            std::uint32_t receiver, std::uint64_t round) override {
     check_party(sender);
     check_party(receiver);
     if (is_down(sender)) return;
-    BufferRef frame =
-        build_frame(pool_, type, sender, receiver, round, payload);
+    seal_frame(frame, type, sender, receiver, round);
     enqueue(receiver, std::move(frame));
   }
 
@@ -153,19 +157,17 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
   /// own mailbox, never on the header's receiver).
   static constexpr std::uint32_t kBroadcastReceiver = 0xFFFFFFFFu;
 
-  /// Broadcast: the payload is framed ONCE into one ref-counted buffer
-  /// (receiver field = kBroadcastReceiver) shared across every live
-  /// mailbox — no per-receiver payload writes or CRC passes.
-  void broadcast_row(lsa::runtime::MsgType type, std::uint32_t sender,
-                     std::uint64_t round,
-                     std::span<const lsa::field::Fp32::rep> payload,
-                     std::uint32_t num_receivers) override {
+  /// Broadcast: the frame is sealed ONCE (receiver field =
+  /// kBroadcastReceiver) and shared across every live mailbox — no
+  /// per-receiver payload writes or CRC passes.
+  void broadcast(BufferRef frame, lsa::runtime::MsgType type,
+                 std::uint32_t sender, std::uint64_t round,
+                 std::uint32_t num_receivers) override {
     check_party(sender);
     lsa::require(num_receivers <= boxes_.size(),
                  "router: broadcast fan-out out of range");
     if (is_down(sender)) return;
-    BufferRef frame = build_frame(pool_, type, sender, kBroadcastReceiver,
-                                  round, payload);
+    seal_frame(frame, type, sender, kBroadcastReceiver, round);
     if (hook_ && !hook_(frame.bytes())) {
       // relaxed: monotonic telemetry total, read quiescently.
       dropped_.fetch_add(num_receivers, std::memory_order_relaxed);

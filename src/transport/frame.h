@@ -1,12 +1,16 @@
 // Zero-copy framing over pooled buffers.
 //
 // A frame is runtime/wire.h's layout — 7-word header, CRC over the payload
-// — built ONCE, directly from a field-row view (a FlatMatrix arena row, a
-// stack vector's span), into a ref-counted pooled buffer. On the inbound
-// side parse_frame() validates in place and exposes the payload as a
-// std::span<const rep> aliasing the buffer words: receivers copy at most
-// once, straight into their arena row (ShareBank::put), with no
-// intermediate payload vector on either side.
+// — in one ref-counted pooled buffer, written once. A sender acquires the
+// frame (acquire_frame), writes its payload in place through
+// frame_payload (a device draws its mask, encodes its shares or sums its
+// recovery response straight there), and seals it (seal_frame: CRC +
+// header). build_frame is the copying variant for payloads that already
+// live elsewhere: one copy of the row view into the frame, then the same
+// seal. On the inbound side parse_frame() validates in place and exposes
+// the payload as a std::span<const rep> aliasing the buffer words:
+// receivers read it where it lies or copy it once into their own arena
+// row (ShareBank::put).
 //
 // Layout recap ([] = one write each, little-endian):
 //   words[0..6]  header: type/flags, sender, receiver, round lo/hi,
@@ -38,28 +42,62 @@ struct FrameView {
   std::span<const lsa::field::Fp32::rep> payload;
 };
 
-/// Builds a frame straight from a row view: one header write + one payload
-/// write into a pooled buffer. This is the zero-copy send path — no
-/// intermediate payload vector exists, which the stats counters attest.
+/// A pooled frame with room for `elems` payload reps. Header and payload
+/// are unwritten (stale pool contents) until the caller fills
+/// frame_payload() and seals it.
+[[nodiscard]] inline BufferRef acquire_frame(BufferPool& pool,
+                                             std::size_t elems) {
+  return pool.acquire(lsa::runtime::kHeaderBytes + 4 * elems);
+}
+
+/// The payload region of a frame from acquire_frame, writable until the
+/// frame is sealed and sent.
+[[nodiscard]] inline std::span<lsa::field::Fp32::rep> frame_payload(
+    BufferRef& frame) {
+  return frame.words().subspan(
+      kHeaderWords, (frame.size_bytes() - lsa::runtime::kHeaderBytes) / 4);
+}
+
+/// Seals a filled frame in place: CRC over the payload, then the header.
+/// Every frame is sealed exactly once, so note_framed counts each frame
+/// and its payload bytes once, whether the payload was written in place
+/// or copied in by build_frame.
+inline void seal_frame(BufferRef& frame, lsa::runtime::MsgType type,
+                       std::uint32_t sender, std::uint32_t receiver,
+                       std::uint64_t round) {
+  const std::size_t payload_bytes =
+      frame.size_bytes() - lsa::runtime::kHeaderBytes;
+  const std::uint32_t crc = lsa::runtime::crc32(
+      frame.bytes().subspan(lsa::runtime::kHeaderBytes, payload_bytes));
+  lsa::runtime::write_header(frame.bytes().data(), type, sender, receiver,
+                             round,
+                             static_cast<std::uint32_t>(payload_bytes / 4),
+                             crc);
+  counters().note_framed(payload_bytes);
+}
+
+/// Copies a row view into a frame's payload (sizes must match).
+inline void copy_payload(BufferRef& frame,
+                         std::span<const lsa::field::Fp32::rep> payload) {
+  const auto dst = frame_payload(frame);
+  lsa::require(dst.size() == payload.size(),
+               "frame: payload length differs from the frame's");
+  if (!payload.empty()) {
+    // copy-ok: THE copying send path — a row view that already lives
+    // elsewhere, written once into its frame; seal_frame counts it as
+    // framed (note_framed), not as an intermediate copy.
+    std::memcpy(dst.data(), payload.data(), 4 * payload.size());
+  }
+}
+
+/// Builds a sealed frame from a row view: acquire, one payload copy, seal.
 [[nodiscard]] inline BufferRef build_frame(
     BufferPool& pool, lsa::runtime::MsgType type, std::uint32_t sender,
     std::uint32_t receiver, std::uint64_t round,
     std::span<const lsa::field::Fp32::rep> payload) {
-  const std::size_t nbytes = lsa::runtime::kHeaderBytes + 4 * payload.size();
-  BufferRef buf = pool.acquire(nbytes);
-  const auto words = buf.words();
-  if (!payload.empty()) {
-    // copy-ok: THE single sanctioned send-side write — row view straight
-    // into the pooled frame; note_framed (not note_copy) counts it.
-    std::memcpy(words.data() + kHeaderWords, payload.data(),
-                4 * payload.size());
-  }
-  const std::uint32_t crc = lsa::runtime::crc32(
-      buf.bytes().subspan(lsa::runtime::kHeaderBytes, 4 * payload.size()));
-  lsa::runtime::write_header(buf.bytes().data(), type, sender, receiver,
-                             round,
-                             static_cast<std::uint32_t>(payload.size()), crc);
-  counters().note_framed(4 * payload.size());
+  BufferRef buf = acquire_frame(pool, payload.size());
+  copy_payload(buf, payload);
+  seal_frame(buf, type, sender, receiver, round);
   return buf;
 }
 

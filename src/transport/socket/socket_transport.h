@@ -6,8 +6,8 @@
 //   * hub (SocketTransport::listen) — the server side. Owns the listener
 //     and every accepted connection. Sessions register with
 //     register_session(sid, num_users, hooks) and get back a Transport&
-//     whose send_row/broadcast_row frame ONCE into the shared BufferPool
-//     and enqueue the BufferRef on the receiver connections (broadcast =
+//     whose frames come from the shared BufferPool, are sealed ONCE and
+//     are enqueued as BufferRefs on the receiver connections (broadcast =
 //     one buffer, refcount per queue — the one-buffer-many-queues rule the
 //     in-process router already follows). Inbound frames addressed to
 //     receiver == num_users are parsed/validated and delivered to the
@@ -260,9 +260,12 @@ class SocketTransport final : public lsa::runtime::Transport {
 
   // --------------------------------------------- Transport (client role)
 
-  void send_row(lsa::runtime::MsgType type, std::uint32_t sender,
-                std::uint32_t receiver, std::uint64_t round,
-                std::span<const lsa::field::Fp32::rep> payload) override {
+  [[nodiscard]] BufferRef acquire(std::size_t elems) override {
+    return acquire_frame(pool_, elems);
+  }
+
+  void send(BufferRef frame, lsa::runtime::MsgType type, std::uint32_t sender,
+            std::uint32_t receiver, std::uint64_t round) override {
     lsa::require(role_ == Role::kClient,
                  "socket: hub sends go through register_session's transport");
     if (conn_ == nullptr) {
@@ -270,10 +273,18 @@ class SocketTransport final : public lsa::runtime::Transport {
       ++stats_.frames_dropped;
       return;
     }
-    enqueue_out(conn_,
-                build_frame(pool_, type, sender, receiver, round, payload));
+    seal_frame(frame, type, sender, receiver, round);
+    enqueue_out(conn_, std::move(frame));
     reap();
     rethrow_pending();
+  }
+
+  /// A client talks to the hub alone; fan-outs are the hub session's.
+  void broadcast(BufferRef /*frame*/, lsa::runtime::MsgType /*type*/,
+                 std::uint32_t /*sender*/, std::uint64_t /*round*/,
+                 std::uint32_t /*num_receivers*/) override {
+    throw lsa::Error(
+        "socket: broadcasts go through register_session's transport");
   }
 
   // ------------------------------------------------- client lifecycle
@@ -367,16 +378,19 @@ class SocketTransport final : public lsa::runtime::Transport {
   class HubTransport final : public lsa::runtime::Transport {
    public:
     HubTransport(SocketTransport* t, std::uint64_t sid) : t_(t), sid_(sid) {}
-    void send_row(lsa::runtime::MsgType type, std::uint32_t sender,
-                  std::uint32_t receiver, std::uint64_t round,
-                  std::span<const lsa::field::Fp32::rep> payload) override {
-      t_->hub_send_row(sid_, type, sender, receiver, round, payload);
+    [[nodiscard]] BufferRef acquire(std::size_t elems) override {
+      return acquire_frame(t_->pool_, elems);
     }
-    void broadcast_row(lsa::runtime::MsgType type, std::uint32_t sender,
-                       std::uint64_t round,
-                       std::span<const lsa::field::Fp32::rep> payload,
-                       std::uint32_t num_receivers) override {
-      t_->hub_broadcast(sid_, type, sender, round, payload, num_receivers);
+    void send(BufferRef frame, lsa::runtime::MsgType type,
+              std::uint32_t sender, std::uint32_t receiver,
+              std::uint64_t round) override {
+      t_->hub_send(sid_, std::move(frame), type, sender, receiver, round);
+    }
+    void broadcast(BufferRef frame, lsa::runtime::MsgType type,
+                   std::uint32_t sender, std::uint64_t round,
+                   std::uint32_t num_receivers) override {
+      t_->hub_broadcast(sid_, std::move(frame), type, sender, round,
+                        num_receivers);
     }
 
    private:
@@ -618,31 +632,27 @@ class SocketTransport final : public lsa::runtime::Transport {
 
   // --------------------------------------------------------- hub sends
 
-  void hub_send_row(std::uint64_t sid, lsa::runtime::MsgType type,
-                    std::uint32_t sender, std::uint32_t receiver,
-                    std::uint64_t round,
-                    std::span<const lsa::field::Fp32::rep> payload) {
+  void hub_send(std::uint64_t sid, BufferRef frame,
+                lsa::runtime::MsgType type, std::uint32_t sender,
+                std::uint32_t receiver, std::uint64_t round) {
     SessionState& ss = sessions_.at(sid);
     lsa::require(receiver < ss.num_users,
                  "socket: hub send to unknown receiver");
-    deliver_or_park(ss, receiver,
-                    build_frame(pool_, type, sender, receiver, round,
-                                payload));
+    seal_frame(frame, type, sender, receiver, round);
+    deliver_or_park(ss, receiver, std::move(frame));
     reap();
   }
 
-  void hub_broadcast(std::uint64_t sid, lsa::runtime::MsgType type,
-                     std::uint32_t sender, std::uint64_t round,
-                     std::span<const lsa::field::Fp32::rep> payload,
-                     std::uint32_t num_receivers) {
+  void hub_broadcast(std::uint64_t sid, BufferRef frame,
+                     lsa::runtime::MsgType type, std::uint32_t sender,
+                     std::uint64_t round, std::uint32_t num_receivers) {
     SessionState& ss = sessions_.at(sid);
     lsa::require(num_receivers <= ss.num_users,
                  "socket: broadcast fan-out out of range");
-    // Frame ONCE; every live connection queues the same ref-counted
+    // Seal ONCE; every live connection queues the same ref-counted
     // buffer (receiver field = broadcast marker, matching the in-process
     // router's shared-frame convention).
-    BufferRef frame = build_frame(pool_, type, sender, 0xFFFFFFFFu, round,
-                                  payload);
+    seal_frame(frame, type, sender, 0xFFFFFFFFu, round);
     for (std::uint32_t j = 0; j < num_receivers; ++j) {
       deliver_or_park(ss, j, frame);  // refcount bump, same block
     }

@@ -1,8 +1,8 @@
 // Global transport instrumentation counters.
 //
-// The zero-copy claim of the transport layer ("outbound frames are built
-// once, straight from arena rows") is enforced by measurement, not by
-// convention: the frame builder bumps the framed-byte counters, and any
+// The zero-copy claim of the transport layer ("every outbound payload is
+// written once, in its frame") is enforced by measurement, not by
+// convention: sealing a frame bumps the framed-byte counters, and any
 // path that materializes an intermediate payload vector must bump the
 // payload-copy counters (none in src/ does; bench_transport's reproduction
 // of the seed router does, as its baseline). Tests and benches assert that
@@ -19,9 +19,10 @@
 namespace lsa::transport {
 
 struct Counters {
-  /// Frames built directly from row views (the zero-copy send path).
+  /// Frames sealed for sending (transport/frame.h seal_frame), whether
+  /// their payload was written in place or copied in from a row view.
   std::atomic<std::uint64_t> frames_built{0};
-  /// Payload bytes written by the frame builder (the single framing write).
+  /// Payload bytes of the sealed frames (each written once, in its frame).
   std::atomic<std::uint64_t> payload_bytes_framed{0};
   /// Intermediate payload copies: a payload vector materialized between a
   /// sender's row and its frame, or a frame and the receiver's row.

@@ -1,5 +1,7 @@
-// Automatic quantization-level selection (paper App. F.5 points to the
-// auto-tuning idea of Bonawitz et al. 2019c).
+// Test helper: automatic quantization-level selection (paper App. F.5
+// points to the auto-tuning idea of Bonawitz et al. 2019c). No library
+// code picks levels automatically, so it lives with the tests
+// (extensions_test pins the head-room rule below).
 //
 // Fig. 12 shows c_l trades rounding error (small c_l) against wrap-around
 // error (large c_l). The safe operating point follows from the aggregation

@@ -9,6 +9,7 @@
 #include "coding/matrix.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "crypto/prg.h"
 #include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/goldilocks.h"
@@ -346,6 +347,65 @@ TYPED_TEST(MaskCodecEncodeOracle, SharesAndColumnsMatchLagrange) {
     check_encode_against_oracle<F>(13, 9, 4, 185, 71);  // seg_len 37
     check_encode_against_oracle<F>(4, 3, 1, 7, 72);      // seg_len 4
     check_encode_against_oracle<F>(21, 17, 8, 300, 73);  // seg_len 34
+  }
+}
+
+// The row-pointer encode a device runs into its share frames reads the
+// U-T data segments in place from the mask; only a zero-padded tail
+// segment and the T noise segments take scratch. Any U of its N shares
+// must interpolate back to every slot: the mask's zero-padded data
+// segments at the first U-T, and at the last T the noise segments that
+// continue the mask's PRG stream.
+void check_row_pointer_encode(std::size_t n, std::size_t u, std::size_t t,
+                              std::size_t d, std::uint64_t seed) {
+  const lsa::coding::MaskCodec<Fp32> codec(n, u, t, d);
+  const std::size_t seg = codec.segment_len();
+  lsa::crypto::Prg prg(lsa::crypto::seed_from_u64(seed));
+  std::vector<rep> mask(d);
+  lsa::field::fill_uniform<Fp32>(std::span<rep>(mask), prg);
+
+  std::vector<rep> expected(u * seg, Fp32::zero);
+  std::copy(mask.begin(), mask.end(), expected.begin());
+  lsa::crypto::Prg noise_prg = prg;  // the draws the codec is about to make
+  for (std::size_t k = 0; k < t; ++k) {
+    lsa::field::fill_uniform<Fp32>(
+        std::span<rep>(expected).subspan((u - t + k) * seg, seg), noise_prg);
+  }
+
+  // N separately allocated rows, as a device's share frames are.
+  std::vector<std::vector<rep>> shares(n, std::vector<rep>(seg));
+  std::vector<rep*> dst(n);
+  for (std::size_t j = 0; j < n; ++j) dst[j] = shares[j].data();
+  codec.encode_into(std::span<const rep>(mask), prg,
+                    std::span<rep* const>(dst));
+
+  std::vector<rep> betas(u);
+  for (std::size_t k = 0; k < u; ++k) betas[k] = Fp32::from_u64(k + 1);
+  for (const std::size_t first : {std::size_t{0}, n - u}) {
+    std::vector<rep> xs(u);
+    std::vector<const rep*> rows(u);
+    for (std::size_t a = 0; a < u; ++a) {
+      xs[a] = Fp32::from_u64(u + 1 + first + a);  // alpha_j = U + 1 + j
+      rows[a] = shares[first + a].data();
+    }
+    EXPECT_EQ(lsa::test::oracle_decode<Fp32>(
+                  xs, betas, std::span<const rep* const>(rows), seg),
+              expected)
+        << "N=" << n << " U=" << u << " T=" << t << " d=" << d
+        << " shares from " << first;
+  }
+}
+
+TEST(MaskCodecRowPointerEncode, MatchesOracleWithAndWithoutTailPadding) {
+  for (const auto policy :
+       {lsa::field::simd::SimdPolicy::kAuto,
+        lsa::field::simd::SimdPolicy::kForceScalar}) {
+    lsa::field::simd::ScopedSimdPolicy scoped(policy);
+    // U-T = 40: seg_len 197, the last data segment holds 167 mask reps
+    // and 30 zeros.
+    check_row_pointer_encode(50, 45, 5, 7850, 81);
+    // U-T = 2: seg_len 75, both data segments read in place.
+    check_row_pointer_encode(6, 4, 2, 150, 82);
   }
 }
 

@@ -11,12 +11,13 @@
 #include "crypto/chacha20.h"
 #include "crypto/key_agreement.h"
 #include "crypto/prg.h"
-#include "crypto/primality.h"
 #include "field/flat_matrix.h"
 #include "field/fp.h"
 #include "field/goldilocks.h"
 #include "field/random_field.h"
 #include "field/simd/dispatch.h"
+
+#include "primality.h"
 
 namespace {
 

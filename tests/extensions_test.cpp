@@ -11,7 +11,8 @@
 #include "field/random_field.h"
 #include "fl/secure_adapter.h"
 #include "protocol/lightsecagg.h"
-#include "quant/autotune.h"
+
+#include "autotune.h"
 
 namespace {
 

@@ -1,8 +1,8 @@
-// Deterministic Miller–Rabin primality for 64-bit integers.
+// Test helper: deterministic Miller–Rabin primality for 64-bit integers.
 //
-// Used by tests to validate the hard-coded Diffie–Hellman group parameters
-// (safe prime p, subgroup order q) and by anyone instantiating PrimeField
-// with a custom modulus.
+// Validates the hard-coded Diffie–Hellman group parameters (safe prime p,
+// subgroup order q) of crypto/key_agreement.h and the prime moduli of the
+// fields. No library code needs it, so it lives with the tests.
 #pragma once
 
 #include <cstdint>

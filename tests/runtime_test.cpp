@@ -224,6 +224,37 @@ TEST(NetworkRound, NextRoundBankedAheadOfRecovery) {
   }
 }
 
+TEST(NetworkRound, DuplicateUploadRejected) {
+  // The server adds each masked model into the round's running sum as it
+  // arrives. A second upload from a user who already uploaded would be
+  // counted twice while its mask is recovered once: delivery refuses it
+  // before it touches the sum, the round still recovers its exact sum, and
+  // the next round is exact too.
+  constexpr std::size_t kN = 5;
+  constexpr std::size_t kD = 12;
+  Network net(net_params(kN, 1, 4, kD), 19);
+  const auto models = random_models(kN, kD, 50);
+  for (std::size_t i = 0; i < kN; ++i) {
+    net.user(i).start_round(0, models[i]);
+  }
+  net.pump();
+  const std::vector<rep> second(kD, 7);
+  net.router().send_row(MsgType::kMaskedModel, /*sender=*/2,
+                        /*receiver=*/static_cast<std::uint32_t>(kN),
+                        /*round=*/0, std::span<const rep>(second));
+  EXPECT_THROW(net.pump(), lsa::ProtocolError);
+
+  const std::vector<std::uint32_t> all = {0, 1, 2, 3, 4};
+  EXPECT_EQ(net.server().arrived(0), all);
+  net.server().begin_recovery(0);
+  net.pump();  // survivor set out, aggregated shares back
+  EXPECT_EQ(net.server().finish_round(0), sum_of(models, all));
+  net.pump();  // result broadcast
+
+  const auto next = random_models(kN, kD, 51);
+  EXPECT_EQ(net.run_round(1, next, {}), sum_of(next, all));
+}
+
 TEST(NetworkRound, MultipleRoundsWithFreshMasksAndRejoins) {
   Network net(net_params(5, 1, 4, 12), 11);
   for (std::uint64_t round = 0; round < 4; ++round) {

@@ -348,6 +348,90 @@ TEST(SocketTransport, MidRoundDisconnectReconnectMapsToCrashRevive) {
   EXPECT_EQ(want1, sess.aggregates()[1]);
 }
 
+// ------------------------------------------ uploads two rounds ahead
+
+// The server machine holds two rounds at once (a parity ring keyed by
+// round), so an upload tagged round r+2 has no slot of its own: folding
+// it would re-key the live round's slot and wipe the uploads already
+// summed there. The session drops it like a late frame. Round 0 meets it
+// mid-collect (three uploads in), round 1 mid-recovery (all uploads in,
+// no response yet); both rounds still complete bit-identical to the
+// serial reference.
+TEST(SocketTransport, UploadTwoRoundsAheadIsDropped) {
+  lsa::protocol::Params params;
+  params.num_users = 4;
+  params.privacy = 1;
+  params.dropout = 1;
+  params.model_dim = 60;
+  params.validate_and_resolve();
+
+  const std::uint64_t kSeed = 909;
+  std::vector<std::vector<std::vector<rep>>> models(2);
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    for (std::uint32_t u = 0; u < params.num_users; ++u) {
+      models[r].push_back(model_for(kSeed, u, r, params.model_dim));
+    }
+  }
+
+  const SocketAddr addr = SocketAddr::parse("uds://" + fresh_uds_path(7));
+  auto hub = SocketTransport::listen(addr);
+  RemoteSessionConfig cfg;
+  cfg.params = params;
+  cfg.rounds = 2;
+  RemoteSession sess(*hub, 0, cfg);
+
+  const auto n = static_cast<std::uint32_t>(params.num_users);
+  std::vector<std::unique_ptr<SocketTransport>> cts;
+  std::vector<std::unique_ptr<UserDevice>> devs;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    cts.push_back(SocketTransport::connect(addr, 0, u, n));
+    devs.push_back(std::make_unique<UserDevice>(u, params, kSeed, *cts[u]));
+    cts[u]->set_sink(
+        [&, u](const Inbound& in) { devs[u]->handle_view(in.view); });
+  }
+  std::vector<SocketTransport*> all;
+  for (auto& c : cts) all.push_back(c.get());
+  const std::vector<rep> stray(params.model_dim, 5);
+  // Sends a masked model tagged `round` from `user` and pumps only the hub
+  // until the session has been handed it.
+  auto send_stray = [&](std::uint32_t user, std::uint64_t round) {
+    const std::uint64_t delivered = hub->stats().frames_delivered;
+    cts[user]->send_row(MsgType::kMaskedModel, user, n, round,
+                        std::span<const rep>(stray));
+    settle(hub.get(), {}, [&] {
+      return hub->stats().frames_delivered == delivered + 1;
+    });
+  };
+
+  // Round 0, mid-collect.
+  for (std::uint32_t u = 0; u < 3; ++u) {
+    devs[u]->start_round(0, models[0][u]);
+  }
+  settle(hub.get(), all,
+         [&] { return sess.machine().arrived(0).size() == 3; });
+  send_stray(0, 2);
+  EXPECT_EQ(sess.machine().arrived(0).size(), 3u);
+  devs[3]->start_round(0, models[0][3]);
+  settle(hub.get(), all, [&] { return sess.current_round() == 1; });
+
+  // Round 1, mid-recovery: the hub alone takes every upload in and sends
+  // the survivor bitmap before any client reads it.
+  for (std::uint32_t u = 0; u < n; ++u) {
+    devs[u]->start_round(1, models[1][u]);
+  }
+  settle(hub.get(), {},
+         [&] { return sess.phase() == RemoteSession::Phase::kRecover; });
+  send_stray(2, 3);
+  settle(hub.get(), all, [&] { return sess.done(); });
+
+  ASSERT_EQ(sess.aggregates().size(), 2u);
+  Network net(params, kSeed);
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(net.run_round(r, models[r], {}), sess.aggregates()[r])
+        << "round " << r;
+  }
+}
+
 // ----------------------------------------- broadcast buffer ownership
 
 // A hub broadcast to K live connections builds exactly ONE frame; every

@@ -131,6 +131,41 @@ TEST(Frame, BuildCountsZeroPayloadCopies) {
             4 * payload.size());
 }
 
+TEST(Frame, FilledInPlaceAndSealedMatchesBuildFrame) {
+  // Devices write payloads straight into acquired frames and seal them;
+  // build_frame copies a row in. For every message type the two give the
+  // same bytes and the same framing counts, and neither counts a copy.
+  BufferPool pool;
+  lsa::common::Xoshiro256ss rng(91);
+  for (const std::size_t elems : {std::size_t{0}, std::size_t{37}}) {
+    const auto row = lsa::field::uniform_vector<Fp32>(elems, rng);
+    for (std::uint16_t t = 1; t <= 9; ++t) {
+      const auto type = static_cast<MsgType>(t);
+      const auto s0 = snapshot();
+      const BufferRef built = build_frame(pool, type, 3, 5, 0x123456789aull,
+                                          std::span<const rep>(row));
+      const auto s1 = snapshot();
+      BufferRef filled = acquire_frame(pool, elems);
+      const auto payload = frame_payload(filled);
+      ASSERT_EQ(payload.size(), elems);
+      for (std::size_t i = 0; i < elems; ++i) payload[i] = row[i];
+      seal_frame(filled, type, 3, 5, 0x123456789aull);
+      const auto s2 = snapshot();
+
+      ASSERT_EQ(filled.size_bytes(), built.size_bytes());
+      const auto a = built.bytes();
+      const auto b = filled.bytes();
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+          << "type " << t << " elems " << elems;
+      EXPECT_EQ(s1.frames_built - s0.frames_built, 1u);
+      EXPECT_EQ(s2.frames_built - s1.frames_built, 1u);
+      EXPECT_EQ(s1.payload_bytes_framed - s0.payload_bytes_framed, 4 * elems);
+      EXPECT_EQ(s2.payload_bytes_framed - s1.payload_bytes_framed, 4 * elems);
+      EXPECT_EQ(s2.payload_copies - s0.payload_copies, 0u);
+    }
+  }
+}
+
 // ----------------------------------------------------------------- router
 
 TEST(ConcurrentRouter, PerLinkFifoUnderConcurrentSenders) {
