@@ -142,8 +142,7 @@ RelayResult relay_inproc(std::size_t frames, std::size_t seg_len) {
   // One link, with the mailbox bound runtime::Network gives a one-user
   // round.
   lsa::transport::ConcurrentRouter router(
-      2, lsa::runtime::sync_fanin_bound(1) +
-             lsa::transport::ConcurrentRouter::kCapacityHeadroom);
+      2, lsa::runtime::sync_fanin_bound(1) + lsa::runtime::kCapacityHeadroom);
   std::vector<rep> payload(seg_len);
   for (std::size_t j = 0; j < seg_len; ++j) {
     payload[j] = static_cast<rep>(j % 65521);

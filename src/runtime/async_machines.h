@@ -17,25 +17,23 @@
 //      makes LightSecAgg async-capable (and SecAgg/SecAgg+ not, Remark 1).
 //   4. From any U responses the server one-shot decodes the weighted
 //      aggregate mask, removes it and broadcasts the result.
+//
+// The devices are runtime::UserDevice, the same as in sync rounds: steps 1
+// and 3 are its submit_update and its answer to a manifest.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "coding/mask_codec.h"
 #include "common/error.h"
-#include "crypto/prg.h"
 #include "field/field_vec.h"
-#include "field/random_field.h"
 #include "protocol/params.h"
 #include "quant/staleness.h"
 #include "runtime/arrival_scheduler.h"
-#include "runtime/machines.h"  // Party, pump_router, ShareBank,
-                                // encode_shares_into_frames
+#include "runtime/machines.h"  // Party, UserDevice, NetworkBase
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 
@@ -46,174 +44,12 @@ namespace lsa::runtime {
 /// submission phase, up to N weighted-share responses after the manifest
 /// broadcast); a user box takes at most A timestamped shares. AsyncNetwork
 /// — the one in-process async driver — sizes its router from this rule
-/// at A = buffer K plus ConcurrentRouter::kCapacityHeadroom, and so admits
-/// cycles of at most max(N, K) arrivals (AsyncNetwork::check_admission).
+/// at A = buffer K plus kCapacityHeadroom, and so admits cycles of at most
+/// max(N, K) arrivals (AsyncNetwork::check_admission).
 [[nodiscard]] constexpr std::size_t async_fanin_bound(
     std::size_t n, std::size_t max_arrivals) {
   return std::max(n, max_arrivals) + 2;
 }
-
-/// One edge device in the asynchronous protocol.
-class AsyncUserDevice final : public Party {
- public:
-  using Fp = lsa::field::Fp32;
-  using rep = Fp::rep;
-
-  AsyncUserDevice(std::uint32_t id, const lsa::protocol::Params& params,
-                  std::uint64_t master_seed, Transport& transport)
-      : id_(id),
-        params_(params),
-        codec_(params.num_users, params.target_survivors, params.privacy,
-               params.model_dim),
-        master_seed_(master_seed),
-        transport_(transport) {}
-
-  [[nodiscard]] std::uint32_t id() const { return id_; }
-  /// Number of stored (owner, born_round) shares across retained rounds.
-  [[nodiscard]] std::size_t stored_shares() const {
-    std::size_t c = 0;
-    for (const auto& [born, bank] : store_) c += bank.count();
-    return c;
-  }
-
-  /// Finishes a local update born at global round t_i: timestamped mask
-  /// sharing (offline) + masked upload. The mask is derived
-  /// deterministically from (seed, id, born_round), mirroring App. F.3.1,
-  /// and drawn into the upload frame, which then takes the update in
-  /// place; the shares are encoded straight into their frames. In
-  /// persistent-cohort mode the mask is instead derived from
-  /// (seed, id, epoch) and its shares are distributed once per epoch under
-  /// wire round = epoch; subsequent updates are masked-upload only.
-  void submit_update(std::uint64_t born_round, std::span<const rep> update) {
-    lsa::require<lsa::ProtocolError>(update.size() == params_.model_dim,
-                                     "async user: wrong update dimension");
-    const bool persistent = params_.persistent_cohort;
-    const std::uint64_t key = persistent ? epoch_ : born_round;
-    const std::uint64_t tag = persistent ? 0xae90c4ull : 0xa511ull;
-    lsa::crypto::Prg prg(lsa::crypto::derive_subseed(
-        lsa::crypto::seed_from_u64(master_seed_ ^
-                                   (tag + id_ * 0x9e3779b97f4a7c15ull)),
-        key));
-    lsa::transport::BufferRef upload = transport_.acquire(params_.model_dim);
-    const std::span<rep> masked = lsa::transport::frame_payload(upload);
-    lsa::field::fill_uniform<Fp>(masked, prg);
-    if (!persistent || !epoch_setup_done_) {
-      encode_shares_into_frames(codec_, transport_, id_, key, masked, prg,
-                                bank_for(key).claim(id_),
-                                params_.exec.chunk_reps);
-      ++offline_encodes_;
-      epoch_setup_done_ = true;  // read in persistent mode only
-    }
-    lsa::field::add_inplace<Fp>(masked, update);
-    transport_.send(std::move(upload), MsgType::kMaskedModel, id_,
-                    static_cast<std::uint32_t>(params_.num_users), born_round);
-  }
-
-  /// Persistent-cohort epoch advance (membership change): next
-  /// submit_update re-runs offline encoding + share distribution.
-  void advance_epoch() {
-    ++epoch_;
-    epoch_setup_done_ = false;
-    store_.clear();
-  }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-  [[nodiscard]] std::uint64_t offline_encodes() const {
-    return offline_encodes_;
-  }
-
-  void handle_view(const lsa::transport::FrameView& f) override {
-    on_payload(f.type, f.sender, f.round, f.payload);
-  }
-
-  [[nodiscard]] const std::optional<std::vector<rep>>& last_result() const {
-    return last_result_;
-  }
-
- private:
-  void on_payload(MsgType type, std::uint32_t sender, std::uint64_t round,
-                  std::span<const rep> payload) {
-    switch (type) {
-      case MsgType::kEncodedMaskShare:
-        lsa::require<lsa::ProtocolError>(
-            payload.size() == codec_.segment_len(),
-            "async user: bad encoded share length");
-        bank_for(round).put(sender, payload);
-        break;
-      case MsgType::kBufferManifest: {
-        // Payload: triples (user, born_round, weight), see the server.
-        // One fused weighted column sum across the manifested share rows,
-        // formed inside the response frame.
-        lsa::require<lsa::ProtocolError>(payload.size() % 3 == 0,
-                                         "async user: bad manifest shape");
-        std::vector<rep> coeffs;
-        std::vector<const rep*> rows;
-        coeffs.reserve(payload.size() / 3);
-        rows.reserve(payload.size() / 3);
-        for (std::size_t e = 0; e < payload.size(); e += 3) {
-          const std::uint32_t user = payload[e];
-          const std::uint64_t born = payload[e + 1];
-          lsa::require<lsa::ProtocolError>(
-              user < params_.num_users,
-              "async user: manifest user id out of range");
-          // Persistent mode: every manifested update reuses its owner's
-          // epoch mask, so all shares live under the epoch key.
-          const auto it =
-              store_.find(params_.persistent_cohort ? epoch_ : born);
-          lsa::require<lsa::ProtocolError>(
-              it != store_.end() && it->second.has(user),
-              "async user: missing timestamped share for manifest entry");
-          coeffs.push_back(payload[e + 2]);
-          rows.push_back(it->second.rows.row_ptr(user));
-        }
-        lsa::transport::BufferRef response =
-            transport_.acquire(codec_.segment_len());
-        const std::span<rep> acc = lsa::transport::frame_payload(response);
-        std::fill(acc.begin(), acc.end(), Fp::zero);
-        lsa::field::axpy_accumulate_blocked<Fp>(
-            acc, std::span<const rep>(coeffs),
-            std::span<const rep* const>(rows), params_.exec.chunk_reps);
-        transport_.send(std::move(response), MsgType::kWeightedShares, id_,
-                        static_cast<std::uint32_t>(params_.num_users),
-                        round);  // the aggregation round `now`
-        // The manifested shares are consumed — except in persistent mode,
-        // where epoch shares serve every round until advance_epoch().
-        if (!params_.persistent_cohort) {
-          for (std::size_t e = 0; e < payload.size(); e += 3) {
-            const auto it = store_.find(payload[e + 1]);
-            if (it == store_.end()) continue;
-            it->second.present[payload[e]] = 0;
-            if (it->second.count() == 0) store_.erase(it);
-          }
-        }
-        break;
-      }
-      case MsgType::kAggregateResult:
-        last_result_.emplace(payload.begin(), payload.end());
-        break;
-      default:
-        throw lsa::ProtocolError("async user: unexpected message type");
-    }
-  }
-
-  ShareBank<Fp>& bank_for(std::uint64_t born_round) {
-    return ShareBank<Fp>::get_or_create(store_, born_round,
-                                        params_.num_users,
-                                        codec_.segment_len());
-  }
-
-  std::uint32_t id_;
-  lsa::protocol::Params params_;
-  lsa::coding::MaskCodec<Fp> codec_;
-  std::uint64_t master_seed_;
-  Transport& transport_;
-  /// store_[born_round].rows.row(u) = [~z_u^{(born)}]_this held here
-  /// (keyed by epoch instead of born round in persistent-cohort mode).
-  std::map<std::uint64_t, ShareBank<Fp>> store_;
-  std::optional<std::vector<rep>> last_result_;
-  std::uint64_t epoch_ = 0;          ///< persistent-cohort epoch counter
-  bool epoch_setup_done_ = false;    ///< offline setup done for epoch_
-  std::uint64_t offline_encodes_ = 0;
-};
 
 /// The buffered asynchronous aggregation server.
 class AsyncAggregationServer final : public Party {
@@ -227,9 +63,9 @@ class AsyncAggregationServer final : public Party {
   };
 
   AsyncAggregationServer(const lsa::protocol::Params& params,
-                         std::size_t buffer_k,
+                         Transport& transport, std::size_t buffer_k,
                          lsa::quant::StalenessPolicy staleness,
-                         std::uint64_t c_g, Transport& transport)
+                         std::uint64_t c_g)
       : params_(params),
         buffer_k_(buffer_k),
         staleness_(staleness),
@@ -375,66 +211,24 @@ class AsyncAggregationServer final : public Party {
   std::map<std::uint32_t, std::vector<rep>> weighted_shares_;
 };
 
-/// THE in-process async cycle driver: owns the router and all async
-/// parties, and runs whole buffer cycles. Arrivals and the pump fan out on
-/// params.exec. On the default, inline ExecPolicy it is the
-/// single-threaded reference every concurrent drive is pinned against;
-/// server::AsyncSession is this driver plus an arrival scheduler and a
-/// queue of cycles, on the session's policy.
-class AsyncNetwork {
+/// THE in-process async cycle driver: runs whole buffer cycles on its
+/// base. Arrivals and the pump fan out on params.exec. On the default,
+/// inline ExecPolicy it is the single-threaded reference every concurrent
+/// drive is pinned against; server::AsyncSession is this driver plus an
+/// arrival scheduler and a queue of cycles, on the session's policy.
+class AsyncNetwork : public NetworkBase<AsyncAggregationServer> {
  public:
-  using Fp = lsa::field::Fp32;
-  using rep = Fp::rep;
-
   /// t_i = born_round (staleness = now - t_i); shared with the arrival
   /// scheduler so session and serial drives consume identical patterns.
   using Arrival = lsa::runtime::Arrival;
 
   /// The router admits cycles of up to max(N, buffer_k) arrivals.
-  AsyncNetwork(lsa::protocol::Params params, std::size_t buffer_k,
+  AsyncNetwork(const lsa::protocol::Params& params, std::size_t buffer_k,
                lsa::quant::StalenessPolicy staleness, std::uint64_t c_g,
                std::uint64_t seed)
-      : params_(params),
-        router_(params.num_users + 1,
-                async_fanin_bound(params.num_users, buffer_k) +
-                    lsa::transport::ConcurrentRouter::kCapacityHeadroom) {
-    params_.validate_and_resolve();
-    server_ = std::make_unique<AsyncAggregationServer>(
-        params_, buffer_k, staleness, c_g, router_);
-    for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      users_.push_back(
-          std::make_unique<AsyncUserDevice>(i, params_, seed, router_));
-    }
-  }
-
-  [[nodiscard]] const lsa::protocol::Params& params() const {
-    return params_;
-  }
-  [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
-  [[nodiscard]] const lsa::transport::ConcurrentRouter& router() const {
-    return router_;
-  }
-  [[nodiscard]] AsyncUserDevice& user(std::size_t i) { return *users_.at(i); }
-  [[nodiscard]] AsyncAggregationServer& server() { return *server_; }
-
-  /// Offline encode + share-distribution passes summed over the devices.
-  [[nodiscard]] std::uint64_t offline_encodes() const {
-    std::uint64_t total = 0;
-    for (const auto& u : users_) total += u->offline_encodes();
-    return total;
-  }
-
-  /// Persistent-cohort membership change (see Network::advance_epoch).
-  void advance_epoch() {
-    for (auto& u : users_) u->advance_epoch();
-  }
-
-  void pump() {
-    pump_router(router_, params_.exec, [&](std::size_t r) -> Party& {
-      return r == params_.num_users ? static_cast<Party&>(*server_)
-                                    : *users_[r];
-    });
-  }
+      : NetworkBase(params, seed,
+                    async_fanin_bound(params.num_users, buffer_k), buffer_k,
+                    staleness, c_g) {}
 
   /// Runs one buffer cycle at aggregation round `now`: the arrivals submit
   /// their (stale) updates, users in `crash_before_recovery` go silent, and
@@ -458,9 +252,9 @@ class AsyncNetwork {
     }
     pump();  // shares + masked updates delivered
     for (const auto i : crash_before_recovery) router_.crash(i);
-    server_->begin_recovery(now);
+    server_.begin_recovery(now);
     pump();  // manifest out, weighted shares back
-    auto out = server_->finish_cycle(now);
+    auto out = server_.finish_cycle(now);
     pump();  // result broadcast
     return out;
   }
@@ -473,7 +267,7 @@ class AsyncNetwork {
   void check_admission(std::size_t num_arrivals) const {
     lsa::require<lsa::ProtocolError>(
         async_fanin_bound(params_.num_users, num_arrivals) +
-                lsa::transport::ConcurrentRouter::kCapacityHeadroom <=
+                kCapacityHeadroom <=
             router_.queue_capacity(),
         "async network: cycle exceeds the mailbox fan-in bound");
   }
@@ -488,11 +282,6 @@ class AsyncNetwork {
     }
     return true;
   }
-
-  lsa::protocol::Params params_;
-  lsa::transport::ConcurrentRouter router_;
-  std::unique_ptr<AsyncAggregationServer> server_;
-  std::vector<std::unique_ptr<AsyncUserDevice>> users_;
 };
 
 }  // namespace lsa::runtime

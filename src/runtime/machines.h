@@ -12,6 +12,13 @@
 //   * the server decides U1 from what actually arrived, not from a script;
 //   * recovery succeeds from ANY U responding users.
 //
+// One UserDevice serves both protocol modes: sync rounds (start_round,
+// answered by the server's survivor set) and the async buffer cycles of
+// runtime/async_machines.h (submit_update, answered by a buffer manifest).
+// This header also holds the sync AggregationServer, NetworkBase (what
+// the two in-process drivers share: router, devices, server, pump) and
+// Network, the sync driver; AsyncNetwork lives with the async server.
+//
 // Frame ownership. Devices write every payload in place: the masked
 // upload is drawn and masked inside its frame, the N-1 shares are encoded
 // straight into their frames (and the device's own share into its bank
@@ -26,6 +33,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -57,14 +65,11 @@ class Party {
 /// Per-round flat store of length-`cols` payload rows keyed by sender: one
 /// arena allocation instead of one heap vector per (sender, round). The
 /// presence bitmap distinguishes "row never arrived" from "row of zeros".
+/// Dimensioned by reset().
 template <class F>
 struct ShareBank {
   lsa::field::FlatMatrix<F> rows;
   std::vector<std::uint8_t> present;
-
-  ShareBank() = default;
-  ShareBank(std::size_t n_rows, std::size_t cols)
-      : rows(n_rows, cols), present(n_rows, 0) {}
 
   void put(std::size_t r, std::span<const typename F::rep> payload) {
     auto dst = rows.row(r);
@@ -89,19 +94,6 @@ struct ShareBank {
   void reset(std::size_t n_rows, std::size_t cols) {
     rows.reset_for_overwrite(n_rows, cols);
     present.assign(n_rows, 0);
-  }
-
-  /// Find-or-create the bank for `key` in a map-keyed store (the async
-  /// machines bank by born-round, which is unbounded — they keep the map;
-  /// the sync machines use the parity BankRing below).
-  static ShareBank& get_or_create(std::map<std::uint64_t, ShareBank>& store,
-                                  std::uint64_t key, std::size_t n_rows,
-                                  std::size_t cols) {
-    auto it = store.find(key);
-    if (it == store.end()) {
-      it = store.emplace(key, ShareBank(n_rows, cols)).first;
-    }
-    return it->second;
   }
 };
 
@@ -137,15 +129,14 @@ struct UploadSum {
   }
 };
 
-/// Two-slot, parity-indexed ring of per-round stores (ShareBanks, or the
-/// server's UploadSums) — the round-keyed state of the sync machines. Two
-/// slots because a peer can bank round r+1's traffic while round r is
-/// still in recovery: over sockets (server::RemoteSession) a client that
-/// reconnects after dropping starts round r+1 without waiting for round
-/// r's result, so its shares reach peers that still have to answer round
-/// r's survivor set, and its upload reaches the hub before round r is
-/// decoded. Slot `key % 2` holds the store for `key`; keying a new round
-/// onto a slot retires the slot's previous round, two rounds back.
+/// Two-slot, parity-indexed ring of per-round stores (the sync server's
+/// UploadSums and aggregated-share ShareBanks). Two slots because a peer
+/// can bank round r+1's traffic while round r is still in recovery: over
+/// sockets (server::RemoteSession) a client that reconnects after
+/// dropping starts round r+1 without waiting for round r's result, so its
+/// upload reaches the hub before round r is decoded. Slot `key % 2` holds
+/// the store for `key`; keying a new round onto a slot retires the slot's
+/// previous round, two rounds back.
 template <class Store>
 class ParityRing {
  public:
@@ -181,19 +172,6 @@ class ParityRing {
     if (s.key == key) s.key = kUnkeyed;
   }
 
-  void clear() {
-    for (auto& s : slots_) s.key = kUnkeyed;
-  }
-
-  /// Rows present across live (still-keyed) slots.
-  [[nodiscard]] std::size_t live_count() const {
-    std::size_t c = 0;
-    for (const auto& s : slots_) {
-      if (s.key != kUnkeyed) c += s.store.count();
-    }
-    return c;
-  }
-
  private:
   struct Slot {
     std::uint64_t key = kUnkeyed;
@@ -202,38 +180,13 @@ class ParityRing {
   std::array<Slot, kDepth> slots_;
 };
 
-/// The sync machines' per-round share store.
-template <class F>
-using BankRing = ParityRing<ShareBank<F>>;
-
-/// A device's offline stage, sync or async: encodes `mask`'s N shares
-/// straight into N-1 pooled share frames and the device's own bank row
-/// (`own_row`), then sends the frames in holder order under wire round
-/// `key`. Nothing is staged in between: the encode GEMM writes each
-/// share where it travels.
-inline void encode_shares_into_frames(
-    const lsa::coding::MaskCodec<lsa::field::Fp32>& codec,
-    Transport& transport, std::uint32_t id, std::uint64_t key,
-    std::span<const lsa::field::Fp32::rep> mask, lsa::crypto::Prg& prg,
-    lsa::field::Fp32::rep* own_row, std::size_t chunk) {
-  using rep = lsa::field::Fp32::rep;
-  const std::size_t n = codec.num_users();
-  std::vector<lsa::transport::BufferRef> frames(n);
-  std::vector<rep*> dst(n, own_row);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == id) continue;
-    frames[j] = transport.acquire(codec.segment_len());
-    dst[j] = lsa::transport::frame_payload(frames[j]).data();
-  }
-  codec.encode_into(mask, prg, std::span<rep* const>(dst), chunk);
-  for (std::uint32_t j = 0; j < n; ++j) {
-    if (j == id) continue;
-    transport.send(std::move(frames[j]), MsgType::kEncodedMaskShare, id, j,
-                   key);
-  }
-}
-
-/// One edge device running LightSecAgg.
+/// One edge device running LightSecAgg, in sync rounds or async buffer
+/// cycles. The paper's async protocol (§4.2, App. F) is the sync one with
+/// a different recovery request, so one device serves both: start_round
+/// and submit_update share one upload path (they differ in the mask's
+/// domain tags only), and the server's request type selects the answer —
+/// a survivor set (sync) sums the survivors' shares of one round, a buffer
+/// manifest (async) sums staleness-weighted shares of many born rounds.
 class UserDevice final : public Party {
  public:
   using Fp = lsa::field::Fp32;
@@ -250,60 +203,46 @@ class UserDevice final : public Party {
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
-  /// Rounds simultaneously representable in the parity-ring share store —
-  /// shares two rounds back are retired when their ring slot re-keys, so a
-  /// user that crashed mid-recovery never hoards stale shares.
-  static constexpr std::uint64_t kShareRetentionRounds = BankRing<Fp>::kDepth;
+  /// Rounds of shares a sync device retains: start_round(r) retires every
+  /// bank keyed below r - 1, so a user that crashed mid-recovery never
+  /// hoards stale shares, while round r - 1's bank outlives a peer that
+  /// banks round r ahead of round r - 1's recovery (server::RemoteSession).
+  static constexpr std::uint64_t kShareRetentionRounds = 2;
 
-  /// Phase 1 + 2 in one pass: checks the model length (nothing is sent for
-  /// a wrong one), draws the round mask into the upload frame, encodes
-  /// its shares into their frames and sends them, then adds the model
-  /// into the upload frame and sends it. Sends only — never pumps.
+  /// Sync phase 1 + 2 of `round` in one pass: retires the banks past the
+  /// retention window (per-round mode), checks the model length (nothing
+  /// is sent for a wrong one), draws the round mask into the upload frame,
+  /// encodes its shares into their frames and sends them, then adds the
+  /// model into the upload frame and sends it. Sends only — never pumps.
   void start_round(std::uint64_t round, std::span<const rep> model) {
-    lsa::require<lsa::ProtocolError>(model.size() == params_.model_dim,
-                                     "user: wrong model dimension");
-    // Steady-state cohort (params.persistent_cohort): one epoch mask,
-    // encoded and distributed once per epoch; every later round of the
-    // epoch is masked upload only. The epoch tag differs from the
-    // per-round tag so the two modes never share mask streams. Reusing
-    // the mask across rounds is what buys the zero-setup round — the
-    // decode cancels it exactly, so aggregates stay bit-identical to
-    // per-round mode (privacy trade documented in README).
-    const bool persistent = params_.persistent_cohort;
-    const std::uint64_t key = persistent ? epoch_ : round;
-    const std::uint64_t tag = persistent ? 0xe90c4ull : 0xde51ceull;
-    lsa::crypto::Prg prg(lsa::crypto::derive_subseed(
-        lsa::crypto::seed_from_u64(master_seed_ ^
-                                   (tag + id_ * 0x9e3779b97f4a7c15ull)),
-        key));
-    lsa::transport::BufferRef upload = transport_.acquire(params_.model_dim);
-    const std::span<rep> masked = lsa::transport::frame_payload(upload);
-    lsa::field::fill_uniform<Fp>(masked, prg);
-    if (!persistent || !epoch_setup_done_) {
-      // Our own share banks under `key`: the round normally, the epoch in
-      // persistent-cohort mode (receivers bank by the wire round field,
-      // which carries the same key).
-      encode_shares_into_frames(codec_, transport_, id_, key, masked, prg,
-                                bank_for(key).claim(id_),
-                                params_.exec.chunk_reps);
-      ++offline_encodes_;
-      epoch_setup_done_ = true;  // read in persistent mode only
+    if (!params_.persistent_cohort) {
+      while (!store_.empty() &&
+             store_.begin()->first + kShareRetentionRounds <= round) {
+        retire(store_.begin());
+      }
     }
-    lsa::field::add_inplace<Fp>(masked, model);
-    transport_.send(std::move(upload), MsgType::kMaskedModel, id_,
-                    static_cast<std::uint32_t>(params_.num_users), round);
+    upload(round, model, /*round_tag=*/0xde51ceull, /*epoch_tag=*/0xe90c4ull);
+  }
+
+  /// Async: finishes a local update born at global round t_i with
+  /// timestamped mask sharing (offline) and the masked upload, both under
+  /// wire round t_i. The mask is derived from (seed, id, born_round),
+  /// mirroring App. F.3.1.
+  void submit_update(std::uint64_t born_round, std::span<const rep> update) {
+    upload(born_round, update, /*round_tag=*/0xa511ull,
+           /*epoch_tag=*/0xae90c4ull);
   }
 
   /// Cohort membership changed: forget the old epoch's banked shares and
-  /// re-trigger the offline setup on the next start_round. No-op protocol
+  /// re-trigger the offline setup on the next upload. No-op protocol
   /// impact outside persistent-cohort mode.
   void advance_epoch() {
     ++epoch_;
     epoch_setup_done_ = false;
-    store_.clear();
+    while (!store_.empty()) retire(store_.begin());
   }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-  /// Offline encode + share fan-outs performed: one per round normally,
+  /// Offline encode + share fan-outs performed: one per upload normally,
   /// one per epoch in persistent-cohort mode (the steady-state invariant
   /// the session tests and bench gates enforce).
   [[nodiscard]] std::uint64_t offline_encodes() const {
@@ -323,16 +262,76 @@ class UserDevice final : public Party {
   [[nodiscard]] const std::optional<std::vector<rep>>& last_result() const {
     return last_result_;
   }
-  /// Number of stored (owner, round) shares across all retained rounds.
+  /// Number of stored (owner, key) shares across all retained banks.
   [[nodiscard]] std::size_t stored_shares() const {
-    return store_.live_count();
+    std::size_t c = 0;
+    for (const auto& [key, bank] : store_) c += bank.count();
+    return c;
   }
 
  private:
-  /// Which share bank a survivor request for `round` reads: rounds map to
-  /// the current epoch's bank in persistent-cohort mode.
+  using Store = std::map<std::uint64_t, ShareBank<Fp>>;
+
+  /// Which bank a wire round keys: the round (sync) or born round (async)
+  /// itself, or the current epoch in persistent-cohort mode, where every
+  /// upload reuses the epoch mask.
   [[nodiscard]] std::uint64_t share_key(std::uint64_t round) const {
     return params_.persistent_cohort ? epoch_ : round;
+  }
+
+  /// The one upload path. Steady-state cohort (params.persistent_cohort):
+  /// one epoch mask, encoded and distributed once per epoch under wire
+  /// round = epoch; every later upload of the epoch is masked upload only.
+  /// The epoch tag differs from the per-round tag so the two modes never
+  /// share mask streams. Reusing the mask across rounds is what buys the
+  /// zero-setup round — the decode cancels it exactly, so aggregates stay
+  /// bit-identical to per-round mode (privacy trade documented in README).
+  void upload(std::uint64_t round, std::span<const rep> model,
+              std::uint64_t round_tag, std::uint64_t epoch_tag) {
+    lsa::require<lsa::ProtocolError>(model.size() == params_.model_dim,
+                                     "user: wrong model dimension");
+    const bool persistent = params_.persistent_cohort;
+    const std::uint64_t key = share_key(round);
+    const std::uint64_t tag = persistent ? epoch_tag : round_tag;
+    lsa::crypto::Prg prg(lsa::crypto::derive_subseed(
+        lsa::crypto::seed_from_u64(master_seed_ ^
+                                   (tag + id_ * 0x9e3779b97f4a7c15ull)),
+        key));
+    lsa::transport::BufferRef frame = transport_.acquire(params_.model_dim);
+    const std::span<rep> masked = lsa::transport::frame_payload(frame);
+    lsa::field::fill_uniform<Fp>(masked, prg);
+    if (!persistent || !epoch_setup_done_) {
+      send_shares(key, masked, prg);
+      ++offline_encodes_;
+      epoch_setup_done_ = true;  // read in persistent mode only
+    }
+    lsa::field::add_inplace<Fp>(masked, model);
+    transport_.send(std::move(frame), MsgType::kMaskedModel, id_,
+                    static_cast<std::uint32_t>(params_.num_users), round);
+  }
+
+  /// The offline step: encodes `mask`'s N shares straight into N-1 pooled
+  /// share frames and this device's own bank row, then sends the frames in
+  /// holder order under wire round `key` (receivers bank by it). Nothing
+  /// is staged in between: the encode GEMM writes each share where it
+  /// travels.
+  void send_shares(std::uint64_t key, std::span<const rep> mask,
+                   lsa::crypto::Prg& prg) {
+    const std::size_t n = params_.num_users;
+    std::vector<lsa::transport::BufferRef> frames(n);
+    std::vector<rep*> dst(n, bank_for(key).claim(id_));
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == id_) continue;
+      frames[j] = transport_.acquire(codec_.segment_len());
+      dst[j] = lsa::transport::frame_payload(frames[j]).data();
+    }
+    codec_.encode_into(mask, prg, std::span<rep* const>(dst),
+                       params_.exec.chunk_reps);
+    for (std::uint32_t j = 0; j < n; ++j) {
+      if (j == id_) continue;
+      transport_.send(std::move(frames[j]), MsgType::kEncodedMaskShare, id_,
+                      j, key);
+    }
   }
 
   void on_payload(MsgType type, std::uint32_t sender, std::uint64_t round,
@@ -344,44 +343,12 @@ class UserDevice final : public Party {
             "user: bad encoded share length");
         bank_for(round).put(sender, payload);
         break;
-      case MsgType::kSurvivorSet: {
-        // Payload: N entries of 0/1. Aggregate the stored shares of the
-        // surviving set (one fused pass over the round bank's rows) inside
-        // the response frame and return it to the server.
-        lsa::require<lsa::ProtocolError>(
-            payload.size() == params_.num_users,
-            "user: bad survivor bitmap");
-        const auto* bank = store_.find(share_key(round));
-        std::vector<const rep*> rows;
-        rows.reserve(params_.num_users);
-        for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-          if (payload[i] == 0) continue;
-          lsa::require<lsa::ProtocolError>(
-              bank != nullptr && bank->has(i),
-              "user: missing share for survivor");
-          rows.push_back(bank->rows.row_ptr(i));
-        }
-        lsa::transport::BufferRef response =
-            transport_.acquire(codec_.segment_len());
-        const std::span<rep> acc = lsa::transport::frame_payload(response);
-        std::fill(acc.begin(), acc.end(), Fp::zero);
-        lsa::field::add_accumulate_blocked<Fp>(
-            acc, std::span<const rep* const>(rows), params_.exec.chunk_reps);
-        if (byzantine_) {
-          // Arbitrary falsification; any nonzero offset breaks the
-          // codeword, which is what the server must locate and discard.
-          for (std::size_t k = 0; k < acc.size(); ++k) {
-            acc[k] = Fp::add(acc[k], Fp::from_u64(0x0bad + 7 * k + id_));
-          }
-        }
-        transport_.send(std::move(response), MsgType::kAggregatedShares, id_,
-                        static_cast<std::uint32_t>(params_.num_users), round);
-        // Shares for this round are consumed — except in persistent
-        // mode, where the epoch bank serves every round until the
-        // membership changes (advance_epoch clears it).
-        if (!params_.persistent_cohort) store_.drop(round);
+      case MsgType::kSurvivorSet:
+        answer_survivor_set(round, payload);
         break;
-      }
+      case MsgType::kBufferManifest:
+        answer_manifest(round, payload);
+        break;
       case MsgType::kAggregateResult:
         last_result_.emplace(payload.begin(), payload.end());
         break;
@@ -390,10 +357,101 @@ class UserDevice final : public Party {
     }
   }
 
-  /// The bank for a wire `round` tag, keyed on first touch — by our own
-  /// row at round start or by the first peer share to arrive.
-  ShareBank<Fp>& bank_for(std::uint64_t round) {
-    return store_.prepare(round, params_.num_users, codec_.segment_len());
+  /// Sync recovery. Payload: N entries of 0/1. Aggregates the stored
+  /// shares of the surviving set (one fused pass over the round bank's
+  /// rows) inside the response frame and returns it to the server.
+  void answer_survivor_set(std::uint64_t round, std::span<const rep> bitmap) {
+    lsa::require<lsa::ProtocolError>(bitmap.size() == params_.num_users,
+                                     "user: bad survivor bitmap");
+    const auto it = store_.find(share_key(round));
+    std::vector<const rep*> rows;
+    rows.reserve(params_.num_users);
+    for (std::uint32_t i = 0; i < params_.num_users; ++i) {
+      if (bitmap[i] == 0) continue;
+      lsa::require<lsa::ProtocolError>(
+          it != store_.end() && it->second.has(i),
+          "user: missing share for survivor");
+      rows.push_back(it->second.rows.row_ptr(i));
+    }
+    lsa::transport::BufferRef response =
+        transport_.acquire(codec_.segment_len());
+    const std::span<rep> acc = lsa::transport::frame_payload(response);
+    std::fill(acc.begin(), acc.end(), Fp::zero);
+    lsa::field::add_accumulate_blocked<Fp>(
+        acc, std::span<const rep* const>(rows), params_.exec.chunk_reps);
+    if (byzantine_) {
+      // Arbitrary falsification; any nonzero offset breaks the codeword,
+      // which is what the server must locate and discard.
+      for (std::size_t k = 0; k < acc.size(); ++k) {
+        acc[k] = Fp::add(acc[k], Fp::from_u64(0x0bad + 7 * k + id_));
+      }
+    }
+    transport_.send(std::move(response), MsgType::kAggregatedShares, id_,
+                    static_cast<std::uint32_t>(params_.num_users), round);
+    // The round's shares are consumed — except in persistent mode, where
+    // the epoch bank serves every round until the membership changes.
+    if (!params_.persistent_cohort && it != store_.end()) retire(it);
+  }
+
+  /// Async recovery at aggregation round `now`. Payload: triples (user,
+  /// born_round, weight), see AsyncAggregationServer. One fused weighted
+  /// column sum across the manifested share rows, formed inside the
+  /// response frame.
+  void answer_manifest(std::uint64_t now, std::span<const rep> manifest) {
+    lsa::require<lsa::ProtocolError>(manifest.size() % 3 == 0,
+                                     "user: bad manifest shape");
+    std::vector<rep> coeffs;
+    std::vector<const rep*> rows;
+    coeffs.reserve(manifest.size() / 3);
+    rows.reserve(manifest.size() / 3);
+    for (std::size_t e = 0; e < manifest.size(); e += 3) {
+      const std::uint32_t user = manifest[e];
+      lsa::require<lsa::ProtocolError>(
+          user < params_.num_users, "user: manifest user id out of range");
+      const auto it = store_.find(share_key(manifest[e + 1]));
+      lsa::require<lsa::ProtocolError>(
+          it != store_.end() && it->second.has(user),
+          "user: missing timestamped share for manifest entry");
+      coeffs.push_back(manifest[e + 2]);
+      rows.push_back(it->second.rows.row_ptr(user));
+    }
+    lsa::transport::BufferRef response =
+        transport_.acquire(codec_.segment_len());
+    const std::span<rep> acc = lsa::transport::frame_payload(response);
+    std::fill(acc.begin(), acc.end(), Fp::zero);
+    lsa::field::axpy_accumulate_blocked<Fp>(
+        acc, std::span<const rep>(coeffs), std::span<const rep* const>(rows),
+        params_.exec.chunk_reps);
+    transport_.send(std::move(response), MsgType::kWeightedShares, id_,
+                    static_cast<std::uint32_t>(params_.num_users), now);
+    // The manifested shares are consumed, and a bank left empty retires —
+    // except in persistent mode, where epoch shares serve every cycle.
+    if (params_.persistent_cohort) return;
+    for (std::size_t e = 0; e < manifest.size(); e += 3) {
+      const auto it = store_.find(manifest[e + 1]);
+      if (it == store_.end()) continue;
+      it->second.present[manifest[e]] = 0;
+      if (it->second.count() == 0) retire(it);
+    }
+  }
+
+  /// The bank for wire key `key`, created on first touch — by our own row
+  /// at upload or by the first peer share to arrive — on the arena of the
+  /// last retired bank when there is one.
+  ShareBank<Fp>& bank_for(std::uint64_t key) {
+    auto [it, fresh] = store_.try_emplace(key);
+    if (fresh) {
+      it->second = std::move(spare_);
+      it->second.reset(params_.num_users, codec_.segment_len());
+    }
+    return it->second;
+  }
+
+  /// Drops a bank from the store and keeps its arena for the next key, so
+  /// a steady cohort re-banks every round in one allocation per device.
+  void retire(Store::iterator it) {
+    spare_ = std::move(it->second);
+    store_.erase(it);
   }
 
   std::uint32_t id_;
@@ -402,10 +460,11 @@ class UserDevice final : public Party {
   std::uint64_t master_seed_;
   Transport& transport_;
   bool byzantine_ = false;
-  /// store_.find(key)->rows.row(i) = [~z_i]_key held by this device (keyed
-  /// by epoch instead of round in persistent-cohort mode). Parity ring:
-  /// two rounds in flight max, older slots retire on re-key.
-  BankRing<Fp> store_;
+  /// store_[key].rows.row(i) = [~z_i]_key held by this device, keyed by
+  /// wire round: the round (sync), the born round (async) or the epoch
+  /// (persistent cohort).
+  Store store_;
+  ShareBank<Fp> spare_;  ///< the last retired bank's arena
   std::optional<std::vector<rep>> last_result_;
   std::uint64_t epoch_ = 0;          ///< persistent-cohort epoch counter
   bool epoch_setup_done_ = false;    ///< offline setup done for epoch_
@@ -564,19 +623,8 @@ class AggregationServer final : public Party {
   /// ParityRing).
   ParityRing<UploadSum<Fp>> uploads_;
   /// agg_shares_.find(r)->rows.row(j) = responder j's aggregated share.
-  BankRing<Fp> agg_shares_;
+  ParityRing<ShareBank<Fp>> agg_shares_;
 };
-
-/// Largest single-phase fan-in any one mailbox sees in a sync round: up to
-/// 2N frames can land in one mailbox before any pump runs (N-1 offline
-/// shares + survivor traffic on a user box, N masked models + N aggregated
-/// shares on the server box across an unpumped phase pair). A bound below
-/// it would wedge a lone driving thread on backpressure with nobody left
-/// to drain, so Network — the one in-process sync driver — sizes its
-/// router from this rule plus ConcurrentRouter::kCapacityHeadroom.
-[[nodiscard]] constexpr std::size_t sync_fanin_bound(std::size_t n) {
-  return 2 * n + 2;
-}
 
 /// THE delivery loop of every in-process drive: drains each receiver's
 /// mailbox on one lane of `pol` (a Party handles its own frames serially;
@@ -597,31 +645,15 @@ void pump_router(lsa::transport::ConcurrentRouter& router,
   } while (!router.idle());
 }
 
-/// THE in-process sync round driver: owns a router, N user devices and
-/// the server, and runs whole rounds. User starts and the pump fan out on
-/// params.exec. On the default, inline ExecPolicy it is the
-/// single-threaded reference every concurrent drive is pinned against;
-/// server::Session is this driver plus a queue of rounds, on the
-/// session's policy.
-class Network {
+/// What the in-process sync and async drivers share: the validated params,
+/// a router sized from the mode's fan-in bound plus kCapacityHeadroom, N
+/// user devices and the mode's server, and the pump between them. Network
+/// runs whole rounds on it, AsyncNetwork whole buffer cycles.
+template <class Server>
+class NetworkBase {
  public:
   using Fp = lsa::field::Fp32;
   using rep = Fp::rep;
-
-  Network(lsa::protocol::Params params, std::uint64_t seed,
-          bool byzantine_tolerant = false)
-      : params_(params),
-        router_(params.num_users + 1,
-                sync_fanin_bound(params.num_users) +
-                    lsa::transport::ConcurrentRouter::kCapacityHeadroom) {
-    params_.validate_and_resolve();
-    server_ = std::make_unique<AggregationServer>(params_, router_,
-                                                  byzantine_tolerant);
-    for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      users_.push_back(
-          std::make_unique<UserDevice>(i, params_, seed, router_));
-    }
-  }
 
   [[nodiscard]] const lsa::protocol::Params& params() const {
     return params_;
@@ -631,7 +663,7 @@ class Network {
     return router_;
   }
   [[nodiscard]] UserDevice& user(std::size_t i) { return *users_.at(i); }
-  [[nodiscard]] AggregationServer& server() { return *server_; }
+  [[nodiscard]] Server& server() { return server_; }
 
   /// Offline encode + share-distribution passes summed over the devices.
   [[nodiscard]] std::uint64_t offline_encodes() const {
@@ -641,7 +673,7 @@ class Network {
   }
 
   /// Persistent-cohort membership change: every device advances its epoch
-  /// and re-runs offline setup on its next round. No-op per device when
+  /// and re-runs offline setup on its next upload. No-op per device when
   /// the cohort is not in persistent mode (the flag gates the fast path).
   void advance_epoch() {
     for (auto& u : users_) u->advance_epoch();
@@ -650,10 +682,50 @@ class Network {
   /// Delivers queued messages until the network is quiet.
   void pump() {
     pump_router(router_, params_.exec, [&](std::size_t r) -> Party& {
-      return r == params_.num_users ? static_cast<Party&>(*server_)
+      return r == params_.num_users ? static_cast<Party&>(server_)
                                     : *users_[r];
     });
   }
+
+ protected:
+  /// `server_args` follow the server's (params, transport) arguments.
+  template <class... ServerArgs>
+  NetworkBase(const lsa::protocol::Params& params, std::uint64_t seed,
+              std::size_t fanin_bound, ServerArgs&&... server_args)
+      : params_(resolved(params)),
+        router_(params_.num_users + 1, fanin_bound + kCapacityHeadroom),
+        server_(params_, router_, std::forward<ServerArgs>(server_args)...) {
+    for (std::uint32_t i = 0; i < params_.num_users; ++i) {
+      users_.push_back(
+          std::make_unique<UserDevice>(i, params_, seed, router_));
+    }
+  }
+
+  lsa::protocol::Params params_;
+  lsa::transport::ConcurrentRouter router_;
+  Server server_;
+  std::vector<std::unique_ptr<UserDevice>> users_;
+
+ private:
+  [[nodiscard]] static lsa::protocol::Params resolved(
+      lsa::protocol::Params p) {
+    p.validate_and_resolve();
+    return p;
+  }
+};
+
+/// THE in-process sync round driver: runs whole rounds on its base. User
+/// starts and the pump fan out on params.exec. On the default, inline
+/// ExecPolicy it is the single-threaded reference every concurrent drive
+/// is pinned against; server::Session is this driver plus a queue of
+/// rounds, on the session's policy.
+class Network : public NetworkBase<AggregationServer> {
+ public:
+  /// The router holds sync_fanin_bound(N) plus headroom per mailbox.
+  Network(const lsa::protocol::Params& params, std::uint64_t seed,
+          bool byzantine_tolerant = false)
+      : NetworkBase(params, seed, sync_fanin_bound(params.num_users),
+                    byzantine_tolerant) {}
 
   /// Runs one full round: all users start (offline + upload), `crash_after_
   /// upload` users then crash, the server recovers from the remaining
@@ -672,18 +744,12 @@ class Network {
     });
     pump();  // offline shares + masked models all delivered
     for (auto i : crash_after_upload) router_.crash(i);
-    server_->begin_recovery(round);
+    server_.begin_recovery(round);
     pump();  // survivor set out, aggregated shares back
-    auto result = server_->finish_round(round);
+    auto result = server_.finish_round(round);
     pump();  // result broadcast
     return result;
   }
-
- private:
-  lsa::protocol::Params params_;
-  lsa::transport::ConcurrentRouter router_;
-  std::unique_ptr<AggregationServer> server_;
-  std::vector<std::unique_ptr<UserDevice>> users_;
 };
 
 }  // namespace lsa::runtime

@@ -30,6 +30,21 @@
 
 namespace lsa::runtime {
 
+/// Slack every mailbox, socket write queue and parked bin keeps above the
+/// fan-in bound it is sized from.
+inline constexpr std::size_t kCapacityHeadroom = 14;
+
+/// Largest single-phase fan-in any one queue sees in a sync round: up to
+/// 2N frames can land in one mailbox before any pump runs (N-1 offline
+/// shares + survivor traffic on a user box, N masked models + N aggregated
+/// shares on the server box across an unpumped phase pair). A bound below
+/// it would wedge a lone driving thread on backpressure with nobody left
+/// to drain. runtime::Network sizes its router from this rule plus
+/// kCapacityHeadroom, and the socket hub its write queues and parked bins.
+[[nodiscard]] constexpr std::size_t sync_fanin_bound(std::size_t n) {
+  return 2 * n + 2;
+}
+
 class Transport {
  public:
   using rep = lsa::field::Fp32::rep;

@@ -179,7 +179,6 @@ class SessionBase {
 struct SessionConfig {
   lsa::protocol::Params params;  ///< exec drives intra-session fan-out too
   std::uint64_t seed = 1;
-  bool byzantine_tolerant = false;
 };
 
 /// One synchronous cohort: the runtime::Network round driver plus a queue
@@ -189,8 +188,7 @@ class Session final : public SessionBase, public lsa::runtime::Network {
   using Fp = SessionBase::Fp;
   using rep = SessionBase::rep;
 
-  explicit Session(const SessionConfig& cfg)
-      : Network(cfg.params, cfg.seed, cfg.byzantine_tolerant) {}
+  explicit Session(const SessionConfig& cfg) : Network(cfg.params, cfg.seed) {}
 
   /// Network::run_round, counted in the session's telemetry.
   [[nodiscard]] std::vector<rep> run_round(

@@ -68,7 +68,6 @@ namespace lsa::server {
 struct RemoteSessionConfig {
   lsa::protocol::Params params;
   std::uint64_t rounds = 1;
-  bool byzantine_tolerant = false;
 };
 
 class RemoteSession {
@@ -97,8 +96,7 @@ class RemoteSession {
     hooks.on_disconnect = [this](std::uint32_t user) { on_disconnect(user); };
     lsa::runtime::Transport& t =
         hub.register_session(session_id, n, std::move(hooks));
-    server_ = std::make_unique<lsa::runtime::AggregationServer>(
-        cfg_.params, t, cfg_.byzantine_tolerant);
+    server_ = std::make_unique<lsa::runtime::AggregationServer>(cfg_.params, t);
   }
 
   [[nodiscard]] Phase phase() const { return phase_; }

@@ -42,8 +42,11 @@ namespace detail {
 struct PoolCore;
 
 struct Block {
-  std::vector<std::uint32_t> words;  ///< capacity arena (word-aligned bytes)
-  std::size_t len_bytes = 0;         ///< logical frame length
+  /// Capacity arena (word-aligned bytes), never zeroed: every sender
+  /// overwrites the whole frame it acquires.
+  std::unique_ptr<std::uint32_t[]> words;
+  std::size_t cap_words = 0;
+  std::size_t len_bytes = 0;  ///< logical frame length
   std::atomic<std::uint32_t> refs{0};
   std::shared_ptr<PoolCore> home;  ///< keeps the freelist alive
 };
@@ -120,18 +123,18 @@ class BufferRef {
   }
 
   [[nodiscard]] std::span<std::uint8_t> bytes() {
-    return {reinterpret_cast<std::uint8_t*>(b_->words.data()), b_->len_bytes};
+    return {reinterpret_cast<std::uint8_t*>(b_->words.get()), b_->len_bytes};
   }
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
-    return {reinterpret_cast<const std::uint8_t*>(b_->words.data()),
+    return {reinterpret_cast<const std::uint8_t*>(b_->words.get()),
             b_->len_bytes};
   }
   /// The arena as whole words (frame layouts are word-granular).
   [[nodiscard]] std::span<std::uint32_t> words() {
-    return {b_->words.data(), (b_->len_bytes + 3) / 4};
+    return {b_->words.get(), (b_->len_bytes + 3) / 4};
   }
   [[nodiscard]] std::span<const std::uint32_t> words() const {
-    return {b_->words.data(), (b_->len_bytes + 3) / 4};
+    return {b_->words.get(), (b_->len_bytes + 3) / 4};
   }
 
  private:
@@ -165,7 +168,12 @@ class BufferPool {
     } else {
       c.pool_reuses.fetch_add(1, std::memory_order_relaxed);
     }
-    if (b->words.size() < nwords) b->words.resize(nwords);
+    if (b->cap_words < nwords) {
+      // A block that grows is reallocated, not copied: its old contents
+      // are as stale as the new ones.
+      b->words = std::make_unique_for_overwrite<std::uint32_t[]>(nwords);
+      b->cap_words = nwords;
+    }
     b->len_bytes = nbytes;
     b->home = core_;
     // relaxed: gauge increment; pairs with the relaxed decrement in release.

@@ -48,7 +48,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -64,22 +63,12 @@
 
 namespace lsa::transport {
 
-/// A delivered frame: the validated view plus the buffer keeping it alive.
-struct Inbound {
-  BufferRef buf;
-  FrameView view;
-};
-
 class ConcurrentRouter final : public lsa::runtime::Transport {
  public:
-  /// Headroom added on top of a derived fan-in bound: runtime::Network and
-  /// runtime::AsyncNetwork size their routers from the fan-in rules that
-  /// live next to the machines (runtime::sync_fanin_bound /
-  /// runtime::async_fanin_bound) plus this constant.
-  static constexpr std::size_t kCapacityHeadroom = 14;
-
   /// num_parties includes the server; party ids are 0..num_parties-1.
-  /// queue_capacity bounds each receiver's mailbox (backpressure).
+  /// queue_capacity bounds each receiver's mailbox (backpressure); the
+  /// drivers size it from their mode's fan-in bound plus
+  /// runtime::kCapacityHeadroom (runtime/transport.h).
   ConcurrentRouter(std::size_t num_parties, std::size_t queue_capacity)
       : capacity_(queue_capacity) {
     lsa::require(capacity_ >= 1, "router: queue capacity must be >= 1");
@@ -153,10 +142,6 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
     enqueue(receiver, std::move(frame));
   }
 
-  /// Receiver field of shared broadcast frames (handlers dispatch on their
-  /// own mailbox, never on the header's receiver).
-  static constexpr std::uint32_t kBroadcastReceiver = 0xFFFFFFFFu;
-
   /// Broadcast: the frame is sealed ONCE (receiver field =
   /// kBroadcastReceiver) and shared across every live mailbox — no
   /// per-receiver payload writes or CRC passes.
@@ -176,18 +161,6 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
     for (std::uint32_t j = 0; j < num_receivers; ++j) {
       enqueue_built(j, frame);  // shared ref, one buffer
     }
-  }
-
-  /// Re-injects a prebuilt frame (receiver read from its header bytes).
-  /// No sender-liveness check — the caller owns that policy.
-  void send_frame(BufferRef frame) {
-    lsa::require<lsa::ProtocolError>(
-        frame && frame.size_bytes() >= lsa::runtime::kHeaderBytes,
-        "router: undersized frame");
-    std::uint32_t receiver = 0;
-    std::memcpy(&receiver, frame.bytes().data() + 8, 4);
-    check_party(receiver);
-    enqueue(receiver, std::move(frame));
   }
 
   // ----------------------------------------------------------------- recv

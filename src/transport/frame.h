@@ -42,6 +42,16 @@ struct FrameView {
   std::span<const lsa::field::Fp32::rep> payload;
 };
 
+/// A delivered frame: the validated view plus the buffer keeping it alive.
+struct Inbound {
+  BufferRef buf;
+  FrameView view;
+};
+
+/// Receiver field of a broadcast frame: it is sealed once and shared by
+/// every receiver, which dispatch on their own endpoint, never on this.
+inline constexpr std::uint32_t kBroadcastReceiver = 0xFFFFFFFFu;
+
 /// A pooled frame with room for `elems` payload reps. Header and payload
 /// are unwritten (stale pool contents) until the caller fills
 /// frame_payload() and seals it.

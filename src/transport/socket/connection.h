@@ -14,7 +14,7 @@
 // large, reads land directly in its pooled buffer (direct_target) instead
 // of bouncing through the chunk buffer.
 //
-// The queue is bounded (write_queue_cap). Enqueueing past the bound is the
+// The queue is bounded (the cap argument). Enqueueing past the bound is the
 // transport's backpressure signal — SocketTransport maps it onto the same
 // blocking-sender contract the in-process mailboxes use, with a stall
 // timeout that declares the peer crashed.
@@ -36,24 +36,26 @@
 
 namespace lsa::transport::socket {
 
-struct ConnOptions {
-  std::size_t max_payload_elems = 1u << 24;
-  std::size_t write_queue_cap = 256;
-  std::size_t read_chunk_bytes = 16 * 1024;
-  /// Reads bypass the chunk buffer once a frame's remaining payload is at
-  /// least this large (big frames stream straight into their pooled buffer).
-  std::size_t direct_read_threshold = 4 * 1024;
-};
+/// Decoder bound: a length field above this tears the connection down
+/// (ProtocolError) instead of waiting for bytes that will never come.
+inline constexpr std::size_t kMaxPayloadElems = 1u << 24;
+/// Size of the buffer small reads (headers, small frames) land in.
+inline constexpr std::size_t kReadChunkBytes = 16 * 1024;
+/// Reads bypass the chunk buffer once a frame's remaining payload is at
+/// least this large (big frames stream straight into their pooled buffer).
+inline constexpr std::size_t kDirectReadThreshold = 4 * 1024;
 
 class Connection {
  public:
   static constexpr std::uint32_t kUnbound = 0xFFFFFFFFu;
 
-  Connection(int fd, BufferPool& pool, const ConnOptions& opts)
+  /// `write_queue_cap` bounds the outbound queue; the hub re-sets it with
+  /// set_queue_cap once a handshake tells it the session's N.
+  Connection(int fd, BufferPool& pool, std::size_t write_queue_cap)
       : fd_(fd),
-        opts_(opts),
-        decoder_(pool, opts.max_payload_elems),
-        rbuf_(opts.read_chunk_bytes) {}
+        queue_cap_(write_queue_cap),
+        decoder_(pool, kMaxPayloadElems),
+        rbuf_(kReadChunkBytes) {}
   ~Connection() {
     if (fd_ >= 0) ::close(fd_);
   }
@@ -70,7 +72,7 @@ class Connection {
     while (true) {
       ssize_t n = 0;
       const auto direct = decoder_.direct_target();
-      if (direct.size() >= opts_.direct_read_threshold) {
+      if (direct.size() >= kDirectReadThreshold) {
         n = ::read(fd_, direct.data(), direct.size());
         if (n > 0) {
           bytes_in_ += static_cast<std::uint64_t>(n);
@@ -95,7 +97,7 @@ class Connection {
   /// Appends a frame to the bounded write queue. False = queue full (the
   /// caller applies the backpressure contract).
   [[nodiscard]] bool try_enqueue(BufferRef frame) {
-    if (outq_.size() >= opts_.write_queue_cap) return false;
+    if (outq_.size() >= queue_cap_) return false;
     outq_.push_back(std::move(frame));
     if (outq_.size() > max_queue_depth_) max_queue_depth_ = outq_.size();
     return true;
@@ -175,7 +177,7 @@ class Connection {
   [[nodiscard]] std::size_t max_queue_depth() const {
     return max_queue_depth_;
   }
-  void set_queue_cap(std::size_t cap) { opts_.write_queue_cap = cap; }
+  void set_queue_cap(std::size_t cap) { queue_cap_ = cap; }
 
   /// Peek at a queued frame (tests pin the one-buffer-many-queues refcount
   /// through this).
@@ -202,7 +204,7 @@ class Connection {
   static constexpr int kMaxIov = 8;
 
   int fd_;
-  ConnOptions opts_;
+  std::size_t queue_cap_;
   FrameDecoder decoder_;
   std::vector<std::uint8_t> rbuf_;
   std::deque<BufferRef> outq_;

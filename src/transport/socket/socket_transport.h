@@ -45,10 +45,13 @@
 // are bounded by the same queue cap; overflow drops-and-counts like a
 // full mailbox.
 //
-// Backpressure: per-connection write queues are bounded. A sender hitting
-// a full queue blocks (flush + POLLOUT waits) like a sender on a full
-// mailbox, bounded by write_stall_timeout_ms — a peer that stalls past the
-// timeout is declared crashed and torn down.
+// Backpressure: per-connection write queues and parked bins hold the sync
+// fan-in bound plus headroom (runtime::sync_fanin_bound +
+// runtime::kCapacityHeadroom, the rule the in-process router is sized by),
+// resolved from N at handshake. A sender hitting a full queue blocks
+// (flush + POLLOUT waits) like a sender on a full mailbox, bounded by
+// kWriteStallTimeoutMs — a peer that stalls past the timeout is declared
+// crashed and torn down.
 //
 // Threading: a SocketTransport is single-threaded — exactly one thread may
 // call poll()/send paths. Cross-endpoint concurrency comes from each
@@ -91,21 +94,14 @@ namespace lsa::transport::socket {
 inline constexpr std::uint32_t kHelloMagic = 0x15a0c0deu;
 inline constexpr std::uint32_t kProtoVersion = 1;
 
-struct SocketOptions {
-  /// Decoder bound: a length field above this tears the connection down
-  /// (ProtocolError) instead of waiting for bytes that will never come.
-  std::size_t max_payload_elems = 1u << 24;
-  /// Per-connection write-queue bound; 0 = the session-capacity rule the
-  /// in-process mailboxes use (2N + 2 + headroom).
-  std::size_t write_queue_cap = 0;
-  std::size_t pool_retain = 256;
-  /// A sender blocked on a full queue past this is talking to a crashed
-  /// peer: tear down, drain, count.
-  int write_stall_timeout_ms = 10'000;
-  /// Client connect() retries dial failures (daemon startup races) up to
-  /// this long before throwing.
-  int connect_retry_ms = 5'000;
-};
+/// Freed frame blocks an endpoint's BufferPool keeps for reuse.
+inline constexpr std::size_t kPoolRetain = 256;
+/// A sender blocked on a full queue past this is talking to a crashed
+/// peer: tear down, drain, count.
+inline constexpr int kWriteStallTimeoutMs = 10'000;
+/// Client connect() retries dial failures (daemon startup races) up to
+/// this long before throwing.
+inline constexpr int kConnectRetryMs = 5'000;
 
 struct SocketStats {
   std::uint64_t frames_sent = 0;      ///< enqueued outbound (per receiver)
@@ -120,10 +116,7 @@ struct SocketStats {
 };
 
 /// A validated inbound frame: the view aliases the pooled buffer.
-struct Inbound {
-  BufferRef buf;
-  FrameView view;
-};
+using Inbound = lsa::transport::Inbound;
 
 /// Per-session delivery hooks (hub role). All hooks run on the hub's
 /// polling thread; exceptions they throw resurface from poll().
@@ -138,9 +131,9 @@ class SocketTransport final : public lsa::runtime::Transport {
   /// Hub: bind + listen. For tcp://host:0 the kernel picks the port —
   /// read it back with tcp_port().
   [[nodiscard]] static std::unique_ptr<SocketTransport> listen(
-      const SocketAddr& addr, SocketOptions opts = {}) {
+      const SocketAddr& addr) {
     return std::unique_ptr<SocketTransport>(
-        new SocketTransport(Role::kHub, addr, opts, 0, 0, 0));
+        new SocketTransport(Role::kHub, addr, 0, 0, 0));
   }
 
   /// Client: dial the hub and send the session-binding hello. Returns as
@@ -148,9 +141,9 @@ class SocketTransport final : public lsa::runtime::Transport {
   /// wait_handshake() when the caller wants confirmation).
   [[nodiscard]] static std::unique_ptr<SocketTransport> connect(
       const SocketAddr& addr, std::uint64_t session, std::uint32_t user,
-      std::uint32_t num_users, SocketOptions opts = {}) {
-    return std::unique_ptr<SocketTransport>(new SocketTransport(
-        Role::kClient, addr, opts, session, user, num_users));
+      std::uint32_t num_users) {
+    return std::unique_ptr<SocketTransport>(
+        new SocketTransport(Role::kClient, addr, session, user, num_users));
   }
 
   ~SocketTransport() override {
@@ -180,7 +173,7 @@ class SocketTransport final : public lsa::runtime::Transport {
     ss.conn_of.assign(num_users, nullptr);
     ss.ever_bound.assign(num_users, 0);
     ss.parked.resize(num_users);
-    ss.park_cap = conn_opts(num_users).write_queue_cap;
+    ss.park_cap = queue_cap(num_users);
     ss.adapter = std::make_unique<HubTransport>(this, sid);
     return *ss.adapter;
   }
@@ -328,7 +321,7 @@ class SocketTransport final : public lsa::runtime::Transport {
   void disconnect() {
     lsa::require(role_ == Role::kClient, "socket: disconnect is client-only");
     if (conn_ == nullptr) return;
-    flush_pending(opts_.write_stall_timeout_ms);
+    flush_pending(kWriteStallTimeoutMs);
     if (conn_ != nullptr) fail_conn(conn_);
     reap();
   }
@@ -410,13 +403,11 @@ class SocketTransport final : public lsa::runtime::Transport {
     std::unique_ptr<HubTransport> adapter;
   };
 
-  SocketTransport(Role role, const SocketAddr& addr,
-                  const SocketOptions& opts, std::uint64_t session,
+  SocketTransport(Role role, const SocketAddr& addr, std::uint64_t session,
                   std::uint32_t user, std::uint32_t num_users)
       : role_(role),
         addr_(addr),
-        opts_(opts),
-        pool_(opts.pool_retain),
+        pool_(kPoolRetain),
         session_(session),
         user_(user),
         num_users_(num_users) {
@@ -428,22 +419,18 @@ class SocketTransport final : public lsa::runtime::Transport {
     }
   }
 
-  [[nodiscard]] ConnOptions conn_opts(std::uint32_t num_users) const {
-    ConnOptions co;
-    co.max_payload_elems = opts_.max_payload_elems;
-    // The in-process session-capacity rule (ROADMAP Decisions): a sync
-    // round needs at most 2N + 2 frames in flight per link, plus headroom.
-    co.write_queue_cap = opts_.write_queue_cap != 0
-                             ? opts_.write_queue_cap
-                             : 2 * static_cast<std::size_t>(num_users) + 16;
-    return co;
+  /// Write-queue and parked-bin bound for an N-user session: the sync
+  /// fan-in rule the in-process router is sized by.
+  [[nodiscard]] static std::size_t queue_cap(std::uint32_t num_users) {
+    return lsa::runtime::sync_fanin_bound(num_users) +
+           lsa::runtime::kCapacityHeadroom;
   }
 
   // -------------------------------------------------------- client dial
 
   void dial_and_hello() {
     const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(opts_.connect_retry_ms);
+                          std::chrono::milliseconds(kConnectRetryMs);
     int fd = -1;
     while ((fd = dial_once(addr_)) < 0) {
       lsa::require(std::chrono::steady_clock::now() < deadline,
@@ -452,8 +439,7 @@ class SocketTransport final : public lsa::runtime::Transport {
     }
     set_nonblocking(fd);
     set_nodelay(fd, addr_);
-    auto conn = std::make_unique<Connection>(fd, pool_,
-                                             conn_opts(num_users_));
+    auto conn = std::make_unique<Connection>(fd, pool_, queue_cap(num_users_));
     conn->session = session_;
     conn->user = user_;
     conn_ = conn.get();
@@ -482,7 +468,7 @@ class SocketTransport final : public lsa::runtime::Transport {
       set_nodelay(cfd, addr_);
       // Queue cap before binding only needs to hold the welcome; the real
       // cap is resolved at handshake when num_users is known.
-      auto conn = std::make_unique<Connection>(cfd, pool_, conn_opts(8));
+      auto conn = std::make_unique<Connection>(cfd, pool_, queue_cap(8));
       loop_.add(cfd, EPOLLIN, static_cast<std::uint64_t>(cfd));
       conns_.emplace(cfd, std::move(conn));
       ++stats_.accepts;
@@ -579,7 +565,7 @@ class SocketTransport final : public lsa::runtime::Transport {
     ss.conn_of[user] = c;
     c->session = sid;
     c->user = user;
-    c->set_queue_cap(conn_opts(ss.num_users).write_queue_cap);
+    c->set_queue_cap(queue_cap(ss.num_users));
     if (revived) ++stats_.revives;
     const lsa::field::Fp32::rep ack[4] = {kHelloMagic, kProtoVersion, user,
                                           ss.num_users};
@@ -652,7 +638,7 @@ class SocketTransport final : public lsa::runtime::Transport {
     // Seal ONCE; every live connection queues the same ref-counted
     // buffer (receiver field = broadcast marker, matching the in-process
     // router's shared-frame convention).
-    seal_frame(frame, type, sender, 0xFFFFFFFFu, round);
+    seal_frame(frame, type, sender, kBroadcastReceiver, round);
     for (std::uint32_t j = 0; j < num_receivers; ++j) {
       deliver_or_park(ss, j, frame);  // refcount bump, same block
     }
@@ -689,7 +675,7 @@ class SocketTransport final : public lsa::runtime::Transport {
       // up to the stall timeout; a peer that cannot drain is crashed.
       const auto deadline =
           std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(opts_.write_stall_timeout_ms);
+          std::chrono::milliseconds(kWriteStallTimeoutMs);
       while (true) {
         if (!c->flush()) {
           tx_fail(c);
@@ -842,7 +828,6 @@ class SocketTransport final : public lsa::runtime::Transport {
 
   Role role_;
   SocketAddr addr_;
-  SocketOptions opts_;
   BufferPool pool_;
   EpollLoop loop_;
   int listen_fd_ = -1;

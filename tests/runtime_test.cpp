@@ -198,8 +198,8 @@ TEST(NetworkRound, WrongModelLengthSendsNothing) {
 TEST(NetworkRound, NextRoundBankedAheadOfRecovery) {
   // Every device starts round 1 before round 0 is recovered, as a socket
   // peer banking ahead does (server::RemoteSession). The device share
-  // stores and the server's upload store then hold two live rounds, one
-  // per BankRing slot, and each round still recovers its exact sum.
+  // stores and the server's upload ring then hold two live rounds, and
+  // each round still recovers its exact sum.
   constexpr std::size_t kN = 5;
   Network net(net_params(kN, 1, 4, 12), 17);
   const std::vector<std::vector<std::vector<rep>>> models = {
@@ -273,6 +273,26 @@ TEST(NetworkRound, MultipleRoundsWithFreshMasksAndRejoins) {
     EXPECT_LE(net.user(i).stored_shares(),
               2 * 5 * lsa::runtime::UserDevice::kShareRetentionRounds)
         << "user " << i;
+  }
+}
+
+TEST(NetworkRound, CrashedUserRetiresSharesAtSecondRoundStart) {
+  // A user that crashes after its round-0 upload misses round 0's survivor
+  // set and keeps that round's N shares. Round 1's start keeps them (a
+  // socket peer may bank round 1 while round 0 is still in recovery);
+  // round 2's start retires them.
+  constexpr std::size_t kN = 5;
+  Network net(net_params(kN, 1, 4, 12), 23);
+  const std::vector<std::uint32_t> all = {0, 1, 2, 3, 4};
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    const auto models = random_models(kN, 12, 80 + round);
+    const std::vector<std::size_t> crash =
+        round == 0 ? std::vector<std::size_t>{4} : std::vector<std::size_t>{};
+    EXPECT_EQ(net.run_round(round, models, crash), sum_of(models, all))
+        << "round " << round;
+    net.router().revive(4);
+    EXPECT_EQ(net.user(4).stored_shares(), round < 2 ? kN : 0u)
+        << "after round " << round;
   }
 }
 

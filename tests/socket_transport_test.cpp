@@ -484,6 +484,30 @@ TEST(SocketTransport, BroadcastSharesOneBufferAcrossQueues) {
   EXPECT_EQ(hub->pool().outstanding(), 0u);
 }
 
+// Frames addressed to a user with no bound connection park at the hub, up
+// to the sync fan-in bound plus headroom (2N + 2 + 14, the in-process
+// mailbox capacity); the overflow is dropped and counted.
+TEST(SocketTransport, ParkedBinHoldsTheSyncFaninBound) {
+  const SocketAddr addr = SocketAddr::parse("uds://" + fresh_uds_path(8));
+  auto hub = SocketTransport::listen(addr);
+  SessionHooks hooks;  // no clients ever connect
+  hooks.on_frame = [](const Inbound&) {};
+  hooks.on_bind = [](std::uint32_t, bool) {};
+  hooks.on_disconnect = [](std::uint32_t) {};
+  constexpr std::uint32_t kN = 3;
+  lsa::runtime::Transport& out =
+      hub->register_session(2, kN, std::move(hooks));
+
+  const std::vector<rep> payload = {1, 2, 3};
+  for (std::uint64_t i = 0; i < 2 * kN + 2 + 14 + 5; ++i) {
+    out.send_row(MsgType::kSurvivorSet, kN, /*receiver=*/0, /*round=*/i,
+                 std::span<const rep>(payload));
+  }
+  EXPECT_EQ(hub->stats().frames_parked, 22u);
+  EXPECT_EQ(hub->stats().frames_dropped, 5u);
+  EXPECT_EQ(hub->stats().frames_sent, 0u);
+}
+
 // -------------------------------------------------- handshake rejection
 
 TEST(SocketTransport, RejectsBadHandshakes) {

@@ -293,7 +293,7 @@ TEST(ConcurrentRouter, BroadcastSharesOneRefCountedFrame) {
     Inbound in;
     ASSERT_TRUE(router.try_recv(r, in));
     EXPECT_EQ(in.view.payload.data(), first.view.payload.data());
-    EXPECT_EQ(in.view.receiver, ConcurrentRouter::kBroadcastReceiver);
+    EXPECT_EQ(in.view.receiver, kBroadcastReceiver);
     EXPECT_TRUE(std::equal(in.view.payload.begin(), in.view.payload.end(),
                            payload.begin()));
   }
