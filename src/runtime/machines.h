@@ -97,6 +97,12 @@ struct ShareBank {
   }
 };
 
+/// Reps per block of the server's upload fold (UploadSum::fold): 64 Ki
+/// reps = 256 KiB of sum plus 256 KiB of payload per block. An MNIST-size
+/// upload (d = 7,850) folds inline as one block; a FEMNIST-size one
+/// (d = 1,206,590) splits into 19 blocks that idle pool lanes claim.
+inline constexpr std::size_t kUploadFoldGrain = std::size_t{1} << 16;
+
 /// One round's masked uploads as the server needs them: their running sum
 /// and who contributed (U1). Uploads are added on arrival and never
 /// stored, so the server holds d reps per round, not N × d.
@@ -110,13 +116,24 @@ struct UploadSum {
     sum.assign(d, F::zero);
     present.assign(n_users, 0);
   }
-  /// Adds one user's upload. A second upload from the same user would be
-  /// counted twice while its mask is recovered once, so it is rejected
-  /// before it touches the sum.
-  void fold(std::size_t user, std::span<const typename F::rep> payload) {
+  /// Adds one user's upload, in kUploadFoldGrain blocks spread over
+  /// `exec`'s pool (the caller's lane joins in). Each element still adds
+  /// the uploads in arrival order, so the sum is bit-identical on any
+  /// pool. A second upload from the same user would be counted twice
+  /// while its mask is recovered once, so it is rejected before it
+  /// touches the sum.
+  void fold(std::size_t user, std::span<const typename F::rep> payload,
+            const lsa::sys::ExecPolicy& exec) {
     lsa::require<lsa::ProtocolError>(present[user] == 0,
                                      "server: duplicate masked model");
-    lsa::field::add_inplace<F>(std::span<typename F::rep>(sum), payload);
+    const std::span<typename F::rep> acc(sum);
+    exec.run_blocked(
+        acc.size(),
+        [&](std::size_t begin, std::size_t end) {
+          lsa::field::add_inplace<F>(acc.subspan(begin, end - begin),
+                                     payload.subspan(begin, end - begin));
+        },
+        kUploadFoldGrain);
     present[user] = 1;
   }
   [[nodiscard]] bool has(std::size_t user) const {
@@ -214,6 +231,10 @@ class UserDevice final : public Party {
   /// is sent for a wrong one), draws the round mask into the upload frame,
   /// encodes its shares into their frames and sends them, then adds the
   /// model into the upload frame and sends it. Sends only — never pumps.
+  /// `model` must hold canonical Fp32 reps (< p): the masked sum of a
+  /// non-canonical rep is garbage, and only a socket hub rejects it — an
+  /// in-process server reads the frames its router sealed unchecked
+  /// (transport/frame.h).
   void start_round(std::uint64_t round, std::span<const rep> model) {
     if (!params_.persistent_cohort) {
       while (!store_.empty() &&
@@ -227,7 +248,8 @@ class UserDevice final : public Party {
   /// Async: finishes a local update born at global round t_i with
   /// timestamped mask sharing (offline) and the masked upload, both under
   /// wire round t_i. The mask is derived from (seed, id, born_round),
-  /// mirroring App. F.3.1.
+  /// mirroring App. F.3.1. `update` must hold canonical Fp32 reps, as in
+  /// start_round.
   void submit_update(std::uint64_t born_round, std::span<const rep> update) {
     upload(born_round, update, /*round_tag=*/0xa511ull,
            /*epoch_tag=*/0xae90c4ull);
@@ -350,7 +372,10 @@ class UserDevice final : public Party {
         answer_manifest(round, payload);
         break;
       case MsgType::kAggregateResult:
-        last_result_.emplace(payload.begin(), payload.end());
+        // Into the vector the device already holds: one d-rep allocation
+        // per device, not one per round.
+        if (!last_result_) last_result_.emplace();
+        last_result_->assign(payload.begin(), payload.end());
         break;
       default:
         throw lsa::ProtocolError("user: unexpected message type");
@@ -598,7 +623,7 @@ class AggregationServer final : public Party {
         lsa::require<lsa::ProtocolError>(sender < params_.num_users,
                                          "server: upload from a non-user");
         uploads_.prepare(round, params_.num_users, params_.model_dim)
-            .fold(sender, payload);
+            .fold(sender, payload, params_.exec);
         break;
       case MsgType::kAggregatedShares:
         lsa::require<lsa::ProtocolError>(

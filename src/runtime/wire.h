@@ -165,21 +165,20 @@ inline void write_header(std::uint8_t* p, MsgType type, std::uint32_t sender,
   put32(crc);
 }
 
-/// Header fields of a validated frame.
+/// Header fields of a frame.
 struct WireHeader {
   MsgType type = MsgType::kEncodedMaskShare;
   std::uint32_t sender = 0;
   std::uint32_t receiver = 0;
   std::uint64_t round = 0;
   std::uint32_t payload_elems = 0;
+  std::uint32_t crc = 0;  ///< as written by the sender, not yet checked
 };
 
-/// The one wire validator every receive path goes through (via
-/// transport::parse_frame): checks header/payload truncation and the
-/// payload CRC, throws ProtocolError on any mismatch. The payload bytes
-/// live at buf[kHeaderBytes ..] untouched; canonicality is checked on the
-/// payload view by check_canonical_payload.
-[[nodiscard]] inline WireHeader read_header_checked(
+/// Reads the header and checks header/payload truncation only: no CRC
+/// pass, no look at the payload. Throws ProtocolError on a length
+/// mismatch.
+[[nodiscard]] inline WireHeader read_header(
     std::span<const std::uint8_t> buf) {
   lsa::require<lsa::ProtocolError>(buf.size() >= kHeaderBytes,
                                    "wire: truncated header");
@@ -194,13 +193,23 @@ struct WireHeader {
   h.receiver = get32();
   h.round = get64();
   h.payload_elems = get32();
-  const std::uint32_t crc_expected = get32();
+  h.crc = get32();
   lsa::require<lsa::ProtocolError>(
       buf.size() == kHeaderBytes + 4ull * h.payload_elems,
       "wire: truncated payload");
-  const std::uint32_t crc_actual =
-      crc32(std::span<const std::uint8_t>(p, 4ull * h.payload_elems));
-  lsa::require<lsa::ProtocolError>(crc_actual == crc_expected,
+  return h;
+}
+
+/// The one wire validator every receive path of bytes from outside the
+/// process goes through (via transport::parse_frame): read_header plus the
+/// payload CRC, throws ProtocolError on any mismatch. The payload bytes
+/// live at buf[kHeaderBytes ..] untouched; canonicality is checked on the
+/// payload view by check_canonical_payload.
+[[nodiscard]] inline WireHeader read_header_checked(
+    std::span<const std::uint8_t> buf) {
+  const WireHeader h = read_header(buf);
+  const std::uint32_t crc_actual = crc32(buf.subspan(kHeaderBytes));
+  lsa::require<lsa::ProtocolError>(crc_actual == h.crc,
                                    "wire: payload CRC mismatch");
   return h;
 }

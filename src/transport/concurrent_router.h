@@ -18,13 +18,18 @@
 //     dropped, not queued);
 //   * zero-copy: senders write payloads straight into pooled ref-counted
 //     frames from acquire() and send() seals them in place
-//     (transport/frame.h); try_recv validates in place and hands back a
-//     payload span aliasing that buffer;
+//     (transport/frame.h); try_recv hands back a payload span aliasing
+//     that buffer;
+//   * validate once, where bytes enter the process (the contract in
+//     transport/frame.h): every frame in a mailbox was sealed by this
+//     router's own send / broadcast, so delivery reads its header only
+//     (view_sealed_frame: no CRC pass, no canonical scan);
 //   * fault semantics: sends from crashed parties are dropped silently,
 //     frames addressed to a party that crashes are discarded undelivered,
 //     revive() re-admits, and an optional fault hook may mutate or drop any
-//     frame before it is enqueued (fuzz/corruption testing — parse_frame
-//     throws on delivery).
+//     frame before it is enqueued (fuzz/corruption testing). While a hook
+//     is installed every delivery runs the full validator, parse_frame,
+//     so a corrupted frame throws at try_recv.
 //
 // Crash/revive fence: crash(party) sets `down`, bumps the mailbox epoch and
 // clears the queue in ONE critical section, and every enqueue re-checks
@@ -121,7 +126,8 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
 
   /// Called on every frame's bytes before enqueue (the buffer is exclusive
   /// at that point); may mutate them (corruption testing) or return false
-  /// to drop the frame (lossy-link testing). Set before traffic starts.
+  /// to drop the frame (lossy-link testing). Set before traffic starts:
+  /// while a hook is installed, every delivery is validated (parse_frame).
   using FaultHook = std::function<bool(std::span<std::uint8_t>)>;
   void set_fault_hook(FaultHook hook) { hook_ = std::move(hook); }
 
@@ -165,9 +171,11 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
 
   // ----------------------------------------------------------------- recv
 
-  /// Pops and validates the receiver's next frame. Returns false when the
-  /// mailbox is empty (a crashed receiver's mailbox always is). Throws
-  /// ProtocolError on a corrupted frame — the frame is consumed either way.
+  /// Pops the receiver's next frame and reads it: its header only, or the
+  /// full validator while a fault hook is installed (see deliver). Returns
+  /// false when the mailbox is empty (a crashed receiver's mailbox always
+  /// is). Throws ProtocolError on a frame that fails the read — the frame
+  /// is consumed either way.
   [[nodiscard]] bool try_recv(std::size_t receiver, Inbound& out) {
     check_party(receiver);
     Mailbox& box = *boxes_[receiver];
@@ -263,11 +271,14 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
   }
 
   /// Post-pop half of a receive, outside the lock: releases one parked
-  /// producer (a slot just opened) and validates the frame in place.
+  /// producer (a slot just opened) and reads the frame in place. A frame
+  /// this router sealed and nobody touched since needs its header only;
+  /// one a fault hook saw may carry any bytes, so it gets parse_frame,
+  /// which throws on corruption.
   void deliver(Mailbox& box, BufferRef buf, Inbound& out) {
     box.not_full.notify_one();
     out.buf = std::move(buf);
-    out.view = parse_frame(out.buf);  // throws on corruption
+    out.view = hook_ ? parse_frame(out.buf) : view_sealed_frame(out.buf);
     // relaxed: monotonic telemetry total.
     delivered_.fetch_add(1, std::memory_order_relaxed);
   }

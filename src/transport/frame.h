@@ -7,10 +7,22 @@
 // recovery response straight there), and seals it (seal_frame: CRC +
 // header). build_frame is the copying variant for payloads that already
 // live elsewhere: one copy of the row view into the frame, then the same
-// seal. On the inbound side parse_frame() validates in place and exposes
-// the payload as a std::span<const rep> aliasing the buffer words:
-// receivers read it where it lies or copy it once into their own arena
-// row (ShareBank::put).
+// seal. On the inbound side a receiver gets a FrameView whose payload is a
+// std::span<const rep> aliasing the buffer words: it reads the payload
+// where it lies or copies it once into its own arena row (ShareBank::put).
+//
+// Validation contract: a frame is validated once, where its bytes enter
+// the process. parse_frame() is the validator — length, payload CRC and a
+// canonical scan of every rep — and runs on every frame read off a socket
+// (the hub's frames for its server machine and its hellos, a client's
+// ingress), on bytes ingested through frame_from_bytes, and on every
+// in-process delivery while a router fault hook is installed (the hook
+// may have rewritten the bytes). A frame sealed by this process's own
+// seal_frame and delivered untouched is read with view_sealed_frame():
+// the header and a length check only. Its payload is exactly what the
+// sender wrote, so in-process receivers get a sender's reps unchecked:
+// senders must write canonical Fp32 reps (every device and server path
+// does; a device's model input is the caller's to keep canonical).
 //
 // Layout recap ([] = one write each, little-endian):
 //   words[0..6]  header: type/flags, sender, receiver, round lo/hi,
@@ -32,8 +44,10 @@ namespace lsa::transport {
 
 inline constexpr std::size_t kHeaderWords = lsa::runtime::kHeaderBytes / 4;
 
-/// Parsed, validated view of a frame. `payload` aliases the frame buffer —
-/// it is valid only while the owning BufferRef is alive.
+/// Parsed view of a frame: validated by parse_frame, or read by
+/// view_sealed_frame from a frame this process sealed. `payload` aliases
+/// the frame buffer — it is valid only while the owning BufferRef is
+/// alive.
 struct FrameView {
   lsa::runtime::MsgType type = lsa::runtime::MsgType::kEncodedMaskShare;
   std::uint32_t sender = 0;
@@ -42,7 +56,7 @@ struct FrameView {
   std::span<const lsa::field::Fp32::rep> payload;
 };
 
-/// A delivered frame: the validated view plus the buffer keeping it alive.
+/// A delivered frame: the view plus the buffer keeping it alive.
 struct Inbound {
   BufferRef buf;
   FrameView view;
@@ -112,7 +126,8 @@ inline void copy_payload(BufferRef& frame,
 }
 
 /// Copies raw frame bytes into a pooled buffer (fuzzing / re-injection of
-/// externally produced frames). No validation — parse_frame does that.
+/// externally produced frames). No validation here: its consumers run
+/// parse_frame on the result.
 [[nodiscard]] inline BufferRef frame_from_bytes(
     BufferPool& pool, std::span<const std::uint8_t> bytes) {
   BufferRef buf = pool.acquire(bytes.size());
@@ -124,20 +139,41 @@ inline void copy_payload(BufferRef& frame,
   return buf;
 }
 
-/// Validates a frame in place (length, CRC, canonical field elements) and
-/// returns a view whose payload aliases the buffer words. Throws
-/// ProtocolError on any corruption.
-[[nodiscard]] inline FrameView parse_frame(const BufferRef& buf) {
-  const lsa::runtime::WireHeader h =
-      lsa::runtime::read_header_checked(buf.bytes());
+namespace detail {
+
+[[nodiscard]] inline FrameView view_of(const BufferRef& buf,
+                                       const lsa::runtime::WireHeader& h) {
   FrameView f;
   f.type = h.type;
   f.sender = h.sender;
   f.receiver = h.receiver;
   f.round = h.round;
   f.payload = buf.words().subspan(kHeaderWords, h.payload_elems);
+  return f;
+}
+
+}  // namespace detail
+
+/// The validator for bytes from outside the process (see the contract at
+/// the top of this file): checks the frame in place (length, payload CRC,
+/// canonical field elements) and returns a view whose payload aliases the
+/// buffer words. Throws ProtocolError on any corruption. Counted in
+/// counters().frames_validated, whether or not the frame passes.
+[[nodiscard]] inline FrameView parse_frame(const BufferRef& buf) {
+  counters().note_validated();
+  const FrameView f =
+      detail::view_of(buf, lsa::runtime::read_header_checked(buf.bytes()));
   lsa::runtime::check_canonical_payload(f.payload);
   return f;
+}
+
+/// Header-only read of a frame this process sealed (seal_frame) and
+/// delivers untouched: type, sender, receiver, round and a length check —
+/// no CRC pass, no canonical scan. Throws ProtocolError on a length
+/// mismatch. Never use it on bytes from a socket, frame_from_bytes or a
+/// fault hook; parse_frame validates those.
+[[nodiscard]] inline FrameView view_sealed_frame(const BufferRef& buf) {
+  return detail::view_of(buf, lsa::runtime::read_header(buf.bytes()));
 }
 
 }  // namespace lsa::transport

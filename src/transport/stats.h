@@ -7,7 +7,11 @@
 // payload-copy counters (none in src/ does; bench_transport's reproduction
 // of the seed router does, as its baseline). Tests and benches assert that
 // rounds through every transport — server sessions, serial references,
-// sockets — perform ZERO intermediate payload copies.
+// sockets — perform ZERO intermediate payload copies. The validation
+// convention is measured the same way: parse_frame counts every frame it
+// validates, and tests assert that an in-process round without a fault
+// hook validates none while a socket round validates each frame once,
+// where it comes off a socket.
 //
 // Counters are process-global relaxed atomics: cheap enough to leave on in
 // release builds, and exact because every increment is a plain add.
@@ -31,6 +35,10 @@ struct Counters {
   /// Pool traffic: fresh heap allocations vs recycled buffers.
   std::atomic<std::uint64_t> pool_allocs{0};
   std::atomic<std::uint64_t> pool_reuses{0};
+  /// Frames run through the full wire validator (transport/frame.h
+  /// parse_frame: length, CRC, canonical scan) — the frames whose bytes
+  /// came from outside the process, or passed a router fault hook.
+  std::atomic<std::uint64_t> frames_validated{0};
 
   void note_copy(std::uint64_t bytes) {
     // relaxed: exact monotonic adds; tests assert on quiesced deltas, so
@@ -42,6 +50,10 @@ struct Counters {
     // relaxed: same contract as note_copy above.
     frames_built.fetch_add(1, std::memory_order_relaxed);
     payload_bytes_framed.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void note_validated() {
+    // relaxed: same contract as note_copy above.
+    frames_validated.fetch_add(1, std::memory_order_relaxed);
   }
 };
 
@@ -58,6 +70,7 @@ struct CountersSnapshot {
   std::uint64_t payload_bytes_copied;
   std::uint64_t pool_allocs;
   std::uint64_t pool_reuses;
+  std::uint64_t frames_validated;
 };
 
 inline CountersSnapshot snapshot() {
@@ -69,7 +82,8 @@ inline CountersSnapshot snapshot() {
           c.payload_copies.load(std::memory_order_relaxed),
           c.payload_bytes_copied.load(std::memory_order_relaxed),
           c.pool_allocs.load(std::memory_order_relaxed),
-          c.pool_reuses.load(std::memory_order_relaxed)};
+          c.pool_reuses.load(std::memory_order_relaxed),
+          c.frames_validated.load(std::memory_order_relaxed)};
 }
 
 }  // namespace lsa::transport

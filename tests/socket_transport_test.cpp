@@ -540,6 +540,78 @@ TEST(SocketTransport, RejectsBadHandshakes) {
   }
 }
 
+// ------------------------------------------------ validation accounting
+
+// Frames are validated once, where their bytes enter the process: the hub
+// runs parse_frame on each hello and on each frame for its server
+// machine, a client on each frame it reads, and nobody on the user->user
+// shares the hub relays (their receiving client checks them end to end).
+// Over one UDS round, driven on this thread so the counts are exact:
+// validations = hub deliveries + client deliveries + the 2N handshake
+// frames (N hellos, N welcomes).
+TEST(SocketTransport, UdsRoundValidatesEachFrameOnceOffTheSocket) {
+  lsa::protocol::Params params;
+  params.num_users = 4;
+  params.privacy = 1;
+  params.dropout = 1;
+  params.model_dim = 60;
+  params.validate_and_resolve();
+  const std::uint64_t kSeed = 31;
+  std::vector<std::vector<rep>> models;
+  for (std::uint32_t u = 0; u < params.num_users; ++u) {
+    models.push_back(model_for(kSeed, u, 0, params.model_dim));
+  }
+
+  const auto before = lsa::transport::snapshot();
+  const SocketAddr addr = SocketAddr::parse("uds://" + fresh_uds_path(9));
+  auto hub = SocketTransport::listen(addr);
+  RemoteSessionConfig cfg;
+  cfg.params = params;
+  cfg.rounds = 1;
+  RemoteSession sess(*hub, /*session_id=*/0, cfg);
+
+  std::vector<std::unique_ptr<SocketTransport>> cts;
+  std::vector<std::unique_ptr<UserDevice>> devs;
+  std::vector<SocketTransport*> all;
+  std::vector<std::int64_t> result_round(params.num_users, -1);
+  for (std::uint32_t u = 0; u < params.num_users; ++u) {
+    cts.push_back(SocketTransport::connect(
+        addr, 0, u, static_cast<std::uint32_t>(params.num_users)));
+    all.push_back(cts.back().get());
+    devs.push_back(std::make_unique<UserDevice>(u, params, kSeed, *cts[u]));
+    cts[u]->set_sink([&, u](const Inbound& in) {
+      devs[u]->handle_view(in.view);
+      if (in.view.type == MsgType::kAggregateResult) {
+        result_round[u] = static_cast<std::int64_t>(in.view.round);
+      }
+    });
+  }
+  for (std::uint32_t u = 0; u < params.num_users; ++u) {
+    devs[u]->start_round(0, models[u]);
+  }
+  settle(hub.get(), all, [&] {
+    if (!sess.done()) return false;
+    for (const auto r : result_round) {
+      if (r != 0) return false;
+    }
+    return true;
+  });
+  const auto after = lsa::transport::snapshot();
+
+  std::uint64_t delivered = hub->stats().frames_delivered;
+  for (const auto* c : all) {
+    EXPECT_TRUE(c->handshaken());
+    delivered += c->stats().frames_delivered;
+  }
+  EXPECT_EQ(hub->stats().protocol_errors, 0u);
+  EXPECT_GT(hub->stats().frames_relayed, 0u);
+  EXPECT_EQ(after.frames_validated - before.frames_validated,
+            delivered + 2 * params.num_users);
+
+  Network net(params, kSeed);
+  EXPECT_EQ(net.run_round(0, models, {}), sess.aggregates().at(0));
+}
+
 // ------------------------------------------------- persistent cohorts
 
 TEST(SocketTransport, PersistentCohortTenRoundsOverUds) {

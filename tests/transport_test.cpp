@@ -674,6 +674,125 @@ TEST(Session, PersistentCohortChurnSoakHundredRounds) {
   EXPECT_GE(st.decode_plan_reuses, 1u);
 }
 
+// ------------------------------------- validation and the pooled fold
+
+TEST(Session, InProcessRoundsValidateNoFrames) {
+  // Every frame in a router mailbox was sealed by that router's own send
+  // or broadcast, so delivery reads its header only. An inline Network
+  // round and a pooled session round deliver every frame they send and
+  // run the full validator (parse_frame) on none.
+  const auto p = session_params(6, 1, 4, 40);
+  const auto models = random_models(6, 40, 31);
+  lsa::sys::ThreadPool pool(4);
+  auto pp = p;
+  pp.exec.pool = &pool;
+  lsa::runtime::Network net(p, /*seed=*/13);
+  lsa::server::Session session(
+      lsa::server::SessionConfig{.params = pp, .seed = 13});
+
+  const auto before = snapshot();
+  const auto want = net.run_round(0, models, {});
+  EXPECT_EQ(session.run_round(0, models, {}), want);
+  const auto after = snapshot();
+  EXPECT_EQ(after.frames_validated - before.frames_validated, 0u);
+  EXPECT_EQ(want, model_sum(models));
+  for (const auto* r : {&net.router(), &session.router()}) {
+    EXPECT_GT(r->frames_delivered(), 0u);
+    EXPECT_EQ(r->frames_delivered(), r->frames_sent());
+    EXPECT_EQ(r->frames_dropped(), 0u);
+  }
+}
+
+TEST(Session, FaultHookValidatesEveryDelivery) {
+  // A fault hook may rewrite any frame's bytes, so while one is installed
+  // every delivery runs parse_frame: inline and pooled, with a
+  // crash-after-upload user whose queued frames are discarded undelivered.
+  const auto p = session_params(6, 1, 4, 40);
+  const auto models = random_models(6, 40, 32);
+  lsa::sys::ThreadPool pool(4);
+  auto pp = p;
+  pp.exec.pool = &pool;
+  lsa::runtime::Network net(p, /*seed=*/14);
+  lsa::server::Session session(
+      lsa::server::SessionConfig{.params = pp, .seed = 14});
+  const auto pass = [](std::span<std::uint8_t>) { return true; };
+  net.router().set_fault_hook(pass);
+  session.router().set_fault_hook(pass);
+
+  const auto before = snapshot();
+  const auto want = net.run_round(0, models, {3});
+  EXPECT_EQ(session.run_round(0, models, {3}), want);
+  const auto after = snapshot();
+  EXPECT_EQ(want, model_sum(models));
+  const std::uint64_t delivered =
+      net.router().frames_delivered() + session.router().frames_delivered();
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(after.frames_validated - before.frames_validated, delivered);
+}
+
+TEST(Session, PooledUploadFoldMatchesInlineNetwork) {
+  // The server folds each upload in kUploadFoldGrain blocks over the
+  // session pool, from inside the pump's own fan-out. At d = 2 grains +
+  // 17 every upload splits into two full blocks and a ragged tail; two
+  // rounds, the second with a crash-after-upload user, must match the
+  // inline Network bit for bit.
+  constexpr std::size_t kN = 6;
+  constexpr std::size_t kD = 2 * lsa::runtime::kUploadFoldGrain + 17;
+  const auto p = session_params(kN, 1, 4, kD);
+  lsa::sys::ThreadPool pool(4);
+  auto pp = p;
+  pp.exec.pool = &pool;
+  lsa::runtime::Network net(p, /*seed=*/61);
+  lsa::server::Session session(
+      lsa::server::SessionConfig{.params = pp, .seed = 61});
+
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    for (std::size_t u = 0; u < kN; ++u) {
+      net.router().revive(u);
+      session.router().revive(u);
+    }
+    const std::vector<std::size_t> crash =
+        r == 1 ? std::vector<std::size_t>{2} : std::vector<std::size_t>{};
+    const auto models = random_models(kN, kD, 700 + r);
+    const auto want = net.run_round(r, models, crash);
+    EXPECT_EQ(session.run_round(r, models, crash), want) << "round " << r;
+    EXPECT_EQ(want, model_sum(models)) << "round " << r;
+  }
+}
+
+TEST(Session, PooledDuplicateUploadRejectedBeforeTheSum) {
+  // NetworkRound.DuplicateUploadRejected on the pooled fold: a second
+  // upload from a user is refused before any block of it reaches the
+  // sum, so the round still recovers its exact sum.
+  constexpr std::size_t kN = 5;
+  constexpr std::size_t kD = 2 * lsa::runtime::kUploadFoldGrain + 17;
+  lsa::sys::ThreadPool pool(4);
+  auto p = session_params(kN, 1, 4, kD);
+  p.exec.pool = &pool;
+  lsa::server::Session session(
+      lsa::server::SessionConfig{.params = p, .seed = 19});
+  const auto models = random_models(kN, kD, 50);
+  for (std::size_t i = 0; i < kN; ++i) {
+    session.user(i).start_round(0, models[i]);
+  }
+  session.pump();
+  const std::vector<rep> second(kD, 7);
+  session.router().send_row(MsgType::kMaskedModel, /*sender=*/2,
+                            /*receiver=*/static_cast<std::uint32_t>(kN),
+                            /*round=*/0, std::span<const rep>(second));
+  EXPECT_THROW(session.pump(), lsa::ProtocolError);
+
+  EXPECT_EQ(session.server().arrived(0),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  session.server().begin_recovery(0);
+  session.pump();  // survivor set out, aggregated shares back
+  EXPECT_EQ(session.server().finish_round(0), model_sum(models));
+  session.pump();  // result broadcast
+
+  const auto next = random_models(kN, kD, 51);
+  EXPECT_EQ(session.run_round(1, next, {}), model_sum(next));
+}
+
 // --------------------------------------------------------- batched rounds
 //
 // Several rounds of one sync session queued and executed by a single
