@@ -23,9 +23,12 @@
 // upload is drawn and masked inside its frame, the N-1 shares are encoded
 // straight into their frames (and the device's own share into its bank
 // row), and a recovery response is summed inside its frame; Transport::
-// send seals each frame once. Handlers consume *payload views*
-// (handle_view -> on_payload): a span aliasing the pooled frame buffer. A
-// share is copied once, into the receiver's ShareBank row; an upload is
+// send seals each frame once. The N-1 share frames are one batch
+// (Transport::acquire_batch): ranges of one pooled block, allocated once
+// per fan-out and freed by whichever lane releases the last of them.
+// Handlers consume *payload views* (handle_view -> on_payload): a span
+// aliasing the pooled frame. A share is copied once, into the receiver's
+// ShareBank row, and its frame is released on delivery; an upload is
 // added into the server's per-round running sum and never stored.
 #pragma once
 
@@ -332,27 +335,29 @@ class UserDevice final : public Party {
                     static_cast<std::uint32_t>(params_.num_users), round);
   }
 
-  /// The offline step: encodes `mask`'s N shares straight into N-1 pooled
-  /// share frames and this device's own bank row, then sends the frames in
-  /// holder order under wire round `key` (receivers bank by it). Nothing
-  /// is staged in between: the encode GEMM writes each share where it
-  /// travels.
+  /// The offline step: encodes `mask`'s N shares straight into N-1 share
+  /// frames, carved from one pooled block, and this device's own bank row,
+  /// then sends the frames in holder order under wire round `key`
+  /// (receivers bank by it). Nothing is staged in between: the encode GEMM
+  /// writes each share where it travels.
   void send_shares(std::uint64_t key, std::span<const rep> mask,
                    lsa::crypto::Prg& prg) {
     const std::size_t n = params_.num_users;
-    std::vector<lsa::transport::BufferRef> frames(n);
+    std::vector<lsa::transport::BufferRef> frames =
+        transport_.acquire_batch(n - 1, codec_.segment_len());
+    // frames[k] travels to holder k, or to k + 1 past this device.
+    const auto holder = [&](std::size_t k) {
+      return static_cast<std::uint32_t>(k < id_ ? k : k + 1);
+    };
     std::vector<rep*> dst(n, bank_for(key).claim(id_));
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == id_) continue;
-      frames[j] = transport_.acquire(codec_.segment_len());
-      dst[j] = lsa::transport::frame_payload(frames[j]).data();
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      dst[holder(k)] = lsa::transport::frame_payload(frames[k]).data();
     }
     codec_.encode_into(mask, prg, std::span<rep* const>(dst),
                        params_.exec.chunk_reps);
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (j == id_) continue;
-      transport_.send(std::move(frames[j]), MsgType::kEncodedMaskShare, id_,
-                      j, key);
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      transport_.send(std::move(frames[k]), MsgType::kEncodedMaskShare, id_,
+                      holder(k), key);
     }
   }
 

@@ -14,15 +14,19 @@
 // its payload straight into frame_payload() (a device draws its mask,
 // encodes its shares, sums its recovery response there) and hands the
 // frame to send / broadcast, which seal it once (CRC + header) and
-// enqueue it. send_row / broadcast_row are the copying helpers for a
-// payload that already lives elsewhere (a bitmap, a decoded result): one
-// copy into the acquired frame, then the same send. Each transport thus
-// has one framing path, and no intermediate payload vector exists on any
-// send path (transport/stats.h counts copies; tests assert zero).
+// enqueue it. acquire_batch hands out a device's whole share fan-out as
+// frames carved from one block; each is then sent like any other frame,
+// and the block is freed when its last frame is released. send_row /
+// broadcast_row are the copying helpers for a payload that already lives
+// elsewhere (a bitmap, a decoded result): one copy into the acquired
+// frame, then the same send. Each transport thus has one framing path,
+// and no intermediate payload vector exists on any send path
+// (transport/stats.h counts copies; tests assert zero).
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "runtime/wire.h"
 #include "transport/buffer_pool.h"
@@ -56,7 +60,14 @@ class Transport {
   [[nodiscard]] virtual lsa::transport::BufferRef acquire(
       std::size_t elems) = 0;
 
-  /// Seals a filled frame from acquire() and sends it to `receiver`.
+  /// `count` pooled frames with an `elems`-rep payload each, carved from
+  /// one block (a device's share fan-out: one block, not `count`).
+  /// Each is filled, sent and released like a frame from acquire().
+  [[nodiscard]] virtual std::vector<lsa::transport::BufferRef> acquire_batch(
+      std::size_t count, std::size_t elems) = 0;
+
+  /// Seals a filled frame from acquire() or acquire_batch() and sends it
+  /// to `receiver`.
   virtual void send(lsa::transport::BufferRef frame, MsgType type,
                     std::uint32_t sender, std::uint32_t receiver,
                     std::uint64_t round) = 0;

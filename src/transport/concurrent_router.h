@@ -17,9 +17,10 @@
 //     (a crashed receiver unblocks its senders — frames to the dead are
 //     dropped, not queued);
 //   * zero-copy: senders write payloads straight into pooled ref-counted
-//     frames from acquire() and send() seals them in place
+//     frames from acquire() (a device's share fan-out: from one block,
+//     acquire_batch()) and send() seals them in place
 //     (transport/frame.h); try_recv hands back a payload span aliasing
-//     that buffer;
+//     that frame;
 //   * validate once, where bytes enter the process (the contract in
 //     transport/frame.h): every frame in a mailbox was sealed by this
 //     router's own send / broadcast, so delivery reads its header only
@@ -135,6 +136,10 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
 
   [[nodiscard]] BufferRef acquire(std::size_t elems) override {
     return acquire_frame(pool_, elems);
+  }
+  [[nodiscard]] std::vector<BufferRef> acquire_batch(
+      std::size_t count, std::size_t elems) override {
+    return acquire_frame_batch(pool_, count, elems);
   }
 
   /// Seals the sender's filled frame and enqueues it. A crashed sender's

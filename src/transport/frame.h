@@ -1,15 +1,19 @@
 // Zero-copy framing over pooled buffers.
 //
 // A frame is runtime/wire.h's layout — 7-word header, CRC over the payload
-// — in one ref-counted pooled buffer, written once. A sender acquires the
-// frame (acquire_frame), writes its payload in place through
-// frame_payload (a device draws its mask, encodes its shares or sums its
-// recovery response straight there), and seals it (seal_frame: CRC +
-// header). build_frame is the copying variant for payloads that already
-// live elsewhere: one copy of the row view into the frame, then the same
-// seal. On the inbound side a receiver gets a FrameView whose payload is a
-// std::span<const rep> aliasing the buffer words: it reads the payload
-// where it lies or copies it once into its own arena row (ShareBank::put).
+// — in one contiguous range of a ref-counted pooled block, written once.
+// A sender acquires the frame (acquire_frame: a block of its own), writes
+// its payload in place through frame_payload (a device draws its mask or
+// sums its recovery response straight there), and seals it (seal_frame:
+// CRC + header). A device's N - 1 share frames come from
+// acquire_frame_batch instead: back-to-back ranges of one block, each
+// filled, sealed, counted and delivered exactly like a frame of its own
+// (the encode writes every share straight into its range). build_frame is
+// the copying variant for payloads that already live elsewhere: one copy
+// of the row view into the frame, then the same seal. On the inbound side
+// a receiver gets a FrameView whose payload is a std::span<const rep>
+// aliasing the frame's words: it reads the payload where it lies or
+// copies it once into its own arena row (ShareBank::put).
 //
 // Validation contract: a frame is validated once, where its bytes enter
 // the process. parse_frame() is the validator — length, payload CRC and a
@@ -33,6 +37,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <vector>
 
 #include "common/error.h"
 #include "field/fp.h"
@@ -74,8 +79,17 @@ inline constexpr std::uint32_t kBroadcastReceiver = 0xFFFFFFFFu;
   return pool.acquire(lsa::runtime::kHeaderBytes + 4 * elems);
 }
 
-/// The payload region of a frame from acquire_frame, writable until the
-/// frame is sealed and sent.
+/// `count` frames with room for `elems` payload reps each, carved in order
+/// from one pooled block (BufferPool::acquire_batch): a device's share
+/// fan-out. Each is filled, sealed and sent like a frame from
+/// acquire_frame; the block ends when the last of them is released.
+[[nodiscard]] inline std::vector<BufferRef> acquire_frame_batch(
+    BufferPool& pool, std::size_t count, std::size_t elems) {
+  return pool.acquire_batch(count, lsa::runtime::kHeaderBytes + 4 * elems);
+}
+
+/// The payload region of a frame from acquire_frame or
+/// acquire_frame_batch, writable until the frame is sealed and sent.
 [[nodiscard]] inline std::span<lsa::field::Fp32::rep> frame_payload(
     BufferRef& frame) {
   return frame.words().subspan(

@@ -256,6 +256,10 @@ class SocketTransport final : public lsa::runtime::Transport {
   [[nodiscard]] BufferRef acquire(std::size_t elems) override {
     return acquire_frame(pool_, elems);
   }
+  [[nodiscard]] std::vector<BufferRef> acquire_batch(
+      std::size_t count, std::size_t elems) override {
+    return acquire_frame_batch(pool_, count, elems);
+  }
 
   void send(BufferRef frame, lsa::runtime::MsgType type, std::uint32_t sender,
             std::uint32_t receiver, std::uint64_t round) override {
@@ -373,6 +377,10 @@ class SocketTransport final : public lsa::runtime::Transport {
     HubTransport(SocketTransport* t, std::uint64_t sid) : t_(t), sid_(sid) {}
     [[nodiscard]] BufferRef acquire(std::size_t elems) override {
       return acquire_frame(t_->pool_, elems);
+    }
+    [[nodiscard]] std::vector<BufferRef> acquire_batch(
+        std::size_t count, std::size_t elems) override {
+      return acquire_frame_batch(t_->pool_, count, elems);
     }
     void send(BufferRef frame, lsa::runtime::MsgType type,
               std::uint32_t sender, std::uint32_t receiver,

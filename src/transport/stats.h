@@ -13,6 +13,16 @@
 // hook validates none while a socket round validates each frame once,
 // where it comes off a socket.
 //
+// Counters count frames, not blocks. A device's share fan-out is one
+// block carved into N - 1 frames (BufferPool::acquire_batch), yet it adds
+// N - 1 to pool_allocs, and each of its frames adds one to frames_built
+// and its payload to payload_bytes_framed when sealed, exactly as a frame
+// with a block of its own does. A pool reuse ratio, reuses over
+// (allocs + reuses), thus keeps its per-frame meaning; batch blocks are
+// freed rather than recycled, so it stays low wherever shares dominate
+// the traffic (about 0.01 on an N = 200 round). BufferPool::outstanding
+// is the one block gauge: it counts a batch once.
+//
 // Counters are process-global relaxed atomics: cheap enough to leave on in
 // release builds, and exact because every increment is a plain add.
 #pragma once
@@ -32,7 +42,8 @@ struct Counters {
   /// sender's row and its frame, or a frame and the receiver's row.
   std::atomic<std::uint64_t> payload_copies{0};
   std::atomic<std::uint64_t> payload_bytes_copied{0};
-  /// Pool traffic: fresh heap allocations vs recycled buffers.
+  /// Pool traffic, per frame: fresh heap allocations vs recycled buffers
+  /// (a batch of k frames adds k allocations).
   std::atomic<std::uint64_t> pool_allocs{0};
   std::atomic<std::uint64_t> pool_reuses{0};
   /// Frames run through the full wire validator (transport/frame.h

@@ -5,14 +5,17 @@
 // single-threaded runtime::Network, including dropout at the U boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "field/random_field.h"
+#include "runtime/async_machines.h"
 #include "runtime/machines.h"
 #include "server/aggregation_server.h"
 #include "sys/thread_pool.h"
@@ -72,6 +75,117 @@ TEST(BufferPool, FreelistIsBounded) {
   for (int i = 0; i < 5; ++i) refs.push_back(pool.acquire(32));
   refs.clear();
   EXPECT_LE(pool.retained(), 2u);
+}
+
+TEST(BufferPool, BatchIsOneBlockUntilItsLastFrameIsReleased) {
+  // k frames carved from one block are one outstanding buffer and k
+  // allocations counted, until the last ref to any of them is released —
+  // in every release order, with a copied ref outliving its original.
+  constexpr std::size_t kFrames = 4;
+  std::vector<std::size_t> order(kFrames);
+  std::iota(order.begin(), order.end(), 0);
+  do {
+    BufferPool pool;
+    const auto before = snapshot();
+    std::vector<BufferRef> frames = pool.acquire_batch(kFrames, 40);
+    ASSERT_EQ(frames.size(), kFrames);
+    EXPECT_EQ(pool.outstanding(), 1u);
+    EXPECT_EQ(snapshot().pool_allocs - before.pool_allocs, kFrames);
+    BufferRef copy = frames[order.front()];
+    EXPECT_EQ(copy.ref_count(), kFrames + 1);
+    for (const std::size_t k : order) {
+      EXPECT_EQ(frames[k].size_bytes(), 40u);
+      frames[k].reset();
+      EXPECT_EQ(pool.outstanding(), 1u);
+    }
+    EXPECT_EQ(copy.ref_count(), 1u);
+    copy.reset();
+    EXPECT_EQ(pool.outstanding(), 0u);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(BufferPool, BatchFramesStayInTheirRanges) {
+  // Frames lie back to back at a stride of whole words, each exposing its
+  // own range only. Every frame is filled with its own pattern and sealed;
+  // each then passes the full validator with its header and payload
+  // intact, so no fill or seal reached a neighbour.
+  constexpr std::size_t kFrames = 5;
+  constexpr std::size_t kElems = 13;
+  BufferPool pool;
+  std::vector<BufferRef> frames = acquire_frame_batch(pool, kFrames, kElems);
+  ASSERT_EQ(frames.size(), kFrames);
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    EXPECT_EQ(frames[k].size_bytes(), lsa::runtime::kHeaderBytes + 4 * kElems);
+    EXPECT_EQ(frames[k].words().size(), kHeaderWords + kElems);
+    if (k > 0) {
+      EXPECT_EQ(frames[k].bytes().data(),
+                frames[k - 1].bytes().data() + frames[k - 1].size_bytes());
+    }
+    const auto payload = frame_payload(frames[k]);
+    ASSERT_EQ(payload.size(), kElems);
+    for (std::size_t i = 0; i < kElems; ++i) {
+      payload[i] = static_cast<rep>(1000 * k + i);
+    }
+  }
+  for (std::size_t k = kFrames; k-- > 0;) {
+    seal_frame(frames[k], MsgType::kEncodedMaskShare,
+               static_cast<std::uint32_t>(k),
+               static_cast<std::uint32_t>(k + 1), /*round=*/9);
+  }
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    const FrameView f = parse_frame(frames[k]);
+    EXPECT_EQ(f.sender, k);
+    EXPECT_EQ(f.receiver, k + 1);
+    EXPECT_EQ(f.round, 9u);
+    ASSERT_EQ(f.payload.size(), kElems);
+    for (std::size_t i = 0; i < kElems; ++i) {
+      EXPECT_EQ(f.payload[i], 1000 * k + i) << "frame " << k << " rep " << i;
+    }
+  }
+
+  // A length that is not whole words still starts every frame on a word.
+  std::vector<BufferRef> odd = pool.acquire_batch(3, 10);
+  for (std::size_t k = 0; k < odd.size(); ++k) {
+    EXPECT_EQ(odd[k].size_bytes(), 10u);
+    EXPECT_EQ(odd[k].words().size(), 3u);
+    EXPECT_EQ(odd[k].words().data(), odd[0].words().data() + 3 * k);
+  }
+}
+
+TEST(BufferPool, BatchRefsMayOutliveThePool) {
+  std::vector<BufferRef> frames;
+  {
+    BufferPool pool(2);
+    frames = pool.acquire_batch(3, 64);
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      frames[k].bytes()[0] = static_cast<std::uint8_t>(0xA0 + k);
+    }
+  }
+  // The pool object is gone; the batch block (and the core) must live on.
+  for (std::size_t k = 0; k < frames.size(); ++k) {
+    EXPECT_EQ(frames[k].bytes()[0], 0xA0 + k);
+  }
+  frames.clear();  // the last release frees the block in the orphaned core
+}
+
+TEST(BufferPool, ReleasedBatchBlockIsFreedNotRetained) {
+  // A batch is a fresh block that never enters the freelist: acquiring it
+  // reuses nothing, and releasing it leaves the retained blocks as they
+  // were for the next single acquire.
+  BufferPool pool(/*max_retained=*/4);
+  pool.acquire(32).reset();
+  ASSERT_EQ(pool.retained(), 1u);
+  const auto before = snapshot();
+  std::vector<BufferRef> frames = pool.acquire_batch(3, 32);
+  EXPECT_EQ(pool.retained(), 1u);
+  frames.clear();
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(pool.retained(), 1u);
+  BufferRef single = pool.acquire(32);
+  const auto after = snapshot();
+  EXPECT_EQ(after.pool_allocs - before.pool_allocs, 3u);
+  EXPECT_EQ(after.pool_reuses - before.pool_reuses, 1u);
+  EXPECT_EQ(pool.retained(), 0u);
 }
 
 // ----------------------------------------------------------------- frames
@@ -701,6 +815,114 @@ TEST(Session, InProcessRoundsValidateNoFrames) {
     EXPECT_EQ(r->frames_delivered(), r->frames_sent());
     EXPECT_EQ(r->frames_dropped(), 0u);
   }
+}
+
+/// What step_round_crash_before_pump saw.
+struct SteppedRound {
+  std::vector<rep> result;
+  std::uint64_t blocks = 0;  ///< pool blocks outstanding after the starts
+  std::uint64_t frames = 0;  ///< frames sealed by the starts
+};
+
+/// One round stepped by hand on `net` (a Network or a pooled Session):
+/// every device starts, the pool and the frame counter are sampled before
+/// the pump, user `crashed` goes down with its mailbox still full — the
+/// discard releases one frame of every other device's share batch — and
+/// the round is recovered.
+template <class Net>
+SteppedRound step_round_crash_before_pump(
+    Net& net, std::uint64_t round,
+    const std::vector<std::vector<rep>>& models, std::size_t crashed) {
+  SteppedRound out;
+  const auto before = snapshot();
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    net.user(i).start_round(round, models[i]);
+  }
+  out.blocks = net.router().pool().outstanding();
+  out.frames = snapshot().frames_built - before.frames_built;
+  net.router().crash(crashed);
+  net.pump();  // shares and uploads; the crashed user's upload included
+  net.server().begin_recovery(round);
+  net.pump();  // survivor set out, aggregated shares back
+  out.result = net.server().finish_round(round);
+  net.pump();  // result broadcast
+  return out;
+}
+
+TEST(Session, ShareFanOutIsOneBlockPerDevice) {
+  // A device's N - 1 share frames are carved from one block. After the
+  // start fan-out and before the pump the pool holds 2N blocks: a share
+  // block and an upload per device, not N(N - 1) + N = 36 frame blocks,
+  // while the frame counter still counts all 36 sealed frames. Every
+  // block is back after a round whose crashed uploader's mailbox was
+  // discarded, inline and pooled, and after run_round with the same
+  // crash; the pooled aggregates match the inline Network.
+  constexpr std::size_t kN = 6;
+  constexpr std::size_t kCrashed = 2;
+  const auto p = session_params(kN, 1, 4, 40);
+  lsa::sys::ThreadPool pool(4);
+  auto pp = p;
+  pp.exec.pool = &pool;
+  lsa::runtime::Network net(p, /*seed=*/15);
+  lsa::server::Session session(
+      lsa::server::SessionConfig{.params = pp, .seed = 15});
+
+  const auto models = random_models(kN, 40, 34);
+  const auto inline_round =
+      step_round_crash_before_pump(net, 0, models, kCrashed);
+  const auto pooled_round =
+      step_round_crash_before_pump(session, 0, models, kCrashed);
+  for (const auto* r : {&inline_round, &pooled_round}) {
+    EXPECT_EQ(r->blocks, 2 * kN);
+    EXPECT_EQ(r->frames, kN * (kN - 1) + kN);
+  }
+  EXPECT_EQ(inline_round.result, model_sum(models));
+  EXPECT_EQ(pooled_round.result, inline_round.result);
+  EXPECT_EQ(net.router().pool().outstanding(), 0u);
+  EXPECT_EQ(session.router().pool().outstanding(), 0u);
+
+  net.router().revive(kCrashed);
+  session.router().revive(kCrashed);
+  const auto next = random_models(kN, 40, 35);
+  const auto want1 = net.run_round(1, next, {kCrashed});
+  EXPECT_EQ(session.run_round(1, next, {kCrashed}), want1);
+  EXPECT_EQ(want1, model_sum(next));
+  EXPECT_EQ(net.router().pool().outstanding(), 0u);
+  EXPECT_EQ(session.router().pool().outstanding(), 0u);
+}
+
+TEST(Session, AsyncCyclePinsOneShareBlockPerArrival) {
+  // An async arrival's share fan-out is one block too: after K submits and
+  // before the pump the pool holds 2K blocks, a share block and an upload
+  // per arrival. The cycle then matches run_cycle on a twin network and
+  // returns every block.
+  constexpr std::size_t kK = 3;
+  constexpr std::uint64_t kNow = 5;
+  const auto p = session_params(6, 1, 4, 12);
+  const lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(p, kK, constant, /*c_g=*/64, /*seed=*/17);
+  lsa::runtime::AsyncNetwork twin(p, kK, constant, /*c_g=*/64, /*seed=*/17);
+  const auto updates = random_models(kK, 12, 36);
+  std::vector<lsa::runtime::Arrival> arrivals;
+  for (std::size_t a = 0; a < kK; ++a) {
+    arrivals.push_back({a + 1, /*born_round=*/kNow - a, updates[a]});
+  }
+  const auto want = twin.run_cycle(kNow, arrivals);
+
+  for (const auto& a : arrivals) {
+    net.user(a.user).submit_update(a.born_round, a.update);
+  }
+  EXPECT_EQ(net.router().pool().outstanding(), 2 * kK);
+  net.pump();
+  net.server().begin_recovery(kNow);
+  net.pump();
+  const auto got = net.server().finish_cycle(kNow);
+  net.pump();
+  EXPECT_EQ(got.weighted_sum, want.weighted_sum);
+  EXPECT_EQ(got.weight_sum, want.weight_sum);
+  EXPECT_EQ(net.router().pool().outstanding(), 0u);
+  EXPECT_EQ(twin.router().pool().outstanding(), 0u);
 }
 
 TEST(Session, FaultHookValidatesEveryDelivery) {
