@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   // [1] Legacy single-threaded reference: one AsyncNetwork per cohort,
   // driven cycle by cycle with the same seeded arrival schedule the
   // sessions will consume. Outputs are kept as the bit-exactness oracle.
-  std::vector<std::vector<lsa::runtime::AsyncAggregationServer::Output>>
+  std::vector<std::vector<lsa::runtime::AsyncNetwork::Output>>
       expected(n_sessions);
   double legacy_secs = 0;
   {

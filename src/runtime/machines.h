@@ -12,12 +12,15 @@
 //   * the server decides U1 from what actually arrived, not from a script;
 //   * recovery succeeds from ANY U responding users.
 //
-// One UserDevice serves both protocol modes: sync rounds (start_round,
-// answered by the server's survivor set) and the async buffer cycles of
-// runtime/async_machines.h (submit_update, answered by a buffer manifest).
-// This header also holds the sync AggregationServer, NetworkBase (what
-// the two in-process drivers share: router, devices, server, pump) and
-// Network, the sync driver; AsyncNetwork lives with the async server.
+// One UserDevice and one AggregationServer serve both protocol modes: sync
+// rounds (start_round, answered by the server's survivor set) and the
+// async buffer cycles of runtime/async_machines.h (submit_update, answered
+// by a buffer manifest). The server folds every upload on arrival into a
+// running sum keyed by its wire round; a recovery request seals the sums
+// it lists, and every finish retires them. This header also holds
+// NetworkBase (what the two in-process drivers share: router, devices,
+// server, pump) and Network, the sync driver; AsyncNetwork lives in
+// runtime/async_machines.h.
 //
 // Frame ownership. Devices write every payload in place: the masked
 // upload is drawn and masked inside its frame, the N-1 shares are encoded
@@ -29,11 +32,11 @@
 // Handlers consume *payload views* (handle_view -> on_payload): a span
 // aliasing the pooled frame. A share is copied once, into the receiver's
 // ShareBank row, and its frame is released on delivery; an upload is
-// added into the server's per-round running sum and never stored.
+// added into the server's running sum for its wire round and never
+// stored.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,6 +52,7 @@
 #include "field/flat_matrix.h"
 #include "field/random_field.h"
 #include "protocol/params.h"
+#include "quant/staleness.h"
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 #include "sys/exec_policy.h"
@@ -106,27 +110,35 @@ struct ShareBank {
 /// (d = 1,206,590) splits into 19 blocks that idle pool lanes claim.
 inline constexpr std::size_t kUploadFoldGrain = std::size_t{1} << 16;
 
-/// One round's masked uploads as the server needs them: their running sum
-/// and who contributed (U1). Uploads are added on arrival and never
-/// stored, so the server holds d reps per round, not N × d.
+/// The masked uploads of one wire round (a sync round, or an async born
+/// round) as the server needs them: their running sum and who contributed.
+/// Uploads are added on arrival and never stored, so the server holds d
+/// reps per round, not N × d.
 template <class F>
 struct UploadSum {
   std::vector<typename F::rep> sum;
   std::vector<std::uint8_t> present;
+  /// Set by the recovery request that lists these uploads (a survivor set
+  /// or a manifest); from then on the contributor set is fixed.
+  bool sealed = false;
+  std::uint64_t weight = 0;  ///< the sealing manifest's staleness weight
 
-  /// Re-dimensions for a new round: zero sum, empty bitmap.
+  /// Re-dimensions for a new round: zero sum, empty bitmap, unsealed.
   void reset(std::size_t n_users, std::size_t d) {
     sum.assign(d, F::zero);
     present.assign(n_users, 0);
+    sealed = false;
   }
   /// Adds one user's upload, in kUploadFoldGrain blocks spread over
   /// `exec`'s pool (the caller's lane joins in). Each element still adds
   /// the uploads in arrival order, so the sum is bit-identical on any
-  /// pool. A second upload from the same user would be counted twice
-  /// while its mask is recovered once, so it is rejected before it
-  /// touches the sum.
+  /// pool. An upload after the seal, or a second one from the same user,
+  /// would enter the sum with no recovered mask, so it is rejected before
+  /// it touches the sum.
   void fold(std::size_t user, std::span<const typename F::rep> payload,
             const lsa::sys::ExecPolicy& exec) {
+    lsa::require<lsa::ProtocolError>(!sealed,
+                                     "server: upload for a sealed round");
     lsa::require<lsa::ProtocolError>(present[user] == 0,
                                      "server: duplicate masked model");
     const std::span<typename F::rep> acc(sum);
@@ -149,55 +161,53 @@ struct UploadSum {
   }
 };
 
-/// Two-slot, parity-indexed ring of per-round stores (the sync server's
-/// UploadSums and aggregated-share ShareBanks). Two slots because a peer
-/// can bank round r+1's traffic while round r is still in recovery: over
-/// sockets (server::RemoteSession) a client that reconnects after
-/// dropping starts round r+1 without waiting for round r's result, so its
-/// upload reaches the hub before round r is decoded. Slot `key % 2` holds
-/// the store for `key`; keying a new round onto a slot retires the slot's
-/// previous round, two rounds back.
-template <class Store>
-class ParityRing {
- public:
-  static constexpr std::uint64_t kUnkeyed = ~std::uint64_t{0};
-  /// Rounds simultaneously representable.
-  static constexpr std::uint64_t kDepth = 2;
+/// Per-round stores (share banks, upload sums) in one map keyed by wire
+/// round, plus the arena of the last retired store: the next key opened
+/// takes it, so a steady cohort re-banks every round in one allocation per
+/// store. The user device keeps its share banks here, the server its
+/// upload sums and recovery responses.
+template <class Bank>
+struct RoundStore {
+  std::map<std::uint64_t, Bank> banks;  ///< by wire round, oldest first
+  Bank spare;  ///< the last retired store's arena
 
-  /// Points the parity slot at `key`, resetting its store for the new
-  /// round. Idempotent when the slot is already keyed to `key`.
-  Store& prepare(std::uint64_t key, std::size_t n_rows, std::size_t cols) {
-    Slot& s = slots_[key % kDepth];
-    if (s.key != key) {
-      s.key = key;
-      s.store.reset(n_rows, cols);
+  /// The store for `key`, opened on first touch on the spare arena and
+  /// dimensioned by Bank::reset(rows, cols).
+  Bank& open(std::uint64_t key, std::size_t rows, std::size_t cols) {
+    auto [it, fresh] = banks.try_emplace(key);
+    if (fresh) {
+      it->second = std::move(spare);
+      it->second.reset(rows, cols);
     }
-    return s.store;
+    return it->second;
   }
 
-  /// The store for `key`, or nullptr once it was dropped or its slot was
-  /// re-keyed by a newer round of the same parity.
-  [[nodiscard]] Store* find(std::uint64_t key) {
-    Slot& s = slots_[key % kDepth];
-    return s.key == key ? &s.store : nullptr;
+  /// The store for `key`, or nullptr when none is open.
+  [[nodiscard]] Bank* find(std::uint64_t key) {
+    const auto it = banks.find(key);
+    return it == banks.end() ? nullptr : &it->second;
   }
-  [[nodiscard]] const Store* find(std::uint64_t key) const {
-    const Slot& s = slots_[key % kDepth];
-    return s.key == key ? &s.store : nullptr;
-  }
-
-  /// Marks `key` consumed; a later round of its parity reuses the slot.
-  void drop(std::uint64_t key) {
-    Slot& s = slots_[key % kDepth];
-    if (s.key == key) s.key = kUnkeyed;
+  [[nodiscard]] const Bank* find(std::uint64_t key) const {
+    const auto it = banks.find(key);
+    return it == banks.end() ? nullptr : &it->second;
   }
 
- private:
-  struct Slot {
-    std::uint64_t key = kUnkeyed;
-    Store store;
-  };
-  std::array<Slot, kDepth> slots_;
+  /// Drops `key`'s store, if open, and keeps its arena for the next key.
+  void retire(std::uint64_t key) {
+    retire_if([key](std::uint64_t k, const Bank&) { return k == key; });
+  }
+  /// Retires every store for which pred(key, store) holds.
+  template <class Pred>
+  void retire_if(Pred&& pred) {
+    for (auto it = banks.begin(); it != banks.end();) {
+      if (pred(it->first, std::as_const(it->second))) {
+        spare = std::move(it->second);
+        it = banks.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
 };
 
 /// One edge device running LightSecAgg, in sync rounds or async buffer
@@ -223,10 +233,11 @@ class UserDevice final : public Party {
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
-  /// Rounds of shares a sync device retains: start_round(r) retires every
-  /// bank keyed below r - 1, so a user that crashed mid-recovery never
-  /// hoards stale shares, while round r - 1's bank outlives a peer that
-  /// banks round r ahead of round r - 1's recovery (server::RemoteSession).
+  /// Sync rounds in flight at once: one in recovery, and the next, which a
+  /// socket peer may bank ahead of it (server::RemoteSession). A device's
+  /// start_round(r) retires every bank keyed below r - 1, so a user that
+  /// crashed mid-recovery never hoards stale shares; RemoteSession drops an
+  /// upload this many rounds ahead of its live round.
   static constexpr std::uint64_t kShareRetentionRounds = 2;
 
   /// Sync phase 1 + 2 of `round` in one pass: retires the banks past the
@@ -240,10 +251,9 @@ class UserDevice final : public Party {
   /// (transport/frame.h).
   void start_round(std::uint64_t round, std::span<const rep> model) {
     if (!params_.persistent_cohort) {
-      while (!store_.empty() &&
-             store_.begin()->first + kShareRetentionRounds <= round) {
-        retire(store_.begin());
-      }
+      store_.retire_if([round](std::uint64_t key, const ShareBank<Fp>&) {
+        return key + kShareRetentionRounds <= round;
+      });
     }
     upload(round, model, /*round_tag=*/0xde51ceull, /*epoch_tag=*/0xe90c4ull);
   }
@@ -264,7 +274,7 @@ class UserDevice final : public Party {
   void advance_epoch() {
     ++epoch_;
     epoch_setup_done_ = false;
-    while (!store_.empty()) retire(store_.begin());
+    store_.retire_if([](std::uint64_t, const ShareBank<Fp>&) { return true; });
   }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Offline encode + share fan-outs performed: one per upload normally,
@@ -290,13 +300,11 @@ class UserDevice final : public Party {
   /// Number of stored (owner, key) shares across all retained banks.
   [[nodiscard]] std::size_t stored_shares() const {
     std::size_t c = 0;
-    for (const auto& [key, bank] : store_) c += bank.count();
+    for (const auto& [key, bank] : store_.banks) c += bank.count();
     return c;
   }
 
  private:
-  using Store = std::map<std::uint64_t, ShareBank<Fp>>;
-
   /// Which bank a wire round keys: the round (sync) or born round (async)
   /// itself, or the current epoch in persistent-cohort mode, where every
   /// upload reuses the epoch mask.
@@ -349,7 +357,8 @@ class UserDevice final : public Party {
     const auto holder = [&](std::size_t k) {
       return static_cast<std::uint32_t>(k < id_ ? k : k + 1);
     };
-    std::vector<rep*> dst(n, bank_for(key).claim(id_));
+    std::vector<rep*> dst(
+        n, store_.open(key, n, codec_.segment_len()).claim(id_));
     for (std::size_t k = 0; k < frames.size(); ++k) {
       dst[holder(k)] = lsa::transport::frame_payload(frames[k]).data();
     }
@@ -368,7 +377,8 @@ class UserDevice final : public Party {
         lsa::require<lsa::ProtocolError>(
             payload.size() == codec_.segment_len(),
             "user: bad encoded share length");
-        bank_for(round).put(sender, payload);
+        store_.open(round, params_.num_users, codec_.segment_len())
+            .put(sender, payload);
         break;
       case MsgType::kSurvivorSet:
         answer_survivor_set(round, payload);
@@ -393,15 +403,14 @@ class UserDevice final : public Party {
   void answer_survivor_set(std::uint64_t round, std::span<const rep> bitmap) {
     lsa::require<lsa::ProtocolError>(bitmap.size() == params_.num_users,
                                      "user: bad survivor bitmap");
-    const auto it = store_.find(share_key(round));
+    const ShareBank<Fp>* bank = store_.find(share_key(round));
     std::vector<const rep*> rows;
     rows.reserve(params_.num_users);
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
       if (bitmap[i] == 0) continue;
-      lsa::require<lsa::ProtocolError>(
-          it != store_.end() && it->second.has(i),
-          "user: missing share for survivor");
-      rows.push_back(it->second.rows.row_ptr(i));
+      lsa::require<lsa::ProtocolError>(bank != nullptr && bank->has(i),
+                                       "user: missing share for survivor");
+      rows.push_back(bank->rows.row_ptr(i));
     }
     lsa::transport::BufferRef response =
         transport_.acquire(codec_.segment_len());
@@ -420,13 +429,13 @@ class UserDevice final : public Party {
                     static_cast<std::uint32_t>(params_.num_users), round);
     // The round's shares are consumed — except in persistent mode, where
     // the epoch bank serves every round until the membership changes.
-    if (!params_.persistent_cohort && it != store_.end()) retire(it);
+    if (!params_.persistent_cohort) store_.retire(round);
   }
 
   /// Async recovery at aggregation round `now`. Payload: triples (user,
-  /// born_round, weight), see AsyncAggregationServer. One fused weighted
-  /// column sum across the manifested share rows, formed inside the
-  /// response frame.
+  /// born_round, weight), see AggregationServer::send_manifest. One fused
+  /// weighted column sum across the manifested share rows, formed inside
+  /// the response frame.
   void answer_manifest(std::uint64_t now, std::span<const rep> manifest) {
     lsa::require<lsa::ProtocolError>(manifest.size() % 3 == 0,
                                      "user: bad manifest shape");
@@ -438,12 +447,12 @@ class UserDevice final : public Party {
       const std::uint32_t user = manifest[e];
       lsa::require<lsa::ProtocolError>(
           user < params_.num_users, "user: manifest user id out of range");
-      const auto it = store_.find(share_key(manifest[e + 1]));
+      const ShareBank<Fp>* bank = store_.find(share_key(manifest[e + 1]));
       lsa::require<lsa::ProtocolError>(
-          it != store_.end() && it->second.has(user),
+          bank != nullptr && bank->has(user),
           "user: missing timestamped share for manifest entry");
       coeffs.push_back(manifest[e + 2]);
-      rows.push_back(it->second.rows.row_ptr(user));
+      rows.push_back(bank->rows.row_ptr(user));
     }
     lsa::transport::BufferRef response =
         transport_.acquire(codec_.segment_len());
@@ -458,30 +467,11 @@ class UserDevice final : public Party {
     // except in persistent mode, where epoch shares serve every cycle.
     if (params_.persistent_cohort) return;
     for (std::size_t e = 0; e < manifest.size(); e += 3) {
-      const auto it = store_.find(manifest[e + 1]);
-      if (it == store_.end()) continue;
-      it->second.present[manifest[e]] = 0;
-      if (it->second.count() == 0) retire(it);
+      ShareBank<Fp>* bank = store_.find(manifest[e + 1]);
+      if (bank == nullptr) continue;
+      bank->present[manifest[e]] = 0;
+      if (bank->count() == 0) store_.retire(manifest[e + 1]);
     }
-  }
-
-  /// The bank for wire key `key`, created on first touch — by our own row
-  /// at upload or by the first peer share to arrive — on the arena of the
-  /// last retired bank when there is one.
-  ShareBank<Fp>& bank_for(std::uint64_t key) {
-    auto [it, fresh] = store_.try_emplace(key);
-    if (fresh) {
-      it->second = std::move(spare_);
-      it->second.reset(params_.num_users, codec_.segment_len());
-    }
-    return it->second;
-  }
-
-  /// Drops a bank from the store and keeps its arena for the next key, so
-  /// a steady cohort re-banks every round in one allocation per device.
-  void retire(Store::iterator it) {
-    spare_ = std::move(it->second);
-    store_.erase(it);
   }
 
   std::uint32_t id_;
@@ -490,27 +480,40 @@ class UserDevice final : public Party {
   std::uint64_t master_seed_;
   Transport& transport_;
   bool byzantine_ = false;
-  /// store_[key].rows.row(i) = [~z_i]_key held by this device, keyed by
-  /// wire round: the round (sync), the born round (async) or the epoch
-  /// (persistent cohort).
-  Store store_;
-  ShareBank<Fp> spare_;  ///< the last retired bank's arena
+  /// store_.find(key)->rows.row(i) = [~z_i]_key held by this device,
+  /// keyed by wire round: the round (sync), the born round (async) or the
+  /// epoch (persistent cohort).
+  RoundStore<ShareBank<Fp>> store_;
   std::optional<std::vector<rep>> last_result_;
   std::uint64_t epoch_ = 0;          ///< persistent-cohort epoch counter
   bool epoch_setup_done_ = false;    ///< offline setup done for epoch_
   std::uint64_t offline_encodes_ = 0;
 };
 
-/// The aggregation server state machine (one cohort). The multi-session
-/// sharded server in src/server/aggregation_server.h runs many of these
-/// concurrently, one per session.
+/// The aggregation server state machine (one cohort), for sync rounds and
+/// async buffer cycles alike. A masked upload folds on arrival into the
+/// running sum of its wire round: the round (sync) or the update's born
+/// round (async). A recovery request seals the sums it lists: a survivor
+/// set seals one round (begin_recovery), a buffer manifest every unsealed
+/// born round (send_manifest). Responses bank by the request's key. Both
+/// finishes end in one decode-subtract-broadcast path, which retires every
+/// sealed sum and the responses under its key whether it returns or
+/// throws: one recovery is open at a time, and a failed round or cycle
+/// leaves nothing behind. The multi-session sharded server in
+/// src/server/aggregation_server.h runs one of these per session.
 class AggregationServer final : public Party {
  public:
   using Fp = lsa::field::Fp32;
   using rep = Fp::rep;
 
-  /// byzantine_tolerant: recovery uses ALL arrived aggregated shares and
-  /// the error-correcting decode — up to floor((responses - U)/2) falsified
+  /// What an async buffer cycle returns.
+  struct CycleOutput {
+    std::vector<rep> weighted_sum;  ///< sum_b w_b * Delta_b, mask removed
+    std::uint64_t weight_sum = 0;   ///< sum_b w_b (for normalization)
+  };
+
+  /// byzantine_tolerant: recovery uses ALL arrived responses and the
+  /// error-correcting decode — up to floor((responses - U)/2) falsified
   /// shares are located, discarded and reported via last_corrupted().
   AggregationServer(const lsa::protocol::Params& params, Transport& transport,
                     bool byzantine_tolerant = false)
@@ -524,89 +527,117 @@ class AggregationServer final : public Party {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
 
-  /// Ends the upload phase: U1 = everyone whose masked model arrived.
-  /// Broadcasts the survivor set so users return aggregated shares.
+  /// Sync: ends the upload phase of `round`. Seals U1 = everyone whose
+  /// masked model arrived and broadcasts it as the survivor set, so users
+  /// return aggregated shares. With fewer than U uploads the round can
+  /// never recover: it is retired and the call throws.
   void begin_recovery(std::uint64_t round) {
-    const auto* uploads = uploads_.find(round);
-    lsa::require<lsa::ProtocolError>(
-        uploads != nullptr && uploads->count() >= params_.target_survivors,
-        "server: fewer than U masked models arrived");
+    UploadSum<Fp>* sums = uploads_.find(round);
+    if (sums == nullptr || sums->count() < params_.target_survivors) {
+      uploads_.retire(round);
+      throw lsa::ProtocolError("server: fewer than U masked models arrived");
+    }
+    sums->sealed = true;
     lsa::transport::BufferRef frame = transport_.acquire(params_.num_users);
     const std::span<rep> bitmap = lsa::transport::frame_payload(frame);
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      bitmap[i] = uploads->has(i) ? Fp::one : Fp::zero;
+      bitmap[i] = sums->has(i) ? Fp::one : Fp::zero;
     }
     transport_.broadcast(std::move(frame), MsgType::kSurvivorSet,
                          static_cast<std::uint32_t>(params_.num_users), round,
                          static_cast<std::uint32_t>(params_.num_users));
   }
 
-  /// Completes the round once at least U aggregated shares arrived:
-  /// one-shot decode, subtract it from the round's upload sum in place,
-  /// broadcast the aggregate. Returns it.
+  /// Sync: completes `round` from at least U aggregated shares (see
+  /// finish). The round's sum becomes the result.
   [[nodiscard]] std::vector<rep> finish_round(std::uint64_t round) {
-    const auto* sbank = agg_shares_.find(round);
-    lsa::require<lsa::ProtocolError>(
-        sbank != nullptr &&
-            sbank->count() >= params_.target_survivors,
-        "server: fewer than U aggregated-share responses — "
-        "unrecoverable round");
-    auto* uploads = uploads_.find(round);
-    lsa::require<lsa::ProtocolError>(uploads != nullptr,
-                                     "server: round state already retired");
-    const auto& shares = *sbank;
-    std::vector<std::size_t> owners;
-    std::vector<const rep*> rows;
-    for (std::uint32_t user = 0; user < params_.num_users; ++user) {
-      if (!shares.has(user)) continue;
-      // Byzantine-tolerant mode keeps every response: the extras beyond U
-      // are the redundancy the error-correcting decode spends.
-      if (!byzantine_tolerant_ && owners.size() == params_.target_survivors) {
-        break;
+    UploadSum<Fp>* sums = uploads_.find(round);
+    lsa::require<lsa::ProtocolError>(sums != nullptr && sums->sealed,
+                                     "server: round is not in recovery");
+    return finish(round, std::move(sums->sum));
+  }
+
+  /// Async: the recovery request of the buffer cycle at aggregation round
+  /// `now`. Seals every unsealed born round t with its public integer
+  /// weight w_t = s_cg(now - t) (eq. 34) and broadcasts the manifest, one
+  /// (user, t, w_t) triple per upload, by born round then user id. When
+  /// every weight rounds to zero it throws and seals nothing: the uploads
+  /// stay buffered. A cycle whose recovery was abandoned (its pump threw)
+  /// never finished, so its sealed sums and responses retire first.
+  void send_manifest(std::uint64_t now,
+                     const lsa::quant::StalenessPolicy& staleness,
+                     std::uint64_t c_g) {
+    retire_sealed(now);
+    std::vector<rep> manifest;
+    std::uint64_t weight_sum = 0;
+    for (auto& [born, sums] : uploads_.banks) {
+      // A born round past `now`, or past the rep range a manifest carries.
+      lsa::require<lsa::ProtocolError>(born <= now && born < Fp::modulus,
+                                       "server: born round out of range");
+      sums.weight =
+          lsa::quant::quantized_staleness_weight(staleness, now - born, c_g);
+      for (std::uint32_t user = 0; user < params_.num_users; ++user) {
+        if (!sums.has(user)) continue;
+        manifest.insert(manifest.end(), {user, static_cast<rep>(born),
+                                         static_cast<rep>(sums.weight)});
+        weight_sum += sums.weight;
       }
-      owners.push_back(user);
-      rows.push_back(shares.rows.row_ptr(user));
     }
-    const std::span<const rep* const> share_rows(rows);
-    std::vector<rep> agg_mask;
-    if (byzantine_tolerant_) {
-      auto corrected =
-          codec_.decode_aggregate_corrected(owners, share_rows, params_.exec);
-      agg_mask = std::move(corrected.aggregate);
-      last_corrupted_.assign(corrected.corrupted_owners.begin(),
-                             corrected.corrupted_owners.end());
-    } else {
-      agg_mask = codec_.decode_aggregate_rows(owners, share_rows, params_.exec);
-    }
-
-    // The sum of U1's masked models was formed as they arrived; the slot
-    // is retired below, so the result takes its buffer.
-    std::vector<rep> result = std::move(uploads->sum);
-    lsa::field::sub_inplace<Fp>(std::span<rep>(result),
-                                std::span<const rep>(agg_mask));
-
-    transport_.broadcast_row(MsgType::kAggregateResult,
+    lsa::require<lsa::ProtocolError>(
+        weight_sum > 0, "server: all manifest weights rounded to zero");
+    for (auto& [born, sums] : uploads_.banks) sums.sealed = true;
+    transport_.broadcast_row(MsgType::kBufferManifest,
                              static_cast<std::uint32_t>(params_.num_users),
-                             round, std::span<const rep>(result),
+                             now, std::span<const rep>(manifest),
                              static_cast<std::uint32_t>(params_.num_users));
-    uploads_.drop(round);
-    agg_shares_.drop(round);
-    return result;
+  }
+
+  /// Async: completes the cycle at `now` from at least U weighted-share
+  /// responses (see finish). The masked input is sum_t w_t * sum_t over
+  /// the sealed born rounds, one fused weighted column sum.
+  [[nodiscard]] CycleOutput finish_cycle(std::uint64_t now) {
+    CycleOutput out;
+    std::vector<rep> coeffs;
+    std::vector<const rep*> rows;
+    for (const auto& [born, sums] : uploads_.banks) {
+      if (!sums.sealed) continue;
+      coeffs.push_back(static_cast<rep>(sums.weight));
+      rows.push_back(sums.sum.data());
+      out.weight_sum += sums.weight * sums.count();
+    }
+    lsa::require<lsa::ProtocolError>(!rows.empty(),
+                                     "server: no cycle in recovery");
+    std::vector<rep> masked(params_.model_dim, Fp::zero);
+    lsa::field::axpy_accumulate_blocked<Fp>(
+        std::span<rep>(masked), std::span<const rep>(coeffs),
+        std::span<const rep* const>(rows), params_.exec.chunk_reps);
+    out.weighted_sum = finish(now, std::move(masked));
+    return out;
   }
 
   /// Users whose masked model arrived for `round` (the de-facto U1).
   [[nodiscard]] std::vector<std::uint32_t> arrived(std::uint64_t round) const {
     std::vector<std::uint32_t> out;
-    const auto* uploads = uploads_.find(round);
-    if (uploads == nullptr) return out;
+    const auto* sums = uploads_.find(round);
+    if (sums == nullptr) return out;
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      if (uploads->has(i)) out.push_back(i);
+      if (sums->has(i)) out.push_back(i);
     }
     return out;
   }
 
-  /// Responders whose aggregated shares were falsified in the last
-  /// finish_round (Byzantine-tolerant mode only; empty otherwise).
+  /// Uploads folded but not yet sealed by a recovery request: an async
+  /// cycle's buffer.
+  [[nodiscard]] std::size_t buffered() const {
+    std::size_t c = 0;
+    for (const auto& [key, sums] : uploads_.banks) {
+      if (!sums.sealed) c += sums.count();
+    }
+    return c;
+  }
+
+  /// Responders whose shares were falsified in the last finish
+  /// (Byzantine-tolerant mode only; empty otherwise).
   [[nodiscard]] const std::vector<std::size_t>& last_corrupted() const {
     return last_corrupted_;
   }
@@ -627,14 +658,15 @@ class AggregationServer final : public Party {
             "server: bad masked model length");
         lsa::require<lsa::ProtocolError>(sender < params_.num_users,
                                          "server: upload from a non-user");
-        uploads_.prepare(round, params_.num_users, params_.model_dim)
+        uploads_.open(round, params_.num_users, params_.model_dim)
             .fold(sender, payload, params_.exec);
         break;
       case MsgType::kAggregatedShares:
+      case MsgType::kWeightedShares:
         lsa::require<lsa::ProtocolError>(
             payload.size() == codec_.segment_len(),
-            "server: bad aggregated share length");
-        agg_shares_.prepare(round, params_.num_users, codec_.segment_len())
+            "server: bad recovery response length");
+        responses_.open(round, params_.num_users, codec_.segment_len())
             .put(sender, payload);
         break;
       default:
@@ -642,18 +674,74 @@ class AggregationServer final : public Party {
     }
   }
 
+  /// The one exit of both finishes: one-shot decodes the aggregate mask
+  /// from the first U responses banked under `key` (from all of them when
+  /// Byzantine-tolerant: the extras are the redundancy the error-correcting
+  /// decode spends), subtracts it from `masked` in place and broadcasts and
+  /// returns the result. Returning or throwing, it retires the sealed sums
+  /// and the responses under `key`.
+  std::vector<rep> finish(std::uint64_t key, std::vector<rep> masked) {
+    try {
+      const ShareBank<Fp>* shares = responses_.find(key);
+      lsa::require<lsa::ProtocolError>(
+          shares != nullptr && shares->count() >= params_.target_survivors,
+          "server: fewer than U recovery responses — unrecoverable round");
+      std::vector<std::size_t> owners;
+      std::vector<const rep*> rows;
+      for (std::uint32_t user = 0; user < params_.num_users; ++user) {
+        if (!shares->has(user)) continue;
+        if (!byzantine_tolerant_ &&
+            owners.size() == params_.target_survivors) {
+          break;
+        }
+        owners.push_back(user);
+        rows.push_back(shares->rows.row_ptr(user));
+      }
+      const std::span<const rep* const> share_rows(rows);
+      std::vector<rep> agg_mask;
+      if (byzantine_tolerant_) {
+        auto corrected =
+            codec_.decode_aggregate_corrected(owners, share_rows, params_.exec);
+        agg_mask = std::move(corrected.aggregate);
+        last_corrupted_.assign(corrected.corrupted_owners.begin(),
+                               corrected.corrupted_owners.end());
+      } else {
+        agg_mask =
+            codec_.decode_aggregate_rows(owners, share_rows, params_.exec);
+      }
+      lsa::field::sub_inplace<Fp>(std::span<rep>(masked),
+                                  std::span<const rep>(agg_mask));
+      transport_.broadcast_row(MsgType::kAggregateResult,
+                               static_cast<std::uint32_t>(params_.num_users),
+                               key, std::span<const rep>(masked),
+                               static_cast<std::uint32_t>(params_.num_users));
+    } catch (...) {
+      retire_sealed(key);
+      throw;
+    }
+    retire_sealed(key);
+    return masked;
+  }
+
+  /// Retires every sealed upload sum and the responses under `key`.
+  void retire_sealed(std::uint64_t key) {
+    uploads_.retire_if(
+        [](std::uint64_t, const UploadSum<Fp>& sums) { return sums.sealed; });
+    responses_.retire(key);
+  }
+
   lsa::protocol::Params params_;
   lsa::coding::MaskCodec<Fp> codec_;
   Transport& transport_;
   bool byzantine_tolerant_ = false;
   std::vector<std::size_t> last_corrupted_;
-  /// uploads_.find(r)->sum = the sum of round r's masked models so far.
-  /// Parity ring: uploads for round r+1 may fold into the other slot while
-  /// round r is still mid-recovery (a socket peer banking ahead, see
-  /// ParityRing).
-  ParityRing<UploadSum<Fp>> uploads_;
-  /// agg_shares_.find(r)->rows.row(j) = responder j's aggregated share.
-  ParityRing<ShareBank<Fp>> agg_shares_;
+  /// uploads_.find(k)->sum = the sum of the masked models under wire round
+  /// k so far. A socket peer may bank round r + 1 while round r is still in
+  /// recovery (server::RemoteSession), so two rounds can be open at once.
+  RoundStore<UploadSum<Fp>> uploads_;
+  /// responses_.find(k)->rows.row(j) = responder j's aggregated (sync) or
+  /// weighted (async) share for the recovery request under key k.
+  RoundStore<ShareBank<Fp>> responses_;
 };
 
 /// THE delivery loop of every in-process drive: drains each receiver's
@@ -677,9 +765,8 @@ void pump_router(lsa::transport::ConcurrentRouter& router,
 
 /// What the in-process sync and async drivers share: the validated params,
 /// a router sized from the mode's fan-in bound plus kCapacityHeadroom, N
-/// user devices and the mode's server, and the pump between them. Network
-/// runs whole rounds on it, AsyncNetwork whole buffer cycles.
-template <class Server>
+/// user devices and the server, and the pump between them. Network runs
+/// whole rounds on it, AsyncNetwork whole buffer cycles.
 class NetworkBase {
  public:
   using Fp = lsa::field::Fp32;
@@ -693,7 +780,7 @@ class NetworkBase {
     return router_;
   }
   [[nodiscard]] UserDevice& user(std::size_t i) { return *users_.at(i); }
-  [[nodiscard]] Server& server() { return server_; }
+  [[nodiscard]] AggregationServer& server() { return server_; }
 
   /// Offline encode + share-distribution passes summed over the devices.
   [[nodiscard]] std::uint64_t offline_encodes() const {
@@ -718,13 +805,11 @@ class NetworkBase {
   }
 
  protected:
-  /// `server_args` follow the server's (params, transport) arguments.
-  template <class... ServerArgs>
   NetworkBase(const lsa::protocol::Params& params, std::uint64_t seed,
-              std::size_t fanin_bound, ServerArgs&&... server_args)
+              std::size_t fanin_bound, bool byzantine_tolerant = false)
       : params_(resolved(params)),
         router_(params_.num_users + 1, fanin_bound + kCapacityHeadroom),
-        server_(params_, router_, std::forward<ServerArgs>(server_args)...) {
+        server_(params_, router_, byzantine_tolerant) {
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
       users_.push_back(
           std::make_unique<UserDevice>(i, params_, seed, router_));
@@ -733,7 +818,7 @@ class NetworkBase {
 
   lsa::protocol::Params params_;
   lsa::transport::ConcurrentRouter router_;
-  Server server_;
+  AggregationServer server_;
   std::vector<std::unique_ptr<UserDevice>> users_;
 
  private:
@@ -749,7 +834,7 @@ class NetworkBase {
 /// ExecPolicy it is the single-threaded reference every concurrent drive
 /// is pinned against; server::Session is this driver plus a queue of
 /// rounds, on the session's policy.
-class Network : public NetworkBase<AggregationServer> {
+class Network : public NetworkBase {
  public:
   /// The router holds sync_fanin_bound(N) plus headroom per mailbox.
   Network(const lsa::protocol::Params& params, std::uint64_t seed,

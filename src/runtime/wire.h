@@ -175,14 +175,12 @@ struct WireHeader {
   std::uint32_t crc = 0;  ///< as written by the sender, not yet checked
 };
 
-/// Reads the header and checks header/payload truncation only: no CRC
-/// pass, no look at the payload. Throws ProtocolError on a length
-/// mismatch.
-[[nodiscard]] inline WireHeader read_header(
-    std::span<const std::uint8_t> buf) {
-  lsa::require<lsa::ProtocolError>(buf.size() >= kHeaderBytes,
-                                   "wire: truncated header");
-  const std::uint8_t* p = buf.data();
+/// The one decoder of the header layout: reads the fields of the 28
+/// header bytes `hdr` and checks nothing. For bytes whose length is known
+/// already — a staged header, a frame the socket decoder assembled.
+[[nodiscard]] inline WireHeader decode_header(
+    std::span<const std::uint8_t, kHeaderBytes> hdr) {
+  const std::uint8_t* p = hdr.data();
   auto get16 = [&p] { std::uint16_t v; std::memcpy(&v, p, 2); p += 2; return v; };
   auto get32 = [&p] { std::uint32_t v; std::memcpy(&v, p, 4); p += 4; return v; };
   auto get64 = [&p] { std::uint64_t v; std::memcpy(&v, p, 8); p += 8; return v; };
@@ -194,6 +192,17 @@ struct WireHeader {
   h.round = get64();
   h.payload_elems = get32();
   h.crc = get32();
+  return h;
+}
+
+/// Reads the header and checks header/payload truncation only: no CRC
+/// pass, no look at the payload. Throws ProtocolError on a length
+/// mismatch.
+[[nodiscard]] inline WireHeader read_header(
+    std::span<const std::uint8_t> buf) {
+  lsa::require<lsa::ProtocolError>(buf.size() >= kHeaderBytes,
+                                   "wire: truncated header");
+  const WireHeader h = decode_header(buf.first<kHeaderBytes>());
   lsa::require<lsa::ProtocolError>(
       buf.size() == kHeaderBytes + 4ull * h.payload_elems,
       "wire: truncated payload");

@@ -19,10 +19,11 @@
 //         and a queue of *buffer cycles* (arrivals at staleness →
 //         K-buffered manifest → weighted-share fan-in → one-shot decode of
 //         the weighted aggregate mask); step() = one cycle.
-//     The drivers own the machines, the arenas and the
-//     transport::ConcurrentRouter (per-receiver MPSC mailboxes, pooled
-//     zero-copy frames); nothing is shared between sessions but the
-//     thread pool and the instrumentation counters;
+//     The drivers own the machines (N runtime::UserDevices and one
+//     runtime::AggregationServer, the same classes in both kinds), the
+//     arenas and the transport::ConcurrentRouter (per-receiver MPSC
+//     mailboxes, pooled zero-copy frames); nothing is shared between
+//     sessions but the thread pool and the instrumentation counters;
 //   * sessions are sharded session_id % num_shards; run_rounds()/drive()
 //     executes one task per shard on the sys::ThreadPool, each shard
 //     pumping its sessions' queued steps to completion serially while the
@@ -38,8 +39,9 @@
 //     intra-session fan-out may share one pool.
 //
 // Determinism: every reduction in the state machines is ordered by user
-// *index* (never by arrival order), async decode survivor sets are the
-// sorted responder ids, and field arithmetic is exact — so a session's
+// *index* (never by arrival order), an async manifest lists its uploads by
+// born round then user id, decode survivor sets are the sorted responder
+// ids, and field arithmetic is exact — so a session's
 // aggregate is bit-identical to its driver on the default, inline
 // ExecPolicy (the single-threaded reference) at the same seed, whatever
 // the interleaving (asserted in tests/transport_test.cpp,
@@ -266,7 +268,6 @@ class AsyncSession final : public SessionBase,
   using Fp = SessionBase::Fp;
   using rep = SessionBase::rep;
   using Arrival = lsa::runtime::Arrival;
-  using Output = lsa::runtime::AsyncAggregationServer::Output;
 
   explicit AsyncSession(const AsyncSessionConfig& cfg)
       : AsyncNetwork(cfg.params, cfg.buffer_k, cfg.staleness, cfg.c_g,

@@ -121,14 +121,15 @@ class RemoteSession {
       case lsa::runtime::MsgType::kMaskedModel:
         // Fold uploads for the current collect phase and for the next
         // round (fast clients bank ahead). A current-round model landing
-        // AFTER the survivor bitmap is out is late — U1 is sealed, and
-        // folding it would desynchronize the masked-model sum from the
-        // recovered mask. An upload kRingDepth or more rounds ahead has
-        // no slot of its own in the server's parity ring: it would re-key
-        // the live round's slot and wipe its sum. Both are dropped, like
-        // every late frame.
+        // AFTER the survivor bitmap is out is late — U1 is sealed, and the
+        // server would refuse it. An upload two or more rounds ahead, past
+        // the rounds in flight (UserDevice::kShareRetentionRounds), would
+        // open server state no round in flight retires, so one peer could
+        // grow the hub without bound. Both are dropped, like every late
+        // frame.
         if ((in.view.round > round_ &&
-             in.view.round < round_ + kRingDepth) ||
+             in.view.round <
+                 round_ + lsa::runtime::UserDevice::kShareRetentionRounds) ||
             (in.view.round == round_ && phase_ == Phase::kCollect)) {
           server_->handle_view(in.view);
           if (in.view.round > max_round_seen_) {
@@ -219,10 +220,6 @@ class RemoteSession {
       // Loop: banked-ahead uploads may already complete the next collect.
     }
   }
-
-  /// Rounds the server machine holds at once (its parity ring's depth).
-  static constexpr std::uint64_t kRingDepth =
-      lsa::runtime::ParityRing<lsa::runtime::UploadSum<Fp>>::kDepth;
 
   RemoteSessionConfig cfg_;
   std::unique_ptr<lsa::runtime::AggregationServer> server_;

@@ -98,8 +98,8 @@ class FrameDecoder {
 
  private:
   void begin_frame() {
-    std::uint32_t payload_elems = 0;
-    std::memcpy(&payload_elems, header_.data() + 20, 4);
+    const std::uint32_t payload_elems =
+        lsa::runtime::decode_header(header_).payload_elems;
     lsa::require<lsa::ProtocolError>(
         payload_elems <= max_payload_elems_,
         "socket: oversized frame (" + std::to_string(payload_elems) +

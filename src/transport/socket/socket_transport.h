@@ -494,16 +494,14 @@ class SocketTransport final : public lsa::runtime::Transport {
       handle_hello(c, std::move(f));
       return;
     }
-    std::uint32_t sender = 0;
-    std::uint32_t receiver = 0;
-    std::memcpy(&sender, f.bytes().data() + 4, 4);
-    std::memcpy(&receiver, f.bytes().data() + 8, 4);
+    const lsa::runtime::WireHeader h = lsa::runtime::decode_header(
+        f.bytes().first<lsa::runtime::kHeaderBytes>());
     SessionState& ss = sessions_.at(c->session);
-    if (sender != c->user) {
+    if (h.sender != c->user) {
       proto_fail(c);  // spoofed sender
       return;
     }
-    if (receiver == ss.num_users) {
+    if (h.receiver == ss.num_users) {
       // For the server machine: validate end-to-end, deliver the view.
       Inbound in;
       in.buf = std::move(f);
@@ -517,12 +515,12 @@ class SocketTransport final : public lsa::runtime::Transport {
       invoke_hook([&] { ss.hooks.on_frame(in); });
       return;
     }
-    if (receiver < ss.num_users) {
+    if (h.receiver < ss.num_users) {
       // Relay: the pooled buffer moves straight from this connection's
       // decoder to the target's write queue (or parked bin) — zero-copy
       // forwarding. CRC stays end-to-end (the destination validates).
       ++stats_.frames_relayed;
-      deliver_or_park(ss, receiver, std::move(f));
+      deliver_or_park(ss, h.receiver, std::move(f));
       return;
     }
     proto_fail(c);  // nonsense receiver
@@ -752,11 +750,9 @@ class SocketTransport final : public lsa::runtime::Transport {
         SessionState& ss = sit->second;
         auto& bin = ss.parked[c->user];
         for (BufferRef& f : q) {
-          std::uint16_t type = 0;
-          std::memcpy(&type, f.bytes().data(), 2);
-          if (type ==
-                  static_cast<std::uint16_t>(
-                      lsa::runtime::MsgType::kSessionWelcome) ||
+          if (lsa::runtime::decode_header(
+                  f.bytes().first<lsa::runtime::kHeaderBytes>())
+                      .type == lsa::runtime::MsgType::kSessionWelcome ||
               bin.size() >= ss.park_cap) {
             ++stats_.frames_dropped;
             continue;

@@ -141,7 +141,7 @@ TEST(AsyncRuntime, UploadWithoutTimestampedSharesIsRejected) {
                         /*round=*/4, std::span<const rep>(upload));
   net.pump();
   ASSERT_EQ(net.server().buffered(), 1u);
-  net.server().begin_recovery(/*now=*/4);
+  net.server().send_manifest(/*now=*/4, constant, kCg);
   EXPECT_THROW(net.pump(), lsa::ProtocolError);
 }
 
@@ -173,6 +173,46 @@ TEST(AsyncRuntime, SameUserTwiceInOneCycleAtDifferentBornRounds) {
   const auto out = net.run_cycle(/*now=*/12, arrivals);
   EXPECT_EQ(out.weighted_sum, expected_weighted_sum(arrivals, 12, constant));
   EXPECT_EQ(out.weight_sum, 2 * kCg);
+}
+
+TEST(AsyncRuntime, SecondUploadAtOneBornRoundRejected) {
+  // Two uploads of one user at one born round carry one mask, which the
+  // manifest would recover once: the server refuses the second before it
+  // touches the born round's sum.
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), /*buffer_k=*/2, constant, kCg,
+                                 23);
+  const std::vector<Arrival> arrivals{{1, 5, random_update(560)},
+                                      {1, 5, random_update(561)}};
+  EXPECT_THROW((void)net.run_cycle(/*now=*/5, arrivals), lsa::ProtocolError);
+  EXPECT_EQ(net.server().buffered(), 1u);
+}
+
+TEST(AsyncRuntime, FailedCycleLeavesTheNextCycleExact) {
+  // Cycle 1 fails: users 6-9 crash before recovery, so only 6 < U = 7
+  // answer its manifest, and the live users have consumed their shares of
+  // the buffered updates. The failed finish retires what the manifest
+  // sealed, so cycle 2, with everyone revived and four other users, is
+  // exact.
+  auto p = make_params();
+  p.privacy = 3;
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(p, kBufferK, constant, kCg, 25);
+  std::vector<Arrival> first;
+  std::vector<Arrival> second;
+  for (std::size_t b = 0; b < kBufferK; ++b) {
+    first.push_back({b, /*born_round=*/1, random_update(800 + b)});
+    second.push_back({4 + b, /*born_round=*/2, random_update(810 + b)});
+  }
+  EXPECT_THROW((void)net.run_cycle(/*now=*/1, first, {6, 7, 8, 9}),
+               lsa::ProtocolError);
+  EXPECT_EQ(net.server().buffered(), 0u);
+  for (std::size_t j = 0; j < kN; ++j) net.router().revive(j);
+  const auto out = net.run_cycle(/*now=*/2, second);
+  EXPECT_EQ(out.weighted_sum, expected_weighted_sum(second, 2, constant));
+  EXPECT_EQ(out.weight_sum, kBufferK * kCg);
 }
 
 TEST(AsyncRuntime, MultipleCyclesWithInterleavedTimestamps) {

@@ -1,9 +1,10 @@
 // Async buffered-cycle sessions in the sharded server: bit-identity with
-// the legacy single-threaded AsyncNetwork drive at equal seed, U-boundary
-// dropout under staleness, buffered rounds spanning many born-rounds,
-// one cycle-admission rule, survivor-set plan-cache reuse across
-// cycles, and mixed sync+async multi-session drives deterministic across
-// pool sizes with zero send-side payload copies.
+// the legacy single-threaded AsyncNetwork drive at equal seed, the pooled
+// multi-block upload fold, U-boundary dropout under staleness, buffered
+// rounds spanning many born-rounds, one cycle-admission rule,
+// survivor-set plan-cache reuse across cycles, and mixed sync+async
+// multi-session drives deterministic across pool sizes with zero
+// send-side payload copies.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -100,6 +101,40 @@ TEST(AsyncSession, ScheduledCyclesBitIdenticalToLegacyDrive) {
         << "cycle " << c;
   }
   EXPECT_EQ(session.stats().steps, 3u);
+}
+
+TEST(AsyncSession, PooledUploadFoldMatchesInlineNetwork) {
+  // A pooled session's server folds each update into its born round's sum
+  // in kUploadFoldGrain blocks over the session pool, from inside a pump
+  // lane. At d = 2 grains + 17 every update splits into two full blocks
+  // and a ragged tail; two cycles over several born rounds, the second
+  // with a crash before recovery, must match the inline AsyncNetwork bit
+  // for bit.
+  constexpr std::size_t kBig = 2 * lsa::runtime::kUploadFoldGrain + 17;
+  lsa::sys::ThreadPool pool(4);
+  auto cfg = async_config(/*seed=*/41, /*sched_seed=*/1);
+  cfg.params.model_dim = kBig;
+  lsa::runtime::AsyncNetwork inline_net(cfg.params, kBufferK, cfg.staleness,
+                                        kCg, /*seed=*/41);
+  cfg.params.exec.pool = &pool;
+  lsa::server::AsyncSession session(cfg);
+  for (std::uint64_t c = 0; c < 2; ++c) {
+    const std::uint64_t now = 5 + c;
+    std::vector<Arrival> arrivals;
+    for (std::size_t b = 0; b < kBufferK; ++b) {
+      arrivals.push_back(
+          {2 * b + c, now - b % 3, random_update(900 + 10 * c + b, kBig)});
+    }
+    const std::vector<std::size_t> crash =
+        c == 1 ? std::vector<std::size_t>{9} : std::vector<std::size_t>{};
+    const auto want = inline_net.run_cycle(now, arrivals, crash);
+    const auto got = session.run_cycle(now, arrivals, crash);
+    EXPECT_EQ(got.weighted_sum, want.weighted_sum) << "cycle " << c;
+    EXPECT_EQ(got.weight_sum, want.weight_sum) << "cycle " << c;
+    EXPECT_EQ(want.weighted_sum,
+              expected_weighted_sum(arrivals, now, cfg.staleness, kBig))
+        << "cycle " << c;
+  }
 }
 
 TEST(AsyncSession, UBoundaryDropoutWithManyBornRounds) {
@@ -228,7 +263,7 @@ TEST(MixedServer, OneDriveRunsSyncAndAsyncCohortsDeterministically) {
                                 {6, 3, random_update(807)},
                                 {7, 6, random_update(808)}};
 
-  std::vector<lsa::runtime::AsyncAggregationServer::Output> a_expected;
+  std::vector<lsa::runtime::AsyncNetwork::Output> a_expected;
   {
     lsa::runtime::AsyncNetwork legacy(cfg_a.params, kBufferK, cfg_a.staleness,
                                       kCg, 71);
@@ -237,7 +272,7 @@ TEST(MixedServer, OneDriveRunsSyncAndAsyncCohortsDeterministically) {
                                             sched_a.arrivals_for_cycle(c)));
     }
   }
-  std::vector<lsa::runtime::AsyncAggregationServer::Output> b_expected;
+  std::vector<lsa::runtime::AsyncNetwork::Output> b_expected;
   {
     lsa::runtime::AsyncNetwork legacy(cfg_b.params, kBufferK, cfg_b.staleness,
                                       kCg, 72);

@@ -915,7 +915,7 @@ TEST(Session, AsyncCyclePinsOneShareBlockPerArrival) {
   }
   EXPECT_EQ(net.router().pool().outstanding(), 2 * kK);
   net.pump();
-  net.server().begin_recovery(kNow);
+  net.server().send_manifest(kNow, constant, /*c_g=*/64);
   net.pump();
   const auto got = net.server().finish_cycle(kNow);
   net.pump();
